@@ -5,9 +5,11 @@ with Fraction coefficients; no floats are involved until the very last
 comparison table.
 """
 
-from kthprice import (bid_from_psi_ladder, bid_kth_series, make_linear,
-                      make_triangle, make_uniform, phi_ladder_check,
-                      psi_closed_form, psi_ladder_oracle)
+from fractions import Fraction
+
+from kthprice import (AuctionConfig, BidFunction, bid_from_psi_ladder,
+                      make_linear, make_triangle, make_uniform,
+                      phi_ladder_check, psi_closed_form, psi_ladder_oracle)
 
 # the ladder output psi_{k-1} for a few small auctions
 for name, dist in [("uniform", make_uniform(1.0)),
@@ -25,12 +27,11 @@ print("ladder == closed form for all 3 <= k <= n <= 8 (linear a=1):", agree)
 
 # the bid itself, straight from the ladder
 beta = bid_from_psi_ladder(lin, 6, 4)
+series = BidFunction.series(AuctionConfig(6, 4), lin)
 print(f"beta_4 for n=6, linear a=1: {beta}")
 for x in (0.25, 0.5, 0.75, 1.0):
-    from fractions import Fraction
     exact = float(beta(Fraction(x)))
-    series = bid_kth_series(lin, 6, 4, x)
-    print(f"  x={x}: exact {exact:.12f}   series {series:.12f}")
+    print(f"  x={x}: exact {exact:.12f}   series {series(x):.12f}")
 print()
 
 # the reverse direction: start from the expected payment under the bid

@@ -10,10 +10,10 @@ revenue-equivalence benchmark, and sharded deterministic Monte Carlo),
 and ships a CLI plus narrative demos on top.
 """
 
-from .combinatorics import (ThetaTable, binom_real, catalan,
+from .combinatorics import (IdentityResult, ThetaTable, catalan,
                             catalan_integral, catalan_recurrence_holds,
-                            hagen_rothe_sides, jensen_sides, omega,
-                            omega_bounds_hold, shifted_jensen_sides,
+                            hagen_rothe_sides, identity_sweep, jensen_sides,
+                            omega, omega_bounds_hold, shifted_jensen_sides,
                             theta_coeff, theta_index_identity_holds,
                             theta_step_recurrence_holds, theta_table)
 from .distributions import (NORMALIZATION_TOL, AuctionConfig,
@@ -23,8 +23,6 @@ from .distributions import (NORMALIZATION_TOL, AuctionConfig,
                             make_uniform, sample_values)
 from .equilibrium import (BidFunction, BidKind, MonotonicityResult,
                           bid_bounds_check, bid_from_psi_ladder,
-                          bid_kth_series, bid_kth_triangle, bid_kth_uniform,
-                          bid_second_price, bid_third_price,
                           monotonicity_certificate, phi_ladder_check,
                           psi_closed_form, psi_ladder_oracle,
                           series_coefficients)
@@ -44,6 +42,7 @@ __all__ = [
     "BidFunction",
     "BidKind",
     "DEFAULT_QUADRATURE",
+    "IdentityResult",
     "LinearDensityDistribution",
     "MonotonicityResult",
     "MonteCarloResult",
@@ -58,12 +57,6 @@ __all__ = [
     "best_response_profile",
     "bid_bounds_check",
     "bid_from_psi_ladder",
-    "bid_kth_series",
-    "bid_kth_triangle",
-    "bid_kth_uniform",
-    "bid_second_price",
-    "bid_third_price",
-    "binom_real",
     "catalan",
     "catalan_integral",
     "catalan_recurrence_holds",
@@ -73,6 +66,7 @@ __all__ = [
     "expected_revenue",
     "hagen_rothe_sides",
     "highest_order_stat",
+    "identity_sweep",
     "integrate",
     "jensen_sides",
     "make_linear",

@@ -5,6 +5,10 @@ deterministic: seeds default to a fixed constant and are echoed, floats
 are printed at 12 significant digits, exact rationals as "p/q", and two
 runs with the same arguments produce identical bytes.
 
+Each option is declared once, in its subcommand's option table, which
+gives the flags, the --config file fields (same names, same types) and
+the defaults: default < config file < flag, all checked alike.
+
 Exit codes: 0 all checks passed, 1 a check failed, 2 invalid
 configuration, 3 quadrature non-convergence.
 """
@@ -12,11 +16,10 @@ configuration, 3 quadrature non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,239 +47,214 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
+@dataclass(frozen=True)
+class Option:
+    """The flag --name and config field name. low bounds int values from
+    below inclusively, float values exclusively (all are positivity); a
+    bool option is a flag without a value that sets True."""
+
+    name: str
+    type: type
+    default: object = None
+    choices: tuple[str, ...] = ()
+    low: float | None = None
+    help: str | None = None
+
+    def check(self, value):
+        """value as self.type, or ConfigError naming the option."""
+        if self.type is float and type(value) is int:
+            value = float(value)
+        if type(value) is not self.type:  # bool is not accepted as an int
+            raise ConfigError(f"{self.name} must be {self.type.__name__}, "
+                              f"got {value!r}")
+        if self.choices and value not in self.choices:
+            raise ConfigError(f"{self.name} must be one of "
+                              f"{', '.join(self.choices)}, got {value!r}")
+        exclusive = self.type is float  # "not >" also rejects NaN
+        if self.low is not None and (
+                not value > self.low if exclusive else value < self.low):
+            raise ConfigError(f"{self.name} must be {'>' if exclusive else '>='} "
+                              f"{self.low}, got {value!r}")
+        return value
+
+
+def _dist_options(n: int, k: int) -> tuple[Option, ...]:
+    return (
+        Option("n", int, n, low=2, help="number of bidders"),
+        Option("k", int, k, low=2, help="the winner pays the k-th highest bid"),
+        Option("dist", str, "uniform", ("uniform", "triangle", "linear")),
+        Option("a", float, help="density slope (dist=linear)"),
+        Option("omega", float, 1.0, help="values lie in [0, omega]"),
+    )
+
+
+BID_CHOICE = Option("bid", str, "equilibrium",
+                    ("equilibrium", "truthful", "series"), help="bid profile")
+OUTPUT = Option("output", str, help="write to this file instead of stdout")
+
+
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _round12(value: float) -> float:
-    return float(f"{value:.12g}")
+def _round12(value):
+    """value with every float in it rounded to 12 significant digits."""
+    if isinstance(value, float):
+        return float(_fmt(value))
+    if isinstance(value, dict):
+        return {key: _round12(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round12(item) for item in value]
+    return value
 
 
 def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of options shared by the subcommands."""
-
-    n: int
-    k: int
-    dist: LinearDensityDistribution | None
-    grid_size: int
-    samples: int
-    seed: int
-    tolerance: float
-    fmt: str
-    output: str | None
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ConfigError(f"k must be >= 2, got {self.k}")
-        if self.n < self.k:
-            raise ConfigError(f"n must be >= k, got n={self.n}, k={self.k}")
-        if self.grid_size < 2:
-            raise ConfigError(f"grid-size must be >= 2, got {self.grid_size}")
-        if self.samples < 1:
-            raise ConfigError(f"samples must be >= 1, got {self.samples}")
-        if not self.tolerance > 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tolerance}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-
-
-def _build_dist(kind: str, a: float | None, omega: float) -> LinearDensityDistribution:
+def _write(lines, output: str | None = None, end: str = "\n") -> None:
+    """Write each item as one line: a str as it is, a dict as JSON whose
+    floats are rounded to 12 significant digits."""
+    text = "".join((line if isinstance(line, str)
+                    else json.dumps(_round12(line))) + end for line in lines)
+    if output is None:
+        sys.stdout.write(text)
+        return
     try:
-        if kind == "uniform":
-            return make_uniform(omega)
-        if kind == "triangle":
-            return make_triangle(omega)
-        if kind == "linear":
-            if a is None:
-                raise ConfigError("dist 'linear' requires --a")
-            return make_linear(a, omega)
-    except ValueError as exc:  # constructor rejected a/omega
-        raise ConfigError(f"invalid distribution parameters: {exc}") from exc
-    raise ConfigError(f"dist must be uniform, triangle or linear, got {kind!r}")
+        with open(output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {output}: {exc}") from exc
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < --config file < explicit flags (every flag default is None)."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
+def _resolve(args: argparse.Namespace, options: tuple[Option, ...]) -> None:
+    """Set each option on args: default < --config file < flag, checked."""
+    fields = {}
+    if args.config:
         try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
+            with open(args.config, "r", encoding="utf-8") as fh:
+                fields = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-        if not isinstance(loaded, dict):
+            raise ConfigError(f"cannot read config file {args.config}: "
+                              f"{exc}") from exc
+        if not isinstance(fields, dict):
             raise ConfigError("config file must hold a JSON object")
-        for key, value in loaded.items():
-            key = key.replace("-", "_")
-            if key not in defaults:
-                raise ConfigError(f"unknown config field {key!r}")
-            merged[key] = value
-    for key in defaults:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return merged
+        fields = {key.replace("_", "-"): value for key, value in fields.items()}
+        unknown = sorted(set(fields) - {opt.name for opt in options})
+        if unknown:
+            raise ConfigError(f"unknown config field {unknown[0]!r}")
+    for opt in options:
+        dest = opt.name.replace("-", "_")
+        value = getattr(args, dest)
+        if value is None:
+            value = fields.get(opt.name, opt.default)
+        setattr(args, dest, None if value is None else opt.check(value))
 
 
-def _coerce(merged: dict, key: str, kind):
-    value = merged[key]
-    if value is None:
-        return None
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {key!r}: expected {kind.__name__}, "
-                          f"got {value!r}") from exc
+def _build_dist(args: argparse.Namespace) -> LinearDensityDistribution:
+    if args.dist == "uniform":
+        return make_uniform(args.omega)
+    if args.dist == "triangle":
+        return make_triangle(args.omega)
+    if args.a is None:
+        raise ConfigError("dist 'linear' requires --a")
+    return make_linear(args.a, args.omega)
 
 
-def _open_output(path: str | None):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+def _pick_bid(args: argparse.Namespace,
+              dist: LinearDensityDistribution) -> BidFunction:
+    config = AuctionConfig(args.n, args.k)
+    if args.bid == "truthful" or (args.bid == "series" and config.k == 2):
+        return BidFunction.second_price(config, dist)
+    if args.bid == "series":
+        return BidFunction.series(config, dist)
+    return BidFunction.equilibrium(config, dist)
 
 
 # ---------------------------------------------------------------------------
 # bid-table
 
-_BID_TABLE_DEFAULTS = dict(n=5, k=3, dist="uniform", a=None, omega=1.0,
-                           grid_size=10, fmt="csv", output=None)
+BID_TABLE_OPTIONS = _dist_options(n=5, k=3) + (
+    Option("grid-size", int, 10, low=2, help="rows at omega*i/grid-size"),
+    Option("format", str, "csv", ("csv", "json"), help="output format"),
+    OUTPUT,
+)
 
 
 def cmd_bid_table(args: argparse.Namespace) -> int:
-    merged = _merged(args, _BID_TABLE_DEFAULTS)
-    dist = _build_dist(str(merged["dist"]), _coerce(merged, "a", float),
-                       _coerce(merged, "omega", float))
-    cfg = RunConfig(n=_coerce(merged, "n", int), k=_coerce(merged, "k", int),
-                    dist=dist, grid_size=_coerce(merged, "grid_size", int),
-                    samples=1, seed=DEFAULT_SEED,
-                    tolerance=1.0, fmt=str(merged["fmt"]),
-                    output=merged["output"])
-    try:
-        bid = BidFunction.equilibrium(AuctionConfig(cfg.n, cfg.k), dist)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    dist = _build_dist(args)
+    n, k = args.n, args.k
+    bid = BidFunction.equilibrium(AuctionConfig(n, k), dist)
 
     # The exact slope sandwich holds only for the triangle density on
     # the wedge n + 4 > 2k (and is trivial for k = 2).
-    with_bounds = (dist.b == 0.0 and cfg.k >= 3 and cfg.n + 4 > 2 * cfg.k)
-    lo = hi = None
-    if with_bounds:
-        lo = 1 + Fraction(cfg.k - 2, 2 * (cfg.n - 2))
-        hi = 1 + Fraction(7 * (cfg.k - 2), 8 * (cfg.n - 2))
+    bounds = None
+    if dist.b == 0.0 and k >= 3 and n + 4 > 2 * k:
+        bounds = (float(1 + Fraction(k - 2, 2 * (n - 2))),
+                  float(1 + Fraction(7 * (k - 2), 8 * (n - 2))))
 
-    xs = [dist.omega * i / cfg.grid_size for i in range(1, cfg.grid_size + 1)]
     rows = []
-    for x in xs:
+    for i in range(1, args.grid_size + 1):
+        x = dist.omega * i / args.grid_size
         row = {"x": x, "bid": float(bid(x))}
-        if with_bounds:
-            row["lower_bound"] = float(lo) * x
-            row["upper_bound"] = float(hi) * x
+        if bounds:
+            row["lower_bound"], row["upper_bound"] = bounds[0] * x, bounds[1] * x
         rows.append(row)
 
-    slope_exact = _frac_str(bid.slope) if bid.slope is not None else ""
-    slope_dec = _fmt(float(bid.slope)) if bid.slope is not None else ""
-
-    stream, close = _open_output(cfg.output)
-    try:
-        if cfg.fmt == "csv":
-            writer = csv.writer(stream)
-            writer.writerow(["x", "bid", "slope", "slope_decimal",
-                             "lower_bound", "upper_bound"])
-            for row in rows:
-                writer.writerow([
-                    _fmt(row["x"]), _fmt(row["bid"]), slope_exact, slope_dec,
-                    _fmt(row["lower_bound"]) if with_bounds else "",
-                    _fmt(row["upper_bound"]) if with_bounds else "",
-                ])
-        else:
-            doc = {
-                "n": cfg.n,
-                "k": cfg.k,
-                "dist": {"a": _round12(dist.a), "b": _round12(dist.b),
-                         "omega": _round12(dist.omega)},
-                "slope": slope_exact or None,
-                "slope_decimal": _round12(float(bid.slope))
-                                 if bid.slope is not None else None,
-                "rows": [
-                    {key: _round12(val) for key, val in row.items()}
-                    for row in rows
-                ],
-            }
-            stream.write(json.dumps(doc) + "\n")
-    finally:
-        if close:
-            stream.close()
+    slope = bid.slope
+    exact = (_frac_str(slope), float(slope)) if slope is not None else (None, None)
+    if args.format == "json":
+        _write([{"n": n, "k": k, "dist": asdict(dist), "slope": exact[0],
+                 "slope_decimal": exact[1], "rows": rows}], args.output)
+        return EXIT_OK
+    lines = ["x,bid,slope,slope_decimal,lower_bound,upper_bound"]
+    for row in rows:
+        cells = (row["x"], row["bid"], *exact, row.get("lower_bound"),
+                 row.get("upper_bound"))
+        lines.append(",".join("" if c is None else c if isinstance(c, str)
+                              else _fmt(c) for c in cells))
+    _write(lines, args.output, end="\r\n")  # CSV records end in CRLF
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-_VERIFY_DEFAULTS = dict(suite="all", n=5, k=3, dist="uniform", a=None,
-                        omega=1.0, bid="equilibrium", grid_size=None,
-                        tol=1e-8, expect_fail=False, output=None)
-
-
-def _pick_bid(name: str, config: AuctionConfig,
-              dist: LinearDensityDistribution) -> BidFunction:
-    if name == "equilibrium":
-        return BidFunction.equilibrium(config, dist)
-    if name == "truthful":
-        return BidFunction.second_price(config, dist)
-    if name == "series":
-        if config.k == 2:
-            return BidFunction.second_price(config, dist)
-        return BidFunction.series(config, dist)
-    raise ConfigError(f"bid must be equilibrium, truthful or series, got {name!r}")
+VERIFY_OPTIONS = (
+    Option("suite", str, "all",
+           ("re", "best-response", "oracle", "ladder", "all")),
+    *_dist_options(n=5, k=3),
+    BID_CHOICE,
+    Option("grid-size", int, low=2,
+           help="grid points (default 20 for re, 101 for best-response)"),
+    Option("tol", float, 1e-8, low=0.0, help="revenue-equivalence tolerance"),
+    Option("expect-fail", bool, False,
+           help="negative control: exit 0 iff checks fail"),
+    OUTPUT,
+)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    merged = _merged(args, _VERIFY_DEFAULTS)
-    suite = str(merged["suite"])
-    if suite not in ("re", "best-response", "oracle", "ladder", "all"):
-        raise ConfigError(f"unknown verify suite {merged['suite']!r}")
-    dist = _build_dist(str(merged["dist"]), _coerce(merged, "a", float),
-                       _coerce(merged, "omega", float))
-    n = _coerce(merged, "n", int)
-    k = _coerce(merged, "k", int)
-    tol = _coerce(merged, "tol", float)
-    grid_size = _coerce(merged, "grid_size", int)
-    cfg = RunConfig(n=n, k=k, dist=dist, grid_size=grid_size or 20, samples=1,
-                    seed=DEFAULT_SEED, tolerance=tol, fmt="json",
-                    output=merged["output"])
-    expect_fail = bool(merged["expect_fail"])
-    try:
-        auction = AuctionConfig(n, k)
-        bid = _pick_bid(str(merged["bid"]), auction, dist)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    suite, n, k = args.suite, args.n, args.k
+    dist = _build_dist(args)
+    bid = _pick_bid(args, dist)
 
     reports = []
     if suite in ("re", "all"):
         reports.append(revenue_equivalence_check(
-            bid, dist, n, k, grid_size=grid_size or 20, tol=tol))
+            bid, dist, n, k, grid_size=args.grid_size or 20, tol=args.tol))
     if suite in ("best-response", "all"):
-        g = grid_size or 101
+        g = args.grid_size or 101
         z_grid = np.linspace(0.0, dist.omega, g)
-        spacing = dist.omega / (g - 1)
         xs = [0.2 * dist.omega, 0.5 * dist.omega, 0.8 * dist.omega]
-        errs = []
-        for x in xs:
-            z_star, _ = best_response_profile(bid, dist, n, k, x, z_grid)
-            errs.append(abs(z_star - x))
+        errs = [abs(best_response_profile(bid, dist, n, k, x, z_grid)[0] - x)
+                for x in xs]
         reports.append(VerificationReport.from_errors(
-            "best-response", n, k, dist, xs, errs, spacing))
-    if suite in ("oracle", "all"):
-        if k >= 3:
-            ok = psi_ladder_oracle(dist, n, k) == psi_closed_form(dist, n, k)
-            reports.append(VerificationReport.from_errors(
-                "psi-ladder-oracle", n, k, dist, [], [0.0 if ok else 1.0], 0.0))
+            "best-response", n, k, dist, xs, errs, dist.omega / (g - 1)))
+    if suite in ("oracle", "all") and k >= 3:
+        ok = psi_ladder_oracle(dist, n, k) == psi_closed_form(dist, n, k)
+        reports.append(VerificationReport.from_errors(
+            "psi-ladder-oracle", n, k, dist, [], [0.0 if ok else 1.0], 0.0))
     if suite in ("ladder", "all"):
         applicable = k >= 3 and (dist.a == 0.0 or dist.b == 0.0)
         if suite == "ladder" and not applicable:
@@ -290,253 +268,121 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"suite {suite!r} has no applicable check for "
                           f"k={k} on this distribution")
 
-    stream, close = _open_output(cfg.output)
-    try:
-        for report in reports:
-            doc = report.to_dict()
-            doc["grid"] = [_round12(v) for v in doc["grid"]]
-            doc["errors"] = [_round12(v) for v in doc["errors"]]
-            doc["max_error"] = _round12(doc["max_error"])
-            doc["tolerance"] = _round12(doc["tolerance"])
-            doc["params"]["dist"] = {key: _round12(val) for key, val
-                                     in doc["params"]["dist"].items()}
-            stream.write(json.dumps(doc) + "\n")
-    finally:
-        if close:
-            stream.close()
-
-    all_passed = all(r.passed for r in reports)
-    if expect_fail:
-        return EXIT_OK if not any(r.passed for r in reports) else EXIT_CHECK_FAILED
-    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+    _write([report.to_dict() for report in reports], args.output)
+    if args.expect_fail:
+        return EXIT_CHECK_FAILED if any(r.passed for r in reports) else EXIT_OK
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
 # identities
 
-_IDENTITIES_DEFAULTS = dict(lmax=60, integral_lmax=12, random_trials=500,
-                            seed=DEFAULT_SEED, nmax=30, tol=1e-9)
+IDENTITIES_OPTIONS = (
+    Option("lmax", int, 60, low=1, help="Catalan recurrence up to this l"),
+    Option("integral-lmax", int, 12, low=0, help="Catalan integral up to this l"),
+    Option("random-trials", int, 500, low=1, help="trials per random identity"),
+    Option("seed", int, DEFAULT_SEED, low=0, help="seed of the random trials"),
+    Option("nmax", int, 30, low=3, help="theta/omega sweeps up to this n"),
+    Option("tol", float, 1e-9, low=0.0, help="random trials' relative tolerance"),
+)
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
-    merged = _merged(args, _IDENTITIES_DEFAULTS)
-    lmax = _coerce(merged, "lmax", int)
-    integral_lmax = _coerce(merged, "integral_lmax", int)
-    trials = _coerce(merged, "random_trials", int)
-    seed = _coerce(merged, "seed", int)
-    nmax = _coerce(merged, "nmax", int)
-    tol = _coerce(merged, "tol", float)
-    if lmax < 1 or integral_lmax < 0 or trials < 1 or nmax < 3 or tol <= 0:
-        raise ConfigError("identities: need lmax >= 1, integral-lmax >= 0, "
-                          "random-trials >= 1, nmax >= 3, tol > 0")
-    failed = False
-
-    def emit(name: str, ok: bool, detail: str = ""):
-        nonlocal failed
-        status = "ok" if ok else "FAIL"
-        suffix = f" {detail}" if detail else ""
-        print(f"{status} {name}{suffix}")
-        failed = failed or not ok
-
-    emit("catalan-recurrence", combinatorics.catalan_recurrence_holds(lmax),
-         f"(lmax={lmax})")
-
-    worst = 0.0
-    ok = True
-    for l in range(integral_lmax + 1):
-        exact = combinatorics.catalan(l)
-        approx = combinatorics.catalan_integral(l)
-        rel = abs(approx - exact) / exact
-        worst = max(worst, rel)
-        ok = ok and rel <= 1e-6
-    emit("catalan-integral", ok,
-         f"(lmax={integral_lmax}, max_rel_err={_fmt(worst)})")
-
-    rng = np.random.default_rng(seed)
-    names = ("jensen", "hagen-rothe", "shifted-jensen")
-    sides = (combinatorics.jensen_sides, combinatorics.hagen_rothe_sides,
-             combinatorics.shifted_jensen_sides)
-    for name, fn in zip(names, sides):
-        bad = None
-        for _ in range(trials):
-            m = float(5.0 * rng.random()) or 1.0  # (0, 5]
-            r = float(-3.0 + 13.0 * rng.random())
-            z = float(-2.0 + 4.0 * rng.random())
-            s = int(rng.integers(0, 13))
-            if fn is combinatorics.hagen_rothe_sides:
-                # keep clear of the m + z*l = 0 poles the identity excludes
-                if any(abs(m + z * l) < 1e-3 for l in range(s + 1)):
-                    continue
-                lhs, rhs = fn(m, r, z, s)
-            elif fn is combinatorics.shifted_jensen_sides:
-                lhs, rhs = fn(r, z, s)
-            else:
-                lhs, rhs = fn(m, r, z, s)
-            if abs(lhs - rhs) > tol * max(1.0, abs(rhs)):
-                bad = (m, r, z, s, lhs, rhs)
-                break
-        if bad is None:
-            emit(name, True, f"(trials={trials}, seed={seed})")
-        else:
-            m, r, z, s, lhs, rhs = bad
-            emit(name, False,
-                 f"witness m={_fmt(m)} r={_fmt(r)} z={_fmt(z)} s={s} "
-                 f"lhs={_fmt(lhs)} rhs={_fmt(rhs)}")
-
-    ok = True
-    witness = ""
-    for n in range(3, nmax + 1):
-        for k in range(3, n + 1):
-            if not (combinatorics.theta_step_recurrence_holds(n, k)
-                    and combinatorics.theta_index_identity_holds(n, k)):
-                ok, witness = False, f"witness n={n} k={k}"
-                break
-        if not ok:
-            break
-    emit("theta-recurrences", ok, witness or f"(nmax={nmax})")
-
-    ok = True
-    witness = ""
-    for n in range(3, nmax + 1):
-        for k in range(3, n + 1):
-            if not combinatorics.omega(n, k) > 0:
-                ok, witness = False, f"witness n={n} k={k}"
-                break
-        if not ok:
-            break
-    emit("omega-positive", ok, witness or f"(nmax={nmax})")
-
-    ok = True
-    witness = ""
-    for n in range(3, nmax + 1):
-        for k in range(3, n + 1):
-            if n + 4 > 2 * k and not combinatorics.omega_bounds_hold(n, k):
-                ok, witness = False, f"witness n={n} k={k}"
-                break
-        if not ok:
-            break
-    for n in range(3, nmax + 1):
-        if combinatorics.omega(n, 3) != Fraction(1, 2):
-            ok, witness = False, f"witness n={n} k=3 (equality)"
-            break
-    emit("omega-bounds", ok, witness or f"(nmax={nmax})")
-
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    results = combinatorics.identity_sweep(
+        args.lmax, args.integral_lmax, args.random_trials, args.seed,
+        args.nmax, args.tol)
+    _write(f"{'ok' if r.passed else 'FAIL'} {r.name} {r.detail}"
+           for r in results)
+    return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
-_SIMULATE_DEFAULTS = dict(n=3, k=2, dist="uniform", a=None, omega=1.0,
-                          x=None, samples=100_000, seed=DEFAULT_SEED,
-                          bid="equilibrium", output=None)
+SIMULATE_OPTIONS = _dist_options(n=3, k=2) + (
+    Option("x", float, help="bidder value (mode=payment)"),
+    Option("samples", int, 100_000, low=1, help="Monte Carlo samples"),
+    Option("seed", int, DEFAULT_SEED, low=0, help="Monte Carlo seed"),
+    BID_CHOICE,
+    OUTPUT,
+)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    merged = _merged(args, _SIMULATE_DEFAULTS)
-    dist = _build_dist(str(merged["dist"]), _coerce(merged, "a", float),
-                       _coerce(merged, "omega", float))
-    cfg = RunConfig(n=_coerce(merged, "n", int), k=_coerce(merged, "k", int),
-                    dist=dist, grid_size=2,
-                    samples=_coerce(merged, "samples", int),
-                    seed=_coerce(merged, "seed", int), tolerance=1.0,
-                    fmt="json", output=merged["output"])
-    try:
-        bid = _pick_bid(str(merged["bid"]), AuctionConfig(cfg.n, cfg.k), dist)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    n, k, x = args.n, args.k, args.x
+    dist = _build_dist(args)
+    bid = _pick_bid(args, dist)
+    doc = {"mode": args.mode, "n": n, "k": k, "dist": asdict(dist)}
     if args.mode == "payment":
-        x = _coerce(merged, "x", float)
         if x is None:
             raise ConfigError("simulate payment requires --x")
         if not 0.0 < x <= dist.omega:
             raise ConfigError(f"x must lie in (0, omega], got {x}")
-        result = monte_carlo_expected_payment(bid, dist, cfg.n, cfg.k, x,
-                                              cfg.samples, cfg.seed)
-        benchmark = expected_payment_benchmark(dist, cfg.n, x)
-        doc = {
-            "mode": "payment",
-            "n": cfg.n, "k": cfg.k,
-            "dist": {"a": _round12(dist.a), "b": _round12(dist.b),
-                     "omega": _round12(dist.omega)},
-            "x": _round12(x),
-            "estimate": _round12(result.estimate),
-            "standard_error": _round12(result.standard_error),
-            "benchmark": _round12(benchmark),
-            "abs_error": _round12(abs(result.estimate - benchmark)),
-            "within_3se": bool(abs(result.estimate - benchmark)
-                               <= 3.0 * result.standard_error),
-            "samples": result.samples,
-            "seed": result.seed,
-        }
+        result = monte_carlo_expected_payment(bid, dist, n, k, x,
+                                              args.samples, args.seed)
+        benchmark = expected_payment_benchmark(dist, n, x)
+        error = abs(result.estimate - benchmark)
+        doc.update(x=x, estimate=result.estimate,
+                   standard_error=result.standard_error, benchmark=benchmark,
+                   abs_error=error,
+                   within_3se=bool(error <= 3.0 * result.standard_error))
     else:
-        result = expected_revenue(bid, dist, cfg.n, cfg.k, cfg.samples, cfg.seed)
-        doc = {
-            "mode": "revenue",
-            "n": cfg.n, "k": cfg.k,
-            "dist": {"a": _round12(dist.a), "b": _round12(dist.b),
-                     "omega": _round12(dist.omega)},
-            "estimate": _round12(result.estimate),
-            "standard_error": _round12(result.standard_error),
-            "samples": result.samples,
-            "seed": result.seed,
-        }
-
-    stream, close = _open_output(cfg.output)
-    try:
-        stream.write(json.dumps(doc) + "\n")
-    finally:
-        if close:
-            stream.close()
+        result = expected_revenue(bid, dist, n, k, args.samples, args.seed)
+        doc.update(estimate=result.estimate,
+                   standard_error=result.standard_error)
+    doc.update(samples=result.samples, seed=result.seed)
+    _write([doc], args.output)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # bounds
 
-_BOUNDS_DEFAULTS = dict(n=None, k=None, nmax=None)
+BOUNDS_OPTIONS = (
+    Option("n", int, help="number of bidders (with --k)"),
+    Option("k", int, help="price index (with --n)"),
+    Option("nmax", int, low=3, help="sweep all 3 <= k <= n <= nmax"),
+)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    merged = _merged(args, _BOUNDS_DEFAULTS)
-    n = _coerce(merged, "n", int)
-    k = _coerce(merged, "k", int)
-    nmax = _coerce(merged, "nmax", int)
-    pairs = []
+    n, k, nmax = args.n, args.k, args.nmax
     if nmax is not None:
-        if nmax < 3:
-            raise ConfigError(f"nmax must be >= 3, got {nmax}")
-        for nn in range(3, nmax + 1):
-            for kk in range(3, nn + 1):
-                if nn + 4 > 2 * kk:
-                    pairs.append((nn, kk))
+        pairs = [(nn, kk) for nn in range(3, nmax + 1)
+                 for kk in range(3, nn + 1) if nn + 4 > 2 * kk]
     elif n is not None and k is not None:
-        if not 3 <= k <= n:
-            raise ConfigError(f"bounds needs 3 <= k <= n, got n={n}, k={k}")
-        if not n + 4 > 2 * k:
-            raise ConfigError(f"bounds only claimed for n + 4 > 2k, "
-                              f"got n={n}, k={k}")
-        pairs.append((n, k))
+        if not (3 <= k <= n and n + 4 > 2 * k):
+            raise ConfigError(f"bounds needs 3 <= k <= n and is only claimed "
+                              f"for n + 4 > 2k, got n={n}, k={k}")
+        pairs = [(n, k)]
     else:
         raise ConfigError("bounds requires either --nmax or both --n and --k")
 
-    failed = False
-    for nn, kk in pairs:
-        value = combinatorics.omega(nn, kk)
-        anchor = math.comb(nn - 3, kk - 3)
-        lo = Fraction(anchor, 2)
-        hi = Fraction(7 * anchor, 8)
-        ok = bid_bounds_check(nn, kk)
-        failed = failed or not ok
-        print(f"{'ok' if ok else 'FAIL'} n={nn} k={kk} "
-              f"omega={_frac_str(value)} "
-              f"lower={_frac_str(lo)} upper={_frac_str(hi)}")
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    checked = [(nn, kk, bid_bounds_check(nn, kk), math.comb(nn - 3, kk - 3))
+               for nn, kk in pairs]
+    _write(f"{'ok' if ok else 'FAIL'} n={nn} k={kk} "
+           f"omega={_frac_str(combinatorics.omega(nn, kk))} "
+           f"lower={_frac_str(Fraction(anchor, 2))} "
+           f"upper={_frac_str(Fraction(7 * anchor, 8))}"
+           for nn, kk, ok, anchor in checked)
+    return EXIT_OK if all(ok for _, _, ok, _ in checked) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
 # parser / dispatch
+
+COMMANDS = {
+    "bid-table": ("tabulate the equilibrium bid", cmd_bid_table,
+                  BID_TABLE_OPTIONS),
+    "verify": ("run verification suites", cmd_verify, VERIFY_OPTIONS),
+    "identities": ("exact and randomized identity checks", cmd_identities,
+                   IDENTITIES_OPTIONS),
+    "simulate": ("Monte Carlo payment or revenue", cmd_simulate,
+                 SIMULATE_OPTIONS),
+    "bounds": ("exact slope bounds for the triangle bid", cmd_bounds,
+               BOUNDS_OPTIONS),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -544,87 +390,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Equilibrium bids for k-th price auctions: tables, "
                     "verification suites, identity checks and simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON file of defaults; flags win")
-
-    p = sub.add_parser("bid-table", help="tabulate the equilibrium bid")
-    add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--dist", choices=["uniform", "triangle", "linear"])
-    p.add_argument("--a", type=float, help="density slope (dist=linear)")
-    p.add_argument("--omega", type=float)
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"])
-    p.add_argument("--output")
-    p.set_defaults(handler=cmd_bid_table)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    add_common(p)
-    p.add_argument("--suite",
-                   choices=["re", "best-response", "oracle", "ladder", "all"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--dist", choices=["uniform", "triangle", "linear"])
-    p.add_argument("--a", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--bid", choices=["equilibrium", "truthful", "series"])
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--expect-fail", dest="expect_fail", action="store_const",
-                   const=True, help="negative control: exit 0 iff checks fail")
-    p.add_argument("--output")
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("identities", help="exact and randomized identity checks")
-    add_common(p)
-    p.add_argument("--lmax", type=int)
-    p.add_argument("--integral-lmax", dest="integral_lmax", type=int)
-    p.add_argument("--random-trials", dest="random_trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--tol", type=float)
-    p.set_defaults(handler=cmd_identities)
-
-    p = sub.add_parser("simulate", help="Monte Carlo payment or revenue")
-    add_common(p)
-    p.add_argument("mode", choices=["payment", "revenue"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--dist", choices=["uniform", "triangle", "linear"])
-    p.add_argument("--a", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--x", type=float, help="bidder value (mode=payment)")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--bid", choices=["equilibrium", "truthful", "series"])
-    p.add_argument("--output")
-    p.set_defaults(handler=cmd_simulate)
-
-    p = sub.add_parser("bounds", help="exact slope bounds for the triangle bid")
-    add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--nmax", type=int, help="sweep all 3 <= k <= n <= nmax")
-    p.set_defaults(handler=cmd_bounds)
-
+    for name, (help_text, handler, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON file of option values; flags win")
+        if name == "simulate":
+            p.add_argument("mode", choices=["payment", "revenue"])
+        for opt in options:
+            kind = ({"action": "store_true", "default": None}
+                    if opt.type is bool
+                    else {"type": opt.type, "choices": opt.choices or None})
+            p.add_argument("--" + opt.name, help=opt.help, **kind)
+        p.set_defaults(handler=handler, options=options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _resolve(args, args.options)
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        # library-level precondition violations are configuration errors
+        # ConfigError, and library precondition violations, which are
+        # configuration errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -37,7 +38,6 @@ __all__ = [
     "catalan",
     "catalan_recurrence_holds",
     "catalan_integral",
-    "binom_real",
     "jensen_sides",
     "hagen_rothe_sides",
     "shifted_jensen_sides",
@@ -48,6 +48,8 @@ __all__ = [
     "theta_index_identity_holds",
     "omega",
     "omega_bounds_hold",
+    "IdentityResult",
+    "identity_sweep",
 ]
 
 
@@ -90,19 +92,6 @@ def catalan_integral(l: int, quad: QuadratureConfig | None = None) -> float:
         return s ** (2 * l) * c * c
 
     return scale * integrate(integrand, 0.0, math.pi / 2.0, quad)
-
-
-def binom_real(r: float, s: int) -> float:
-    """Generalized binomial r(r-1)...(r-s+1)/s! for real r, integer s >= 0.
-
-    Falling-factorial definition: total on the reals, no gamma poles.
-    """
-    if s < 0:
-        raise ValueError("binom_real: lower index must be >= 0")
-    out = 1.0
-    for i in range(s):
-        out *= (r - i) / (i + 1)
-    return out
 
 
 def _binom_falling(x: Fraction, s: int) -> Fraction:
@@ -254,3 +243,97 @@ def omega_bounds_hold(n: int, k: int) -> bool:
     anchor = math.comb(n - 3, k - 3)
     value = omega(n, k)
     return Fraction(anchor, 2) <= value <= Fraction(7 * anchor, 8)
+
+
+@dataclass(frozen=True)
+class IdentityResult:
+    """One identity's verdict, the number of cases checked (up to the first
+    failure) and the swept range, or the failing case as "witness ..."."""
+
+    name: str
+    passed: bool
+    cases: int
+    detail: str
+
+
+def _first_witness(cases, holds):
+    """(cases checked, first case where holds(*case) is false, or None)."""
+    checked = 0
+    for checked, case in enumerate(cases, 1):
+        if not holds(*case):
+            return checked, case
+    return checked, None
+
+
+def _random_cases(rng: np.random.Generator, avoid_poles: bool):
+    """Endless (m, r, z, s) draws; with avoid_poles, skip those with
+    |m + z*l| < 1e-3 for some l <= s, the Hagen-Rothe identity's poles."""
+    while True:
+        m = float(5.0 * rng.random()) or 1.0  # (0, 5]
+        r = float(-3.0 + 13.0 * rng.random())
+        z = float(-2.0 + 4.0 * rng.random())
+        s = int(rng.integers(0, 13))
+        if not (avoid_poles and any(abs(m + z * l) < 1e-3 for l in range(s + 1))):
+            yield m, r, z, s
+
+
+_RANDOM_SIDES = {
+    "jensen": lambda m, r, z, s: jensen_sides(m, r, z, s),
+    "hagen-rothe": lambda m, r, z, s: hagen_rothe_sides(m, r, z, s),
+    "shifted-jensen": lambda m, r, z, s: shifted_jensen_sides(r, z, s),
+}
+
+
+def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
+                   nmax: int, tol: float) -> list[IdentityResult]:
+    """Check every identity behind the bid series; one result per identity.
+
+    catalan-recurrence exactly for l = 1..lmax; catalan-integral within
+    1e-6 relative for l = 0..integral_lmax; jensen, hagen-rothe and
+    shifted-jensen on `trials` checked random draws each, from one
+    generator seeded with `seed`, within tol * max(1, |rhs|);
+    theta-recurrences and omega-positive exactly for all
+    3 <= k <= n <= nmax; omega-bounds exactly on the wedge n + 4 > 2k,
+    with Omega(n, 3) = 1/2. The library form of `kthprice identities`.
+    """
+    if lmax < 1 or integral_lmax < 0 or trials < 1 or nmax < 3 or not tol > 0:
+        raise ValueError("identity_sweep: need lmax >= 1, integral_lmax >= 0, "
+                         "trials >= 1, nmax >= 3, tol > 0")
+    worst = max(abs(catalan_integral(l) - catalan(l)) / catalan(l)
+                for l in range(integral_lmax + 1))
+    results = [
+        IdentityResult("catalan-recurrence", catalan_recurrence_holds(lmax),
+                       lmax, f"(lmax={lmax})"),
+        IdentityResult("catalan-integral", worst <= 1e-6, integral_lmax + 1,
+                       f"(lmax={integral_lmax}, max_rel_err={worst:.12g})"),
+    ]
+
+    rng = np.random.default_rng(seed)
+    for name, sides in _RANDOM_SIDES.items():
+        def close(*case, sides=sides):
+            lhs, rhs = sides(*case)
+            return abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
+
+        draws = _random_cases(rng, avoid_poles=name == "hagen-rothe")
+        checked, bad = _first_witness(islice(draws, trials), close)
+        detail = f"(trials={trials}, seed={seed})"
+        if bad is not None:
+            (m, r, z, s), (lhs, rhs) = bad, sides(*bad)
+            detail = (f"witness m={m:.12g} r={r:.12g} z={z:.12g} s={s} "
+                      f"lhs={lhs:.12g} rhs={rhs:.12g}")
+        results.append(IdentityResult(name, bad is None, checked, detail))
+
+    pairs = [(n, k) for n in range(3, nmax + 1) for k in range(3, n + 1)]
+    for name, cases, holds in (
+            ("theta-recurrences", pairs,
+             lambda n, k: (theta_step_recurrence_holds(n, k)
+                           and theta_index_identity_holds(n, k))),
+            ("omega-positive", pairs, lambda n, k: omega(n, k) > 0),
+            ("omega-bounds", [(n, k) for n, k in pairs if n + 4 > 2 * k],
+             lambda n, k: (omega_bounds_hold(n, k)
+                           and (k > 3 or omega(n, k) == Fraction(1, 2))))):
+        checked, bad = _first_witness(cases, holds)
+        detail = (f"(nmax={nmax})" if bad is None
+                  else f"witness n={bad[0]} k={bad[1]}")
+        results.append(IdentityResult(name, bad is None, checked, detail))
+    return results

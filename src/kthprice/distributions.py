@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+
+from .polynomials import Polynomial
 
 __all__ = [
     "NORMALIZATION_TOL",
@@ -94,6 +97,11 @@ class LinearDensityDistribution:
         x = np.where(denom > 0.0, 2.0 * u / safe, 0.0)
         out = np.clip(x, 0.0, self.omega)
         return float(out) if out.ndim == 0 else out
+
+    def exact_polynomials(self) -> tuple[Polynomial, Polynomial]:
+        """(F, f) as polynomials over the exact binary values of a and b."""
+        a, b = Fraction(self.a), Fraction(self.b)
+        return Polynomial([0, b, a / 2]), Polynomial([b, a])
 
 
 def make_uniform(omega: float) -> LinearDensityDistribution:

@@ -46,11 +46,6 @@ __all__ = [
     "BidKind",
     "BidFunction",
     "MonotonicityResult",
-    "bid_second_price",
-    "bid_third_price",
-    "bid_kth_uniform",
-    "bid_kth_triangle",
-    "bid_kth_series",
     "series_coefficients",
     "psi_ladder_oracle",
     "psi_closed_form",
@@ -92,66 +87,13 @@ def series_coefficients(n: int, k: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# scalar bid functions
-
-def bid_second_price(x):
-    """beta_2(x) = x: truthful bidding is the second-price equilibrium."""
-    return x
-
-
-def bid_third_price(dist: LinearDensityDistribution, n: int, x: float) -> float:
-    """beta_3(x) = x + F(x) / ((n-2) f(x)) for n >= 3.
-
-    Rejects x = 0 when f(0) = 0 (a 0/0 form; BidFunction evaluators use
-    the continuity limit beta_3(0) = 0 instead).
-    """
-    if n < 3:
-        raise ValueError(f"bid_third_price: need n >= 3, got {n}")
-    if not 0.0 <= x <= dist.omega:
-        raise ValueError("bid_third_price: x must lie in [0, omega]")
-    f = dist.pdf(x)
-    if f == 0.0:
-        raise ValueError("bid_third_price: f(x) = 0, use the limit value 0 at x = 0")
-    return x + dist.cdf(x) / ((n - 2) * f)
-
-
-def bid_kth_uniform(n: int, k: int, x: float) -> float:
-    """Uniform-values closed form beta_k(x) = x + (k-2)/(n-k+1) x."""
-    if not 2 <= k <= n:
-        raise ValueError(f"bid_kth_uniform: need 2 <= k <= n, got n={n}, k={k}")
-    return float(_uniform_slope(n, k)) * x
-
-
-def bid_kth_triangle(n: int, k: int, omega: float, x: float) -> float:
-    """Triangle-density closed form beta_k(x) = x (1 + Omega_k / binom(n-2,k-2))."""
-    if not 3 <= k <= n:
-        raise ValueError(f"bid_kth_triangle: need 3 <= k <= n, got n={n}, k={k}")
-    if not 0.0 <= x <= omega:
-        raise ValueError("bid_kth_triangle: x must lie in [0, omega]")
-    return float(_triangle_slope(n, k)) * x
-
-
-def bid_kth_series(dist: LinearDensityDistribution, n: int, k: int,
-                   x: float) -> float:
-    """General linear-density series bid.
-
-    beta_k(x) = x + sum_l c_l a**l F(x)**(l+1) / f(x)**(2l+1) with the
-    exact coefficients from series_coefficients; beta_k(0) = 0 by
-    continuity (for the triangle density the x = 0 term is a 0/0 form).
-    """
-    if not 3 <= k <= n:
-        raise ValueError(f"bid_kth_series: need 3 <= k <= n, got n={n}, k={k}")
-    if not 0.0 <= x <= dist.omega:
-        raise ValueError("bid_kth_series: x must lie in [0, omega]")
-    if x == 0.0:
-        return 0.0
-    return float(_series_eval(dist, n, k, np.asarray([x]))[0])
-
-
 def _series_eval(dist: LinearDensityDistribution, n: int, k: int,
                  x: np.ndarray) -> np.ndarray:
-    """Vectorized series bid; x = 0 maps to 0 by continuity."""
+    """Series bid x + sum_l c_l a**l F(x)**(l+1) / f(x)**(2l+1), vectorized.
+
+    x = 0 maps to 0 by continuity (for the triangle density the series
+    term there is a 0/0 form).
+    """
     cs = [float(c) for c in series_coefficients(n, k)]
     big_f = np.asarray(dist.cdf(x))
     f = np.asarray(dist.pdf(x))
@@ -253,11 +195,6 @@ class BidFunction:
 # ---------------------------------------------------------------------------
 # symbolic ladders
 
-def _dist_polys(dist: LinearDensityDistribution) -> tuple[Polynomial, Polynomial]:
-    a, b = Fraction(dist.a), Fraction(dist.b)
-    return Polynomial([0, b, a / 2]), Polynomial([b, a])
-
-
 def psi_ladder_oracle(dist: LinearDensityDistribution, n: int,
                       k: int) -> RationalFunction:
     """Run the differentiation ladder symbolically and return psi_{k-1}.
@@ -269,7 +206,7 @@ def psi_ladder_oracle(dist: LinearDensityDistribution, n: int,
     """
     if not 3 <= k <= n:
         raise ValueError("psi_ladder_oracle: need 3 <= k <= n")
-    big_f, f = _dist_polys(dist)
+    big_f, f = dist.exact_polynomials()
     x = Polynomial.variable()
     psi = RationalFunction((x * big_f ** (n - 2) * f).antiderivative())
     f_rf = RationalFunction(f)
@@ -287,7 +224,7 @@ def psi_closed_form(dist: LinearDensityDistribution, n: int,
     """
     if not 3 <= k <= n:
         raise ValueError("psi_closed_form: need 3 <= k <= n")
-    big_f, f = _dist_polys(dist)
+    big_f, f = dist.exact_polynomials()
     a = Fraction(dist.a)
     x = Polynomial.variable()
     total = RationalFunction(math.comb(n - 2, k - 2) * x * big_f ** (n - k))
@@ -303,7 +240,7 @@ def psi_closed_form(dist: LinearDensityDistribution, n: int,
 def bid_from_psi_ladder(dist: LinearDensityDistribution, n: int,
                         k: int) -> RationalFunction:
     """beta_k as a rational function, straight from the symbolic ladder."""
-    big_f, _ = _dist_polys(dist)
+    big_f, _ = dist.exact_polynomials()
     scale = math.comb(n - 2, k - 2) * math.factorial(k - 2)
     return psi_ladder_oracle(dist, n, k) / RationalFunction(scale * big_f ** (n - k))
 
@@ -329,7 +266,7 @@ def phi_ladder_check(dist: LinearDensityDistribution, n: int, k: int) -> bool:
     else:
         raise ValueError("phi_ladder_check: distribution must be uniform or "
                          "triangle so the payment integrals stay polynomial")
-    big_f, f = _dist_polys(dist)
+    big_f, f = dist.exact_polynomials()
     beta = Polynomial([0, slope])
     gammas = [(beta * big_f ** (n - k + l) * f).antiderivative()
               for l in range(k - 1)]

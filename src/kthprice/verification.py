@@ -117,9 +117,7 @@ class VerificationReport:
 @lru_cache(maxsize=None)
 def _benchmark_antiderivative(dist: LinearDensityDistribution,
                               n: int) -> Polynomial:
-    a, b = Fraction(dist.a), Fraction(dist.b)
-    big_f = Polynomial([0, b, a / 2])
-    f = Polynomial([b, a])
+    big_f, f = dist.exact_polynomials()
     x = Polynomial.variable()
     return ((n - 1) * x * big_f ** (n - 2) * f).antiderivative()
 

@@ -21,21 +21,15 @@ from kthprice import (
     catalan_integral,
     expected_payment_benchmark,
     expected_revenue,
-    hagen_rothe_sides,
-    jensen_sides,
+    identity_sweep,
     make_linear,
     make_triangle,
     make_uniform,
     monte_carlo_expected_payment,
-    omega,
-    omega_bounds_hold,
     phi_ladder_check,
     psi_closed_form,
     psi_ladder_oracle,
     revenue_equivalence_check,
-    shifted_jensen_sides,
-    theta_index_identity_holds,
-    theta_step_recurrence_holds,
 )
 from kthprice.cli import main
 
@@ -65,50 +59,34 @@ def test_criterion_01_catalan_core():
            f"max_rel_err={worst:.3g}, elapsed={elapsed:.2f}s < 1s")
 
 
+def sweep(trials=1, nmax=3):
+    """identity_sweep by name; the parts a criterion does not judge run at minimal size."""
+    return {r.name: r for r in identity_sweep(lmax=1, integral_lmax=0,
+                                              trials=trials, seed=SEED,
+                                              nmax=nmax, tol=1e-9)}
+
+
 def test_criterion_02_randomized_identities():
     start = time.perf_counter()
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    ok = True
-    for name in ("jensen", "hagen-rothe", "shifted-jensen"):
-        done = 0
-        attempts = 0
-        while done < 500 and attempts < 5000:
-            attempts += 1
-            m = float(5.0 * rng.random()) or 1.0
-            r = float(-3.0 + 13.0 * rng.random())
-            z = float(-2.0 + 4.0 * rng.random())
-            s = int(rng.integers(0, 13))
-            if name == "jensen":
-                lhs, rhs = jensen_sides(m, r, z, s)
-            elif name == "hagen-rothe":
-                if any(abs(m + z * l) < 1e-3 for l in range(s + 1)):
-                    continue  # identity precondition: m + z*l != 0
-                lhs, rhs = hagen_rothe_sides(m, r, z, s)
-            else:
-                lhs, rhs = shifted_jensen_sides(r, z, s)
-            done += 1
-            err = abs(lhs - rhs) / max(1.0, abs(rhs))
-            worst = max(worst, err)
-            ok = ok and err <= 1e-9
-        ok = ok and done == 500
+    results = sweep(trials=500)
+    names = ("jensen", "hagen-rothe", "shifted-jensen")
+    ok = all(results[name].passed and results[name].cases == 500
+             for name in names)
     elapsed = time.perf_counter() - start
     report(2, "500 randomized trials per identity", ok and elapsed < 5.0,
-           f"worst_rel_err={worst:.3g} <= 1e-9, elapsed={elapsed:.2f}s < 5s")
+           f"tol=1e-9, cases={[results[n].cases for n in names]}, "
+           f"elapsed={elapsed:.2f}s < 5s")
 
 
 def test_criterion_03_theta_omega_exact():
     start = time.perf_counter()
-    ok = True
-    for n in range(3, 31):
-        for k in range(3, n + 1):
-            ok = ok and theta_step_recurrence_holds(n, k)
-            ok = ok and theta_index_identity_holds(n, k)
-            ok = ok and omega(n, k) > 0
-            if n + 4 > 2 * k:
-                ok = ok and omega_bounds_hold(n, k)
-        # k = 3: lower bound binom(n-3, 0)/2 attained with equality
-        ok = ok and omega(n, 3) == Fraction(1, 2)
+    results = sweep(nmax=30)
+    # all 406 pairs 3 <= k <= n <= 30; omega-bounds checks the 210 on the
+    # wedge n + 4 > 2k, with the k = 3 equality Omega(n, 3) = 1/2
+    counts = {"theta-recurrences": 406, "omega-positive": 406,
+              "omega-bounds": 210}
+    ok = all(results[name].passed and results[name].cases == count
+             for name, count in counts.items())
     elapsed = time.perf_counter() - start
     report(3, "theta recurrences, omega positivity and exact bounds",
            ok and elapsed < 1.0, f"n <= 30, elapsed={elapsed:.2f}s < 1s")

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, deterministic output, config merging."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +136,19 @@ def test_identities_rejects_bad_limits(capsys):
     assert code == EXIT_CONFIG and "nmax" in err
 
 
+def test_identities_reports_first_witness(monkeypatch, capsys):
+    import kthprice.combinatorics as comb
+    holds = comb.omega_bounds_hold
+    monkeypatch.setattr(comb, "omega_bounds_hold",
+                        lambda n, k: (n, k) != (20, 10) and holds(n, k))
+    code, out, _ = run(capsys, "identities", "--lmax", "2",
+                       "--integral-lmax", "0", "--random-trials", "1")
+    assert code == EXIT_CHECK_FAILED
+    lines = out.strip().splitlines()
+    assert lines[-1] == "FAIL omega-bounds witness n=20 k=10"
+    assert all(line.startswith("ok ") for line in lines[:-1])
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -190,20 +204,45 @@ def test_bounds_sweep_and_validation(capsys):
 
 def test_config_file_merging_flags_win(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"n": 6, "k": 3, "grid-size": 4}))
-    code, out, _ = run(capsys, "bid-table", "--config", str(cfg),
-                       "--k", "4", "--format", "json")
+    cfg.write_text(json.dumps({"n": 6, "k": 3, "grid-size": 4,
+                               "format": "json"}))
+    code, out, _ = run(capsys, "bid-table", "--config", str(cfg), "--k", "4")
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["n"] == 6 and doc["k"] == 4      # flag beat the file
     assert len(doc["rows"]) == 4                 # file beat the default
 
 
+@pytest.mark.parametrize("argv, field, value", [
+    (["bid-table"], "n", 6.7),
+    (["bid-table"], "n", True),
+    (["verify", "--suite", "re", "--n", "5", "--k", "3"], "expect_fail",
+     "false"),
+    (["simulate", "revenue"], "dist", "gauss"),
+    (["verify"], "grid-size", 1),
+])
+def test_config_file_values_checked_like_flags(tmp_path, capsys, argv, field,
+                                               value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({field: value}))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == EXIT_CONFIG and out == ""
+    assert f"error: {field.replace('_', '-')} must be" in err
+    assert repr(value) in err
+
+
+def test_unwritable_output_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "bid-table", "--output", str(path))
+    assert code == EXIT_CONFIG and out == "" and err.startswith("error: ")
+
+
 def test_config_file_rejects_unknown_fields(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"np": 6}))
-    code, _, err = run(capsys, "bid-table", "--config", str(cfg))
-    assert code == EXIT_CONFIG and "unknown config field" in err
+    for field in ("np", "fmt"):  # the field for --format is "format"
+        cfg.write_text(json.dumps({field: "json"}))
+        code, _, err = run(capsys, "bid-table", "--config", str(cfg))
+        assert code == EXIT_CONFIG and f"unknown config field {field!r}" in err
     cfg.write_text(json.dumps([1, 2]))
     code, _, err = run(capsys, "bid-table", "--config", str(cfg))
     assert code == EXIT_CONFIG and "JSON object" in err
@@ -218,3 +257,22 @@ def test_quadrature_failure_maps_to_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "revenue_equivalence_check", boom)
     code, _, err = run(capsys, "verify", "--suite", "re", "--n", "4", "--k", "3")
     assert code == EXIT_NUMERICAL and "converge" in err
+
+
+# ---------------------------------------------------------------------------
+# README command lines, byte for byte
+
+@pytest.mark.parametrize("name, line", [
+    ("bid-table-triangle", "bid-table --n 5 --k 4 --dist triangle"),
+    ("bid-table-json", "bid-table --n 6 --k 3 --format json"),
+    ("verify-all", "verify --suite all --n 6 --k 4 --dist triangle"),
+    ("verify-truthful",
+     "verify --suite re --n 5 --k 3 --bid truthful --expect-fail"),
+    ("identities", "identities --nmax 30"),
+    ("bounds", "bounds --nmax 20"),
+])
+def test_readme_line_matches_golden_bytes(capsys, name, line):
+    golden = Path(__file__).resolve().parents[1] / "benchmarks" / "golden"
+    code, out, _ = run(capsys, *line.split())
+    assert code == EXIT_OK
+    assert out.encode() == (golden / f"{name}.out").read_bytes()

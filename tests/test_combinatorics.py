@@ -5,12 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kthprice import (QuadratureConfig, binom_real, catalan, catalan_integral,
+from kthprice import (QuadratureConfig, catalan, catalan_integral,
                       catalan_recurrence_holds, hagen_rothe_sides,
                       jensen_sides, omega, omega_bounds_hold,
-                      shifted_jensen_sides, theta_coeff,
-                      theta_index_identity_holds, theta_step_recurrence_holds,
-                      theta_table)
+                      shifted_jensen_sides, theta_coeff, theta_table)
 
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -38,20 +36,6 @@ def test_catalan_integral_matches_exact():
 
 def test_catalan_integral_tiny_tolerance_example():
     assert abs(catalan_integral(0, QuadratureConfig(tol=1e-8)) - 1.0) <= 1e-8
-
-
-def test_binom_real_known_values():
-    assert binom_real(5.0, 0) == 1.0
-    assert binom_real(2.5, 2) == 1.875
-    assert binom_real(-1.0, 3) == -1.0
-    # integer arguments agree with the exact binomial
-    import math
-    for n in range(8):
-        for s in range(8):
-            assert binom_real(float(n), s) == pytest.approx(math.comb(n, s)
-                                                            if s <= n else 0.0)
-    with pytest.raises(ValueError):
-        binom_real(1.0, -1)
 
 
 def test_identity_trivial_and_frozen_cases():
@@ -114,34 +98,10 @@ def test_theta_validation():
         theta_coeff(5, 4, 2)  # l > k-3
 
 
-def test_theta_recurrences_sweep():
-    for n in range(3, 31):
-        for k in range(3, n + 1):
-            assert theta_step_recurrence_holds(n, k), (n, k)
-            assert theta_index_identity_holds(n, k), (n, k)
-
-
 def test_omega_frozen_values():
     assert omega(3, 3) == Fraction(1, 2)
     assert omega(5, 4) == Fraction(11, 8)
     assert omega(4, 4) == Fraction(7, 8)
-
-
-def test_omega_positive_sweep():
-    for n in range(3, 31):
-        for k in range(3, n + 1):
-            assert omega(n, k) > 0, (n, k)
-
-
-def test_omega_bounds_on_wedge():
-    import math
-    for n in range(3, 31):
-        for k in range(3, n + 1):
-            if n + 4 > 2 * k:
-                assert omega_bounds_hold(n, k), (n, k)
-    # k = 3 attains the lower bound exactly, for every n
-    for n in range(3, 31):
-        assert omega(n, 3) == Fraction(math.comb(n - 3, 0), 2)
 
 
 def test_omega_bounds_rejects_outside_wedge():

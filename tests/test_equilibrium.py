@@ -13,11 +13,6 @@ from kthprice import (
     RationalFunction,
     bid_bounds_check,
     bid_from_psi_ladder,
-    bid_kth_series,
-    bid_kth_triangle,
-    bid_kth_uniform,
-    bid_second_price,
-    bid_third_price,
     make_linear,
     make_triangle,
     make_uniform,
@@ -31,43 +26,43 @@ from kthprice import (
 import math
 
 X = Polynomial.variable()
+U = make_uniform(1.0)
+T = make_triangle(1.0)
 
 
 # ---------------------------------------------------------------------------
-# scalar closed forms
+# closed forms
 
 def test_second_price_is_truthful():
-    assert bid_second_price(0.37) == 0.37
+    assert BidFunction.second_price(AuctionConfig(4, 2), U)(0.37) == 0.37
 
 
 def test_third_price_frozen():
     # triangle omega=1, n=5, x=0.5: F=1/4, f=1, bid = 1/2 + (1/4)/3
-    t = make_triangle(1.0)
-    assert bid_third_price(t, 5, 0.5) == pytest.approx(0.5 + 0.25 / 3, abs=1e-15)
+    bid = BidFunction.third_price(AuctionConfig(5, 3), T)
+    assert bid(0.5) == pytest.approx(0.5 + 0.25 / 3, abs=1e-15)
     with pytest.raises(ValueError):
-        bid_third_price(t, 2, 0.5)
-    with pytest.raises(ValueError):
-        bid_third_price(t, 5, 1.5)
-    with pytest.raises(ValueError):
-        bid_third_price(t, 5, 0.0)  # f(0) = 0, the 0/0 point
+        BidFunction.third_price(AuctionConfig(2, 2), T)
 
 
 def test_uniform_closed_form_frozen():
-    assert bid_kth_uniform(5, 3, 1.0) == pytest.approx(4 / 3, abs=1e-15)
-    assert bid_kth_uniform(10, 3, 0.8) == pytest.approx(0.9, abs=1e-15)
-    assert bid_kth_uniform(4, 2, 0.6) == 0.6  # k = 2 collapses to truthful
+    def bid(n, k, x):
+        return BidFunction.uniform_closed_form(AuctionConfig(n, k), U)(x)
+
+    assert bid(5, 3, 1.0) == pytest.approx(4 / 3, abs=1e-15)
+    assert bid(10, 3, 0.8) == pytest.approx(0.9, abs=1e-15)
+    assert bid(4, 2, 0.6) == 0.6  # k = 2 collapses to truthful
     with pytest.raises(ValueError):
-        bid_kth_uniform(3, 4, 0.5)
+        bid(3, 4, 0.5)
 
 
 def test_triangle_closed_form_frozen():
+    def bid(n, k, x):
+        return BidFunction.triangle_closed_form(AuctionConfig(n, k), T)(x)
+
     # n=5, k=4: premium Omega/binom = (11/8)/3, slope 35/24
-    assert bid_kth_triangle(5, 4, 1.0, 1.0) == pytest.approx(35 / 24, abs=1e-15)
-    assert bid_kth_triangle(4, 3, 1.0, 0.5) == pytest.approx(0.5 * 5 / 4, abs=1e-15)
-    with pytest.raises(ValueError):
-        bid_kth_triangle(5, 2, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        bid_kth_triangle(5, 4, 1.0, 1.5)
+    assert bid(5, 4, 1.0) == pytest.approx(35 / 24, abs=1e-15)
+    assert bid(4, 3, 0.5) == pytest.approx(0.5 * 5 / 4, abs=1e-15)
 
 
 def test_series_coefficients_frozen():
@@ -81,17 +76,18 @@ def test_series_reduces_to_third_price():
     lin = make_linear(1.0, 1.0)
     for x in (0.2, 0.5, 0.9, 1.0):
         for n in (3, 5, 8):
-            assert bid_kth_series(lin, n, 3, x) == pytest.approx(
-                bid_third_price(lin, n, x), abs=1e-12)
+            cfg = AuctionConfig(n, 3)
+            assert BidFunction.series(cfg, lin)(x) == pytest.approx(
+                BidFunction.third_price(cfg, lin)(x), abs=1e-12)
 
 
 def test_series_matches_uniform_closed_form():
-    u = make_uniform(1.0)
     xs = np.linspace(0.0, 1.0, 21)
     for n in range(3, 9):
         for k in range(3, n + 1):
-            want = np.array([bid_kth_uniform(n, k, float(x)) for x in xs])
-            got = np.array([bid_kth_series(u, n, k, float(x)) for x in xs])
+            cfg = AuctionConfig(n, k)
+            want = BidFunction.uniform_closed_form(cfg, U)(xs)
+            got = BidFunction.series(cfg, U)(xs)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -106,12 +102,9 @@ def test_series_slope_sum_is_exact_on_triangle():
 
 
 def test_series_validation_and_origin():
-    t = make_triangle(1.0)
-    assert bid_kth_series(t, 6, 4, 0.0) == 0.0
+    assert BidFunction.series(AuctionConfig(6, 4), T)(0.0) == 0.0
     with pytest.raises(ValueError):
-        bid_kth_series(t, 6, 2, 0.5)
-    with pytest.raises(ValueError):
-        bid_kth_series(t, 6, 4, 1.5)
+        BidFunction.series(AuctionConfig(6, 2), T)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +141,8 @@ def test_bid_function_scalar_and_array():
 
 
 def test_third_price_bid_function_limit_at_zero():
-    bid = BidFunction.third_price(AuctionConfig(5, 3), make_triangle(1.0))
+    bid = BidFunction.third_price(AuctionConfig(5, 3), T)
     assert bid(0.0) == 0.0  # continuity limit where f(0) = 0
-    assert bid(0.5) == pytest.approx(bid_third_price(make_triangle(1.0), 5, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +184,9 @@ def test_bid_from_ladder_matches_closed_forms():
     # general linear density: rational-function bid vs float series
     lin = make_linear(1.0, 1.0)
     beta = bid_from_psi_ladder(lin, 6, 4)
+    series = BidFunction.series(AuctionConfig(6, 4), lin)
     for x in (0.25, 0.5, 0.75, 1.0):
-        assert float(beta(Fraction(x))) == pytest.approx(
-            bid_kth_series(lin, 6, 4, x), abs=1e-12)
+        assert float(beta(Fraction(x))) == pytest.approx(series(x), abs=1e-12)
 
 
 def test_phi_ladder_spot_checks():
