@@ -405,7 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has already written the help text (exit 0) or the usage
+        # line and its message to stderr (exit 2); return, do not raise
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         _resolve(args, args.options)
         return args.handler(args)

@@ -23,9 +23,12 @@ triangle density gives the linear bid beta_k = x (1 + Omega_k /
 binom(n-2, k-2)), shaded *upward*: in a k-th price auction with k >= 3
 you bid above your value.
 
-The ladder is also run symbolically over exact rational functions
+The ladder is also run symbolically in exact arithmetic
 (psi_ladder_oracle), which makes the series formula checkable as a
-polynomial identity with no floating point anywhere in the loop.
+polynomial identity with no floating point anywhere in the loop. Every
+denominator on it is a power of f, so each value is carried as a
+numerator and a power of f; a step is polynomial arithmetic only, and
+each public result becomes one RationalFunction (one gcd) at the end.
 """
 
 from __future__ import annotations
@@ -195,24 +198,41 @@ class BidFunction:
 # ---------------------------------------------------------------------------
 # symbolic ladders
 
+def _ladder(num: Polynomial, j: int, f: Polynomial,
+            steps: int) -> tuple[Polynomial, int]:
+    """Apply psi -> psi' / f `steps` times to psi = num / f**j.
+
+    By the quotient rule with f' = a constant,
+    (N / f**j)' / f = (N' f - j a N) / f**(j+2).
+    """
+    a = f.derivative()(0)
+    for _ in range(steps):
+        num = num.derivative() * f - (j * a) * num
+        j += 2
+    return num, j
+
+
+def _psi_ladder(big_f: Polynomial, f: Polynomial, n: int,
+                k: int) -> tuple[Polynomial, int]:
+    """psi_{k-1} as the pair (numerator, power of f)."""
+    psi_0 = (Polynomial.variable() * big_f ** (n - 2) * f).antiderivative()
+    return _ladder(psi_0, 0, f, k - 1)
+
+
 def psi_ladder_oracle(dist: LinearDensityDistribution, n: int,
                       k: int) -> RationalFunction:
     """Run the differentiation ladder symbolically and return psi_{k-1}.
 
     psi_0 is the exact antiderivative of x F**(n-2) f (zero at 0); each
-    step differentiates and divides by f in exact rational-function
-    arithmetic. Independent of the series formula by construction: the
-    only shared input is the distribution.
+    step differentiates and divides by f by the quotient rule, in exact
+    polynomial arithmetic over powers of f. Independent of the series
+    formula by construction: the only shared input is the distribution.
     """
     if not 3 <= k <= n:
         raise ValueError("psi_ladder_oracle: need 3 <= k <= n")
     big_f, f = dist.exact_polynomials()
-    x = Polynomial.variable()
-    psi = RationalFunction((x * big_f ** (n - 2) * f).antiderivative())
-    f_rf = RationalFunction(f)
-    for _ in range(k - 1):
-        psi = psi.derivative() / f_rf
-    return psi
+    num, j = _psi_ladder(big_f, f, n, k)
+    return RationalFunction(num, f ** j)
 
 
 def psi_closed_form(dist: LinearDensityDistribution, n: int,
@@ -221,28 +241,37 @@ def psi_closed_form(dist: LinearDensityDistribution, n: int,
 
     psi_{k-1} / (k-2)! = binom(n-2,k-2) x F**(n-k)
                          + sum_l (-1)**l theta(n,k,l) a**l F**(n-k+l+1) / f**(2l+1)
+
+    Over the common denominator f**(2m+1), m = k-3, the sum is
+    F**(n-k+1) sum_l c_l (aF)**l (f**2)**(m-l), evaluated by Horner in f**2.
     """
     if not 3 <= k <= n:
         raise ValueError("psi_closed_form: need 3 <= k <= n")
     big_f, f = dist.exact_polynomials()
     a = Fraction(dist.a)
     x = Polynomial.variable()
-    total = RationalFunction(math.comb(n - 2, k - 2) * x * big_f ** (n - k))
+    f2 = f * f
+    a_big_f = a * big_f
+    power = Polynomial([1])  # (aF)**l
+    acc = Polynomial()
     for l in range(k - 2):
-        coeff = combinatorics.theta_coeff(n, k, l) * a ** l
-        if l % 2:
-            coeff = -coeff
-        total = total + RationalFunction(coeff * big_f ** (n - k + l + 1),
-                                         f ** (2 * l + 1))
-    return math.factorial(k - 2) * total
+        coeff = combinatorics.theta_coeff(n, k, l)
+        acc = acc * f2 + (-coeff if l % 2 else coeff) * power
+        power = power * a_big_f
+    den = f * f2 ** (k - 3)
+    num = big_f ** (n - k) * (math.comb(n - 2, k - 2) * x * den + big_f * acc)
+    return RationalFunction(math.factorial(k - 2) * num, den)
 
 
 def bid_from_psi_ladder(dist: LinearDensityDistribution, n: int,
                         k: int) -> RationalFunction:
     """beta_k as a rational function, straight from the symbolic ladder."""
-    big_f, _ = dist.exact_polynomials()
+    if not 3 <= k <= n:
+        raise ValueError("bid_from_psi_ladder: need 3 <= k <= n")
+    big_f, f = dist.exact_polynomials()
+    num, j = _psi_ladder(big_f, f, n, k)
     scale = math.comb(n - 2, k - 2) * math.factorial(k - 2)
-    return psi_ladder_oracle(dist, n, k) / RationalFunction(scale * big_f ** (n - k))
+    return RationalFunction(num, scale * big_f ** (n - k) * f ** j)
 
 
 def phi_ladder_check(dist: LinearDensityDistribution, n: int, k: int) -> bool:
@@ -254,8 +283,10 @@ def phi_ladder_check(dist: LinearDensityDistribution, n: int, k: int) -> bool:
 
     verifies (i) Phi_t' = (k-t) Phi_{t+1} f as polynomial identities for
     t = 2..k-1, and (ii) that applying the divide-by-f derivative ladder
-    k-1 times to Phi_2 lands exactly on (k-2)! beta_k F**(n-k). Requires
-    a uniform or triangle distribution so every gamma_l is a polynomial.
+    k-1 times to Phi_2 lands exactly on (k-2)! beta_k F**(n-k); with the
+    ladder at N / f**j, (ii) is the polynomial identity
+    N = (k-2)! beta_k F**(n-k) f**j. Requires a uniform or triangle
+    distribution so every gamma_l is a polynomial.
     """
     if not 3 <= k <= n:
         raise ValueError("phi_ladder_check: need 3 <= k <= n")
@@ -278,16 +309,13 @@ def phi_ladder_check(dist: LinearDensityDistribution, n: int, k: int) -> bool:
             out = out - term if l % 2 else out + term
         return out
 
+    phis = {t: phi(t) for t in range(2, k + 1)}
     for t in range(2, k):
-        if phi(t).derivative() != (k - t) * phi(t + 1) * f:
+        if phis[t].derivative() != (k - t) * phis[t + 1] * f:
             return False
 
-    ladder = RationalFunction(phi(2))
-    f_rf = RationalFunction(f)
-    for _ in range(k - 1):
-        ladder = ladder.derivative() / f_rf
-    target = RationalFunction(math.factorial(k - 2) * beta * big_f ** (n - k))
-    return ladder == target
+    num, j = _ladder(phis[2], 0, f, k - 1)
+    return num == math.factorial(k - 2) * beta * big_f ** (n - k) * f ** j
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 Just enough symbolic machinery for the differentiation ladders that
 verify bid functions: arithmetic, derivative, antiderivative vanishing
 at zero, exact division, gcd cancellation, and equality of rational
-functions by cross-multiplication. Coefficients are fractions.Fraction
-throughout, so every identity checked here is a statement about
-integers, never about floats. Not a general CAS and not trying to be.
+functions by cross-multiplication. The ladders step over polynomials
+(a numerator over a power of the density) and build a RationalFunction,
+with its one gcd, only for a finished result. Coefficients are
+fractions.Fraction throughout, so every identity checked here is a
+statement about integers, never about floats. Not a general CAS and not
+trying to be.
 """
 
 from __future__ import annotations

@@ -259,6 +259,26 @@ def test_quadrature_failure_maps_to_exit_3(monkeypatch, capsys):
     assert code == EXIT_NUMERICAL and "converge" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bid-table", "--n", "abc"], "invalid int value: 'abc'"),
+    (["bid-table", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    ([], "the following arguments are required: command"),
+])
+def test_parse_errors_return_exit_2(capsys, argv, message):
+    # argparse's own message still reaches stderr, but main returns 2
+    # rather than raising SystemExit
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith("usage: kthprice") and message in err
+
+
+def test_help_returns_exit_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == EXIT_OK and out.startswith("usage: kthprice") and err == ""
+    code, out, _ = run(capsys, "bid-table", "--help")
+    assert code == EXIT_OK and "--n" in out
+
+
 # ---------------------------------------------------------------------------
 # README command lines, byte for byte
 

