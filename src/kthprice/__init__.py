@@ -13,7 +13,8 @@ and ships a CLI plus narrative demos on top.
 from .combinatorics import (IdentityResult, ThetaTable, catalan,
                             catalan_integral, catalan_recurrence_holds,
                             hagen_rothe_sides, identity_sweep, jensen_sides,
-                            omega, omega_bounds_hold, shifted_jensen_sides,
+                            omega, omega_bounds, omega_bounds_hold,
+                            shifted_jensen_sides,
                             theta_coeff, theta_index_identity_holds,
                             theta_step_recurrence_holds, theta_table)
 from .distributions import (NORMALIZATION_TOL, AuctionConfig,
@@ -21,11 +22,10 @@ from .distributions import (NORMALIZATION_TOL, AuctionConfig,
                             conditional_order_stat_density,
                             highest_order_stat, make_linear, make_triangle,
                             make_uniform, sample_values)
-from .equilibrium import (BidFunction, BidKind, MonotonicityResult,
-                          bid_bounds_check, bid_from_psi_ladder,
-                          monotonicity_certificate, phi_ladder_check,
-                          psi_closed_form, psi_ladder_oracle,
-                          series_coefficients)
+from .equilibrium import (BidFunction, MonotonicityResult,
+                          bid_from_psi_ladder, monotonicity_certificate,
+                          phi_ladder_check, psi_closed_form,
+                          psi_ladder_oracle, series_coefficients)
 from .polynomials import Polynomial, RationalFunction, polynomial_gcd
 from .quadrature import (DEFAULT_QUADRATURE, QuadratureConfig,
                          QuadratureError, integrate)
@@ -40,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AuctionConfig",
     "BidFunction",
-    "BidKind",
     "DEFAULT_QUADRATURE",
     "IdentityResult",
     "LinearDensityDistribution",
@@ -55,7 +54,6 @@ __all__ = [
     "ThetaTable",
     "VerificationReport",
     "best_response_profile",
-    "bid_bounds_check",
     "bid_from_psi_ladder",
     "catalan",
     "catalan_integral",
@@ -75,6 +73,7 @@ __all__ = [
     "monotonicity_certificate",
     "monte_carlo_expected_payment",
     "omega",
+    "omega_bounds",
     "omega_bounds_hold",
     "phi_ladder_check",
     "polynomial_gcd",

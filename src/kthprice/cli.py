@@ -27,8 +27,8 @@ import numpy as np
 from . import combinatorics
 from .distributions import (AuctionConfig, LinearDensityDistribution,
                             make_linear, make_triangle, make_uniform)
-from .equilibrium import (BidFunction, bid_bounds_check, phi_ladder_check,
-                          psi_closed_form, psi_ladder_oracle)
+from .equilibrium import (BidFunction, phi_ladder_check, psi_closed_form,
+                          psi_ladder_oracle)
 from .quadrature import QuadratureError
 from .verification import (VerificationReport, best_response_profile,
                            expected_payment_benchmark,
@@ -186,12 +186,14 @@ def cmd_bid_table(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
     bid = BidFunction.equilibrium(AuctionConfig(n, k), dist)
 
-    # The exact slope sandwich holds only for the triangle density on
-    # the wedge n + 4 > 2k (and is trivial for k = 2).
+    # The exact slope sandwich, 1 + omega_bounds / binom(n-2, k-2), holds
+    # for the triangle density on the wedge (and is trivial for k = 2).
     bounds = None
-    if dist.b == 0.0 and k >= 3 and n + 4 > 2 * k:
-        bounds = (float(1 + Fraction(k - 2, 2 * (n - 2))),
-                  float(1 + Fraction(7 * (k - 2), 8 * (n - 2))))
+    if dist.b == 0.0 and k >= 3:
+        omega_bounds = combinatorics.omega_bounds(n, k)
+        if omega_bounds is not None:
+            bounds = [float(1 + b / math.comb(n - 2, k - 2))
+                      for b in omega_bounds]
 
     rows = []
     for i in range(1, args.grid_size + 1):
@@ -349,22 +351,18 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     n, k, nmax = args.n, args.k, args.nmax
     if nmax is not None:
         pairs = [(nn, kk) for nn in range(3, nmax + 1)
-                 for kk in range(3, nn + 1) if nn + 4 > 2 * kk]
+                 for kk in range(3, nn + 1) if combinatorics.omega_bounds(nn, kk)]
     elif n is not None and k is not None:
-        if not (3 <= k <= n and n + 4 > 2 * k):
-            raise ConfigError(f"bounds needs 3 <= k <= n and is only claimed "
-                              f"for n + 4 > 2k, got n={n}, k={k}")
-        pairs = [(n, k)]
+        pairs = [(n, k)]  # omega_bounds_hold rejects a pair off the wedge
     else:
         raise ConfigError("bounds requires either --nmax or both --n and --k")
 
-    checked = [(nn, kk, bid_bounds_check(nn, kk), math.comb(nn - 3, kk - 3))
-               for nn, kk in pairs]
+    checked = [(nn, kk, combinatorics.omega_bounds_hold(nn, kk),
+                combinatorics.omega_bounds(nn, kk)) for nn, kk in pairs]
     _write(f"{'ok' if ok else 'FAIL'} n={nn} k={kk} "
            f"omega={_frac_str(combinatorics.omega(nn, kk))} "
-           f"lower={_frac_str(Fraction(anchor, 2))} "
-           f"upper={_frac_str(Fraction(7 * anchor, 8))}"
-           for nn, kk, ok, anchor in checked)
+           f"lower={_frac_str(lower)} upper={_frac_str(upper)}"
+           for nn, kk, ok, (lower, upper) in checked)
     return EXIT_OK if all(ok for _, _, ok, _ in checked) else EXIT_CHECK_FAILED
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "theta_step_recurrence_holds",
     "theta_index_identity_holds",
     "omega",
+    "omega_bounds",
     "omega_bounds_hold",
     "IdentityResult",
     "identity_sweep",
@@ -230,19 +231,33 @@ def omega(n: int, k: int) -> Fraction:
     return total
 
 
-def omega_bounds_hold(n: int, k: int) -> bool:
-    """Exact check of binom(n-3,k-3)/2 <= Omega(n,k) <= 7*binom(n-3,k-3)/8.
+def omega_bounds(n: int, k: int) -> tuple[Fraction, Fraction] | None:
+    """Exact bounds binom(n-3,k-3)/2 and 7*binom(n-3,k-3)/8 on Omega(n, k).
 
-    Only claimed on the wedge n + 4 > 2k; parameters outside it are
-    rejected. For k = 3 the lower bound is attained with equality.
+    They are claimed only on the wedge n + 4 > 2k; outside it this
+    returns None. Divided by binom(n-2, k-2) they bound the triangle
+    bid's slope premium by (k-2)/(2(n-2)) and 7(k-2)/(8(n-2)).
     """
     if not 3 <= k <= n:
-        raise ValueError("omega_bounds_hold: need 3 <= k <= n")
+        raise ValueError(f"omega_bounds: need 3 <= k <= n, got n={n}, k={k}")
     if not n + 4 > 2 * k:
-        raise ValueError("omega_bounds_hold: bounds are only claimed for n + 4 > 2k")
+        return None
     anchor = math.comb(n - 3, k - 3)
-    value = omega(n, k)
-    return Fraction(anchor, 2) <= value <= Fraction(7 * anchor, 8)
+    return Fraction(anchor, 2), Fraction(7 * anchor, 8)
+
+
+def omega_bounds_hold(n: int, k: int) -> bool:
+    """Exact check that Omega(n, k) lies within omega_bounds(n, k).
+
+    Parameters off the wedge are rejected. For k = 3 the lower bound is
+    attained with equality.
+    """
+    bounds = omega_bounds(n, k)
+    if bounds is None:
+        raise ValueError(f"omega_bounds_hold: bounds are only claimed for "
+                         f"n + 4 > 2k, got n={n}, k={k}")
+    lower, upper = bounds
+    return lower <= omega(n, k) <= upper
 
 
 @dataclass(frozen=True)
@@ -329,7 +344,7 @@ def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
              lambda n, k: (theta_step_recurrence_holds(n, k)
                            and theta_index_identity_holds(n, k))),
             ("omega-positive", pairs, lambda n, k: omega(n, k) > 0),
-            ("omega-bounds", [(n, k) for n, k in pairs if n + 4 > 2 * k],
+            ("omega-bounds", [(n, k) for n, k in pairs if omega_bounds(n, k)],
              lambda n, k: (omega_bounds_hold(n, k)
                            and (k > 3 or omega(n, k) == Fraction(1, 2))))):
         checked, bad = _first_witness(cases, holds)

@@ -21,7 +21,10 @@ Special cases: beta_2(x) = x (bid your value), beta_3(x) = x +
 F(x)/((n-2) f(x)), uniform values give beta_k = x (n-1)/(n-k+1), and the
 triangle density gives the linear bid beta_k = x (1 + Omega_k /
 binom(n-2, k-2)), shaded *upward*: in a k-th price auction with k >= 3
-you bid above your value.
+you bid above your value. These are the series at k = 2, k = 3, a = 0
+and b = 0, so a BidFunction is an exact rational slope or the series:
+equilibrium takes the slope where there is one, and series, third_price
+(the series at k = 3) and second_price (slope 1) build one form directly.
 
 The ladder is also run symbolically in exact arithmetic
 (psi_ladder_oracle), which makes the series formula checkable as a
@@ -33,7 +36,6 @@ each public result becomes one RationalFunction (one gcd) at the end.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +48,6 @@ from .distributions import AuctionConfig, LinearDensityDistribution
 from .polynomials import Polynomial, RationalFunction
 
 __all__ = [
-    "BidKind",
     "BidFunction",
     "MonotonicityResult",
     "series_coefficients",
@@ -55,26 +56,23 @@ __all__ = [
     "bid_from_psi_ladder",
     "phi_ladder_check",
     "monotonicity_certificate",
-    "bid_bounds_check",
 ]
 
 
-class BidKind(enum.Enum):
-    SECOND_PRICE = "second-price"
-    THIRD_PRICE_GENERAL = "third-price"
-    UNIFORM_CLOSED_FORM = "uniform"
-    TRIANGLE_CLOSED_FORM = "triangle"
-    LINEAR_DENSITY_SERIES = "series"
+def _exact_slope(dist: LinearDensityDistribution, n: int,
+                 k: int) -> Fraction | None:
+    """The exact slope of beta_k where it is linear in x, else None.
 
-
-def _uniform_slope(n: int, k: int) -> Fraction:
-    return 1 + Fraction(k - 2, n - k + 1)
-
-
-def _triangle_slope(n: int, k: int) -> Fraction:
+    k = 2 bids truthfully, uniform values (a = 0) give 1 + (k-2)/(n-k+1),
+    the triangle density (b = 0) gives 1 + Omega(n, k)/binom(n-2, k-2).
+    """
     if k == 2:
         return Fraction(1)
-    return 1 + combinatorics.omega(n, k) / math.comb(n - 2, k - 2)
+    if dist.a == 0.0:
+        return 1 + Fraction(k - 2, n - k + 1)
+    if dist.b == 0.0:
+        return 1 + combinatorics.omega(n, k) / math.comb(n - 2, k - 2)
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -103,11 +101,12 @@ def _series_eval(dist: LinearDensityDistribution, n: int, k: int,
     pos = f > 0.0
     f_safe = np.where(pos, f, 1.0)
     base = big_f / f_safe                      # F/f
-    factor = dist.a * big_f / (f_safe * f_safe)  # a F / f^2
-    # sum_l c_l a^l F^(l+1) / f^(2l+1) = base * Horner(factor; c_l)
-    acc = np.zeros_like(base)
-    for c in reversed(cs):
-        acc = acc * factor + c
+    # sum_l c_l a^l F^(l+1) / f^(2l+1) = base * Horner(a F / f^2; c_l)
+    acc = cs[-1]
+    if len(cs) > 1:
+        factor = dist.a * big_f / (f_safe * f_safe)
+        for c in reversed(cs[:-1]):
+            acc = acc * factor + c
     return np.where(pos, x + base * acc, 0.0)
 
 
@@ -118,11 +117,10 @@ def _series_eval(dist: LinearDensityDistribution, n: int, k: int,
 class BidFunction:
     """A bid profile beta(x), evaluable on scalars or arrays.
 
-    slope is the exact rational slope for the structurally linear kinds
-    (second-price, uniform and triangle closed forms) and None otherwise.
+    One rule: slope * x when the exact rational slope is set, otherwise
+    the Catalan series for (config, dist).
     """
 
-    kind: BidKind
     config: AuctionConfig
     dist: LinearDensityDistribution
     slope: Fraction | None = None
@@ -130,69 +128,44 @@ class BidFunction:
     @classmethod
     def second_price(cls, config: AuctionConfig,
                      dist: LinearDensityDistribution) -> "BidFunction":
-        return cls(BidKind.SECOND_PRICE, config, dist, Fraction(1))
+        """Truthful bidding, beta(x) = x: the equilibrium at k = 2 and the
+        negative control for k >= 3."""
+        return cls(config, dist, Fraction(1))
 
     @classmethod
     def third_price(cls, config: AuctionConfig,
                     dist: LinearDensityDistribution) -> "BidFunction":
-        if config.n < 3:
-            raise ValueError("third_price bid needs n >= 3")
-        return cls(BidKind.THIRD_PRICE_GENERAL, config, dist)
-
-    @classmethod
-    def uniform_closed_form(cls, config: AuctionConfig,
-                            dist: LinearDensityDistribution) -> "BidFunction":
-        if dist.a != 0.0:
-            raise ValueError("uniform closed form needs a uniform distribution (a = 0)")
-        return cls(BidKind.UNIFORM_CLOSED_FORM, config, dist,
-                   _uniform_slope(config.n, config.k))
-
-    @classmethod
-    def triangle_closed_form(cls, config: AuctionConfig,
-                             dist: LinearDensityDistribution) -> "BidFunction":
-        if dist.b != 0.0:
-            raise ValueError("triangle closed form needs a triangle distribution (b = 0)")
-        return cls(BidKind.TRIANGLE_CLOSED_FORM, config, dist,
-                   _triangle_slope(config.n, config.k))
+        """The series at AuctionConfig(config.n, 3), x + F/((n-2) f); the
+        returned bid's config has k = 3 whatever config.k is."""
+        return cls.series(AuctionConfig(config.n, 3), dist)
 
     @classmethod
     def series(cls, config: AuctionConfig,
                dist: LinearDensityDistribution) -> "BidFunction":
+        """The Catalan series in floats, for any linear density. Against
+        exact Fraction evaluation (a = 1.9, 20 points in [0.05, 1]) its
+        relative error is at most 1e-13 for n <= 20, 5.7e-12 at n = 30 and
+        2.2e-9 at n = 40, worst at k = n, where the alternating Horner sum
+        cancels; larger n is accepted but not validated."""
         if config.k < 3:
             raise ValueError("series bid needs k >= 3 (k = 2 is second price)")
-        return cls(BidKind.LINEAR_DENSITY_SERIES, config, dist)
+        return cls(config, dist)
 
     @classmethod
     def equilibrium(cls, config: AuctionConfig,
                     dist: LinearDensityDistribution) -> "BidFunction":
-        """The natural equilibrium kind for (config, dist)."""
-        if config.k == 2:
-            return cls.second_price(config, dist)
-        if dist.a == 0.0:
-            return cls.uniform_closed_form(config, dist)
-        if dist.b == 0.0:
-            return cls.triangle_closed_form(config, dist)
-        return cls.series(config, dist)
+        """The exact slope where beta_k is linear (k = 2, uniform,
+        triangle), otherwise the series."""
+        return cls(config, dist, _exact_slope(dist, config.n, config.k))
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        out = self._evaluate(np.atleast_1d(arr))
-        return float(out[0]) if scalar else out
-
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        n, k = self.config.n, self.config.k
+        xs = np.atleast_1d(arr)
         if self.slope is not None:
-            return float(self.slope) * x
-        if self.kind is BidKind.THIRD_PRICE_GENERAL:
-            big_f = np.asarray(self.dist.cdf(x))
-            f = np.asarray(self.dist.pdf(x))
-            pos = f > 0.0
-            f_safe = np.where(pos, f, 1.0)
-            return np.where(pos, x + big_f / ((n - 2) * f_safe), 0.0)
-        if self.kind is BidKind.LINEAR_DENSITY_SERIES:
-            return _series_eval(self.dist, n, k, x)
-        raise AssertionError(f"unhandled bid kind {self.kind}")
+            out = float(self.slope) * xs
+        else:
+            out = _series_eval(self.dist, self.config.n, self.config.k, xs)
+        return float(out[0]) if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +263,8 @@ def phi_ladder_check(dist: LinearDensityDistribution, n: int, k: int) -> bool:
     """
     if not 3 <= k <= n:
         raise ValueError("phi_ladder_check: need 3 <= k <= n")
-    if dist.a == 0.0:
-        slope = _uniform_slope(n, k)
-    elif dist.b == 0.0:
-        slope = _triangle_slope(n, k)
-    else:
+    slope = _exact_slope(dist, n, k)
+    if slope is None:
         raise ValueError("phi_ladder_check: distribution must be uniform or "
                          "triangle so the payment integrals stay polynomial")
     big_f, f = dist.exact_polynomials()
@@ -336,8 +306,8 @@ class MonotonicityResult:
 def monotonicity_certificate(bid: BidFunction, grid_size: int = 256) -> MonotonicityResult:
     """Certify that a bid function is strictly increasing.
 
-    Linear kinds are certified exactly (rational slope > 0); the other
-    kinds are checked on a grid over (0, omega], and a failing adjacent
+    A bid with an exact slope is certified exactly (slope > 0); the
+    series is checked on a grid over (0, omega], and a failing adjacent
     pair is returned as the witness.
     """
     if grid_size < 2:
@@ -353,18 +323,3 @@ def monotonicity_certificate(bid: BidFunction, grid_size: int = 256) -> Monotoni
         i = int(bad[0])
         return MonotonicityResult(False, witness=(float(xs[i]), float(xs[i + 1])))
     return MonotonicityResult(True)
-
-
-def bid_bounds_check(n: int, k: int) -> bool:
-    """Exact slope sandwich for the triangle bid on the wedge n + 4 > 2k.
-
-    Checks (k-2)/(2(n-2)) <= Omega_k/binom(n-2,k-2) <= 7(k-2)/(8(n-2))
-    in rational arithmetic; equivalent to the Catalan-sum bounds via
-    binom(n-3,k-3)/binom(n-2,k-2) = (k-2)/(n-2).
-    """
-    if not 3 <= k <= n:
-        raise ValueError(f"bid_bounds_check: need 3 <= k <= n, got n={n}, k={k}")
-    if not n + 4 > 2 * k:
-        raise ValueError("bid_bounds_check: bounds only claimed for n + 4 > 2k")
-    premium = combinatorics.omega(n, k) / math.comb(n - 2, k - 2)
-    return Fraction(k - 2, 2 * (n - 2)) <= premium <= Fraction(7 * (k - 2), 8 * (n - 2))

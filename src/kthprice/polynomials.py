@@ -1,11 +1,13 @@
 """Univariate polynomials and rational functions over exact rationals.
 
 Just enough symbolic machinery for the differentiation ladders that
-verify bid functions: arithmetic, derivative, antiderivative vanishing
-at zero, exact division, gcd cancellation, and equality of rational
-functions by cross-multiplication. The ladders step over polynomials
-(a numerator over a power of the density) and build a RationalFunction,
-with its one gcd, only for a finished result. Coefficients are
+verify bid functions: polynomial arithmetic, derivative, antiderivative
+vanishing at zero, exact division and gcd. The ladders step over
+polynomials (a numerator over a power of the density) and build a
+RationalFunction, with its one gcd, only for a finished result; a
+RationalFunction is compared by cross-multiplication, evaluated, and
+differentiated or divided only as the quotient-rule reference the
+ladder step is tested against. Coefficients are
 fractions.Fraction throughout, so every identity checked here is a
 statement about integers, never about floats. Not a general CAS and not
 trying to be.
@@ -36,10 +38,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, value) -> "Polynomial":
-        return cls([value])
 
     @classmethod
     def variable(cls) -> "Polynomial":
@@ -222,11 +220,8 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        num = num if isinstance(num, Polynomial) else Polynomial([num]) \
-            if isinstance(num, (int, float, Fraction)) else num
-        den = den if isinstance(den, Polynomial) else Polynomial([den]) \
-            if isinstance(den, (int, float, Fraction)) else den
-        if not isinstance(num, Polynomial) or not isinstance(den, Polynomial):
+        num, den = Polynomial._coerce(num), Polynomial._coerce(den)
+        if num is None or den is None:
             raise TypeError("RationalFunction needs Polynomial or scalar parts")
         if not den:
             raise ZeroDivisionError("denominator is identically zero")
@@ -250,50 +245,12 @@ class RationalFunction:
             return RationalFunction(other)
         return None
 
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         # cross-multiplied: p1/q1 == p2/q2  iff  p1*q2 == p2*q1
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -303,29 +260,10 @@ class RationalFunction:
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("rational function powers must be nonnegative integers")
-        return RationalFunction(self.num ** exponent, self.den ** exponent)
-
     def derivative(self) -> "RationalFunction":
         return RationalFunction(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den)
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def as_polynomial(self) -> Polynomial:
-        if not self.is_polynomial():
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num  # denominator is monic degree 0, i.e. exactly 1
 
     def __call__(self, x):
         return self.num(x) / self.den(x)

@@ -60,14 +60,6 @@ class MonteCarloResult:
     samples: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "standard_error": self.standard_error,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -82,20 +74,19 @@ class VerificationReport:
     max_error: float
     tolerance: float
     passed: bool
-    seed: int | None = None
 
     @classmethod
-    def from_errors(cls, check, n, k, dist, grid, errors, tolerance,
-                    seed=None) -> "VerificationReport":
+    def from_errors(cls, check, n, k, dist, grid, errors,
+                    tolerance) -> "VerificationReport":
         grid = tuple(float(g) for g in grid)
         errors = tuple(float(e) for e in errors)
         max_error = max(errors) if errors else 0.0
         return cls(check=check, n=n, k=k, dist=dist, grid=grid, errors=errors,
                    max_error=max_error, tolerance=float(tolerance),
-                   passed=max_error <= tolerance, seed=seed)
+                   passed=max_error <= tolerance)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "check": self.check,
             "params": {
                 "n": self.n,
@@ -109,9 +100,6 @@ class VerificationReport:
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ import pytest
 
 from kthprice import (QuadratureConfig, catalan, catalan_integral,
                       catalan_recurrence_holds, hagen_rothe_sides,
-                      jensen_sides, omega, omega_bounds_hold,
+                      jensen_sides, omega, omega_bounds, omega_bounds_hold,
                       shifted_jensen_sides, theta_coeff, theta_table)
 
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -105,7 +105,12 @@ def test_omega_frozen_values():
 
 
 def test_omega_bounds_rejects_outside_wedge():
+    assert omega_bounds(10, 3) == (Fraction(1, 2), Fraction(7, 8))
+    assert omega_bounds(10, 6) == (Fraction(35, 2), Fraction(245, 8))
+    assert omega_bounds(6, 5) is None
     with pytest.raises(ValueError):
         omega_bounds_hold(6, 5)  # n + 4 = 10 = 2k
+    with pytest.raises(ValueError):
+        omega_bounds(5, 2)
     with pytest.raises(ValueError):
         omega(5, 2)

@@ -1,4 +1,4 @@
-"""Bid functions: closed forms, exact series, symbolic ladders, certificates."""
+"""Bid functions: exact slopes, the series, symbolic ladders, certificates."""
 
 from fractions import Fraction
 
@@ -8,10 +8,8 @@ import pytest
 from kthprice import (
     AuctionConfig,
     BidFunction,
-    BidKind,
     Polynomial,
     RationalFunction,
-    bid_bounds_check,
     bid_from_psi_ladder,
     make_linear,
     make_triangle,
@@ -49,7 +47,7 @@ def test_third_price_frozen():
 
 def test_uniform_closed_form_frozen():
     def bid(n, k, x):
-        return BidFunction.uniform_closed_form(AuctionConfig(n, k), U)(x)
+        return BidFunction.equilibrium(AuctionConfig(n, k), U)(x)
 
     assert bid(5, 3, 1.0) == pytest.approx(4 / 3, abs=1e-15)
     assert bid(10, 3, 0.8) == pytest.approx(0.9, abs=1e-15)
@@ -60,7 +58,7 @@ def test_uniform_closed_form_frozen():
 
 def test_triangle_closed_form_frozen():
     def bid(n, k, x):
-        return BidFunction.triangle_closed_form(AuctionConfig(n, k), T)(x)
+        return BidFunction.equilibrium(AuctionConfig(n, k), T)(x)
 
     # n=5, k=4: premium Omega/binom = (11/8)/3, slope 35/24
     assert bid(5, 4, 1.0) == pytest.approx(35 / 24, abs=1e-15)
@@ -75,22 +73,26 @@ def test_series_coefficients_frozen():
 
 
 def test_series_reduces_to_third_price():
+    # beta_3(x) = x + F/((n-2) f), written out here as the reference
     lin = make_linear(1.0, 1.0)
     for x in (0.2, 0.5, 0.9, 1.0):
         for n in (3, 5, 8):
+            want = x + lin.cdf(x) / ((n - 2) * lin.pdf(x))
             cfg = AuctionConfig(n, 3)
-            assert BidFunction.series(cfg, lin)(x) == pytest.approx(
-                BidFunction.third_price(cfg, lin)(x), abs=1e-12)
+            assert BidFunction.series(cfg, lin)(x) == pytest.approx(want, abs=1e-12)
+            assert BidFunction.third_price(AuctionConfig(n, n), lin)(x) == \
+                pytest.approx(want, abs=1e-12)
 
 
-def test_series_matches_uniform_closed_form():
+def test_series_matches_exact_slopes():
     xs = np.linspace(0.0, 1.0, 21)
-    for n in range(3, 9):
-        for k in range(3, n + 1):
-            cfg = AuctionConfig(n, k)
-            want = BidFunction.uniform_closed_form(cfg, U)(xs)
-            got = BidFunction.series(cfg, U)(xs)
-            np.testing.assert_allclose(got, want, atol=1e-12)
+    for dist in (U, T):
+        for n in range(3, 9):
+            for k in range(3, n + 1):
+                cfg = AuctionConfig(n, k)
+                slope = BidFunction.equilibrium(cfg, dist).slope
+                got = BidFunction.series(cfg, dist)(xs)
+                np.testing.assert_allclose(got, float(slope) * xs, atol=1e-12)
 
 
 def test_series_slope_sum_is_exact_on_triangle():
@@ -137,23 +139,19 @@ def test_series_validation_and_origin():
 
 def test_equilibrium_dispatch():
     u, t, lin = make_uniform(1.0), make_triangle(1.0), make_linear(1.0, 1.0)
-    assert BidFunction.equilibrium(AuctionConfig(5, 2), lin).kind is BidKind.SECOND_PRICE
-    assert BidFunction.equilibrium(AuctionConfig(5, 3), u).kind is BidKind.UNIFORM_CLOSED_FORM
-    assert BidFunction.equilibrium(AuctionConfig(5, 3), t).kind is BidKind.TRIANGLE_CLOSED_FORM
-    assert BidFunction.equilibrium(AuctionConfig(5, 3), lin).kind is BidKind.LINEAR_DENSITY_SERIES
+    assert BidFunction.equilibrium(AuctionConfig(5, 2), lin).slope == Fraction(1)
     assert BidFunction.equilibrium(AuctionConfig(10, 3), u).slope == Fraction(9, 8)
+    assert BidFunction.equilibrium(AuctionConfig(5, 4), t).slope == Fraction(35, 24)
+    assert BidFunction.equilibrium(AuctionConfig(5, 3), lin).slope is None
 
 
 def test_factory_validation():
     u, t = make_uniform(1.0), make_triangle(1.0)
     with pytest.raises(ValueError):
-        BidFunction.uniform_closed_form(AuctionConfig(5, 3), t)
-    with pytest.raises(ValueError):
-        BidFunction.triangle_closed_form(AuctionConfig(5, 3), u)
-    with pytest.raises(ValueError):
         BidFunction.series(AuctionConfig(5, 2), t)
     with pytest.raises(ValueError):
-        BidFunction.third_price(AuctionConfig(2, 2), u)
+        BidFunction.third_price(AuctionConfig(2, 2), u)  # n < 3
+    assert BidFunction.third_price(AuctionConfig(6, 5), u).config == AuctionConfig(6, 3)
 
 
 def test_bid_function_scalar_and_array():
@@ -188,8 +186,9 @@ def test_psi_ladder_general_k3_form():
     big_f = Polynomial([0, Fraction(1, 2), Fraction(1, 2)])
     f = Polynomial([Fraction(1, 2), Fraction(1)])
     for n in (3, 4, 6):
-        want = RationalFunction(big_f ** (n - 2), f) \
-            + RationalFunction((n - 2) * X * big_f ** (n - 3))
+        # over the common denominator f
+        want = RationalFunction(
+            big_f ** (n - 2) + (n - 2) * X * big_f ** (n - 3) * f, f)
         assert psi_ladder_oracle(lin, n, 3) == want
 
 
@@ -270,16 +269,7 @@ def test_monotonicity_grid_kinds():
 
 def test_monotonicity_reports_witness():
     # a decreasing linear bid is rejected through the exact-slope path
-    bad = BidFunction(BidKind.SECOND_PRICE, AuctionConfig(4, 2),
-                      make_uniform(1.0), Fraction(-1))
+    bad = BidFunction(AuctionConfig(4, 2), make_uniform(1.0), Fraction(-1))
     res = monotonicity_certificate(bad)
     assert not res and res.slope == Fraction(-1)
 
-
-def test_bid_bounds_check():
-    assert bid_bounds_check(10, 3)
-    assert bid_bounds_check(10, 6)
-    with pytest.raises(ValueError):
-        bid_bounds_check(6, 5)   # n + 4 = 2k: outside the claimed wedge
-    with pytest.raises(ValueError):
-        bid_bounds_check(5, 2)

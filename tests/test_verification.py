@@ -1,5 +1,7 @@
 """Payment cross-checks: benchmark vs quadrature vs simulation."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -79,10 +81,11 @@ def test_report_to_dict_schema():
     assert doc["params"] == {"n": 4, "k": 3,
                              "dist": {"a": 0.0, "b": 1.0, "omega": 1.0}}
     assert doc["pass"] is True and doc["max_error"] == 2e-12
-    assert "seed" not in doc
-    with_seed = VerificationReport.from_errors(
-        "demo", 4, 3, U, (0.5,), (1.0,), 1e-8, seed=7)
-    assert with_seed.passed is False and with_seed.to_dict()["seed"] == 7
+    assert set(doc) == {"check", "params", "grid", "errors", "max_error",
+                        "tolerance", "pass"}
+    failed = VerificationReport.from_errors(
+        "demo", 4, 3, U, (0.5,), (1.0,), 1e-8)
+    assert failed.passed is False and failed.to_dict()["pass"] is False
 
 
 def test_monte_carlo_payment_matches_benchmark():
@@ -91,8 +94,7 @@ def test_monte_carlo_payment_matches_benchmark():
     bench = expected_payment_benchmark(U, 4, 0.5)
     assert abs(mc.estimate - bench) <= 4.0 * mc.standard_error
     assert mc.samples == 200_000 and mc.seed == 11
-    doc = mc.to_dict()
-    assert set(doc) == {"estimate", "standard_error", "samples", "seed"}
+    assert set(asdict(mc)) == {"estimate", "standard_error", "samples", "seed"}
 
 
 def test_monte_carlo_is_seed_deterministic():
