@@ -88,6 +88,11 @@ def series_coefficients(n: int, k: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _float_series_coefficients(n: int, k: int) -> tuple[float, ...]:
+    return tuple(float(c) for c in series_coefficients(n, k))
+
+
 def _series_eval(dist: LinearDensityDistribution, n: int, k: int,
                  x: np.ndarray) -> np.ndarray:
     """Series bid x + sum_l c_l a**l F(x)**(l+1) / f(x)**(2l+1), vectorized.
@@ -95,7 +100,7 @@ def _series_eval(dist: LinearDensityDistribution, n: int, k: int,
     x = 0 maps to 0 by continuity (for the triangle density the series
     term there is a 0/0 form).
     """
-    cs = [float(c) for c in series_coefficients(n, k)]
+    cs = _float_series_coefficients(n, k)
     big_f = np.asarray(dist.cdf(x))
     f = np.asarray(dist.pdf(x))
     pos = f > 0.0

@@ -19,6 +19,7 @@ from kthprice import (
     monte_carlo_expected_payment,
     revenue_equivalence_check,
 )
+from kthprice import verification
 
 U = make_uniform(1.0)
 T = make_triangle(1.0)
@@ -94,7 +95,18 @@ def test_monte_carlo_payment_matches_benchmark():
     bench = expected_payment_benchmark(U, 4, 0.5)
     assert abs(mc.estimate - bench) <= 4.0 * mc.standard_error
     assert mc.samples == 200_000 and mc.seed == 11
-    assert set(asdict(mc)) == {"estimate", "standard_error", "samples", "seed"}
+    assert type(mc.wins) is int and 0 < mc.wins < mc.samples
+    assert set(asdict(mc)) == {"estimate", "standard_error", "samples", "seed",
+                               "wins"}
+
+
+def test_monte_carlo_zero_wins_warns():
+    # triangle, x = 0.2: a win has probability 0.04**5 ~ 1e-7 per trial
+    eq = BidFunction.equilibrium(AuctionConfig(6, 4), T)
+    with pytest.warns(RuntimeWarning,
+                      match=r"n=6, k=4, x=0\.2, samples=65536"):
+        mc = monte_carlo_expected_payment(eq, T, 6, 4, 0.2, 1 << 16, 3)
+    assert (mc.estimate, mc.standard_error, mc.wins) == (0.0, 0.0, 0)
 
 
 def test_monte_carlo_is_seed_deterministic():
@@ -121,12 +133,58 @@ def test_expected_revenue_anchors():
     rev = expected_revenue(BidFunction.second_price(AuctionConfig(3, 2), U),
                            U, 3, 2, 200_000, 5)
     assert abs(rev.estimate - 0.5) <= 4.0 * rev.standard_error
+    assert rev.wins == rev.samples  # every trial sells
     # triangle n=4: revenue equivalence pins every k at 16/21
     eq = BidFunction.equilibrium(AuctionConfig(4, 3), T)
     rev_t = expected_revenue(eq, T, 4, 3, 200_000, 5)
     assert abs(rev_t.estimate - 16 / 21) <= 4.0 * rev_t.standard_error
     with pytest.raises(ValueError):
         expected_revenue(eq, T, 4, 3, 0, 5)
+
+
+def _direct_payment_shard(bid, dist, n, k, x):
+    """Invert all n-1 opponent values, take their max, partition them."""
+    pivot = n - k
+
+    def shard(rng, size):
+        vals = dist.inverse_cdf(rng.random((size, n - 1)))
+        highest = vals.max(axis=1)
+        price_base = np.partition(vals, pivot, axis=1)[:, pivot]
+        win = highest < x
+        return np.where(win, bid(price_base), 0.0), int(np.count_nonzero(win))
+
+    return shard
+
+
+def _direct_revenue_shard(bid, dist, n, k):
+    """Invert all n values and bid at the k-th highest."""
+    pivot = n - k
+
+    def shard(rng, size):
+        vals = dist.inverse_cdf(rng.random((size, n)))
+        return bid(np.partition(vals, pivot, axis=1)[:, pivot]), size
+
+    return shard
+
+
+@pytest.mark.filterwarnings("ignore:monte_carlo_expected_payment:RuntimeWarning")
+def test_monte_carlo_equals_direct_simulation(monkeypatch):
+    # the library inverts and bids only the order statistics it uses; the
+    # direct simulator inverts every value. Same stream, so same bits.
+    monkeypatch.setattr(verification, "SHARD_SIZE", 3000)
+    samples, seed = 1 << 13, 17  # three shards, the last one partial
+    for dist in (U, T, make_linear(0.73, 1.0)):
+        for n in range(3, 7):
+            for k in range(2, n + 1):
+                bid = BidFunction.equilibrium(AuctionConfig(n, k), dist)
+                for x in (0.2, 0.5, 0.8):
+                    direct = verification._mc_accumulate(
+                        samples, seed, _direct_payment_shard(bid, dist, n, k, x))
+                    assert monte_carlo_expected_payment(
+                        bid, dist, n, k, x, samples, seed) == direct
+                direct = verification._mc_accumulate(
+                    samples, seed, _direct_revenue_shard(bid, dist, n, k))
+                assert expected_revenue(bid, dist, n, k, samples, seed) == direct
 
 
 def test_best_response_peaks_at_own_value():
