@@ -4,8 +4,10 @@ Three routes to the same expected payment, none sharing code with the
 bid formulas they test:
 
 * expected_payment_benchmark: the revenue-equivalence target
-  int_0^x y g(y) dy with g = (n-1) F**(n-2) f, computed from an exact
-  polynomial antiderivative (floats appear only in the final cast);
+  int_0^x y g(y) dy with g = (n-1) F**(n-2) f, from its exact
+  antiderivative held as integers over one denominator and evaluated in
+  integers at the exact binary value p / 2**e of x; the one rounding is
+  the final correctly rounded division;
 * expected_payment_quadrature: the k-th price payment formula
   (n-1) binom(n-2,k-2) int_0^x beta(y) (F(x)-F(y))**(k-2) F(y)**(n-k) f(y) dy
   under the candidate bid, by adaptive Gauss-Legendre quadrature;
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -111,24 +112,36 @@ class VerificationReport:
 
 @lru_cache(maxsize=None)
 def _benchmark_antiderivative(dist: LinearDensityDistribution,
-                              n: int) -> Polynomial:
+                              n: int) -> tuple[tuple[int, ...], int]:
+    """(N, D): int_0^x y (n-1) F**(n-2) f dy = sum_i N[i] x**i / D exactly."""
     big_f, f = dist.exact_polynomials()
     x = Polynomial.variable()
-    return ((n - 1) * x * big_f ** (n - 2) * f).antiderivative()
+    coeffs = ((n - 1) * x * big_f ** (n - 2) * f).antiderivative().coeffs
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
 
 
 def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
                                x: float) -> float:
     """Revenue-equivalence target m(x) = int_0^x y (n-1) F**(n-2) f dy.
 
-    Evaluated from the exact antiderivative at the exact binary value of
-    x; the only rounding is the final cast to float.
+    The exact antiderivative, integers N[i] over one denominator D, is
+    evaluated by Horner in integers at the exact value x = p / q (q is a
+    power of 2 for a float): m(x) = sum_i N[i] p**i q**(d-i) / (D q**d).
+    The only rounding is that final int / int division, which is
+    correctly rounded: the result is the float nearest the exact m(x).
     """
     if n < 2:
         raise ValueError(f"expected_payment_benchmark: need n >= 2, got {n}")
     if not 0.0 <= x <= dist.omega:
         raise ValueError("expected_payment_benchmark: x must lie in [0, omega]")
-    return float(_benchmark_antiderivative(dist, n)(Fraction(x)))
+    nums, den = _benchmark_antiderivative(dist, n)
+    p, q = x.as_integer_ratio()
+    acc, q_pow = nums[-1], 1
+    for c in reversed(nums[:-1]):
+        q_pow *= q
+        acc = acc * p + c * q_pow
+    return acc / (den * q_pow)
 
 
 def expected_payment_quadrature(bid: BidFunction,
@@ -149,8 +162,9 @@ def expected_payment_quadrature(bid: BidFunction,
     const = (n - 1) * math.comb(n - 2, k - 2)
 
     def integrand(y):
-        return (bid(y) * (fx - dist.cdf(y)) ** (k - 2)
-                * dist.cdf(y) ** (n - k) * dist.pdf(y))
+        big_f = dist.cdf(y)
+        return (bid(y) * (fx - big_f) ** (k - 2)
+                * big_f ** (n - k) * dist.pdf(y))
 
     return const * integrate(integrand, 0.0, x, quad)
 

@@ -1,6 +1,8 @@
 """Payment cross-checks: benchmark vs quadrature vs simulation."""
 
+import time
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,9 +22,11 @@ from kthprice import (
     revenue_equivalence_check,
 )
 from kthprice import verification
+from kthprice.polynomials import Polynomial
 
 U = make_uniform(1.0)
 T = make_triangle(1.0)
+A_FULL = 6575255455960925 / 2 ** 53  # odd 53-bit numerator: a full-mantissa 0.73
 
 
 def test_benchmark_frozen_values():
@@ -35,6 +39,45 @@ def test_benchmark_frozen_values():
         expected_payment_benchmark(U, 1, 0.5)
     with pytest.raises(ValueError):
         expected_payment_benchmark(U, 3, 1.5)
+
+
+def _fraction_antiderivative(dist, n):
+    """int_0^x y (n-1) F**(n-2) f dy as a Polynomial over Fraction."""
+    big_f, f = dist.exact_polynomials()
+    y = Polynomial.variable()
+    return ((n - 1) * y * big_f ** (n - 2) * f).antiderivative()
+
+
+@pytest.mark.parametrize("dist", [
+    U, T, make_linear(A_FULL, 1.0), make_linear(-1.3, 1.0),
+    make_triangle(2.5), make_uniform(0.3)],
+    ids=["uniform", "triangle", "a-full-mantissa", "a-negative", "omega-2.5",
+         "omega-0.3"])
+def test_benchmark_bit_identical_to_fraction_horner(dist):
+    xs = (0.0, dist.omega, 5e-324, dist.omega / 3, 0.5 * dist.omega,
+          0.77 * dist.omega)
+    for n in (2, 3, 7, 19, 40, 60):
+        reference = _fraction_antiderivative(dist, n)
+        for x in xs:
+            assert expected_payment_benchmark(dist, n, x) == \
+                float(reference(Fraction(x))), (n, x)
+
+
+def test_benchmark_input_types():
+    lin = make_linear(A_FULL, 1.0)
+    for n in (3, 19):
+        assert expected_payment_benchmark(lin, n, 1) == \
+            expected_payment_benchmark(lin, n, 1.0)
+        for x in (0.3, 0.77, 1.0):
+            value = expected_payment_benchmark(lin, n, np.float64(x))
+            assert type(value) is float
+            assert value == expected_payment_benchmark(lin, n, x)
+        zero = expected_payment_benchmark(lin, n, 0.0)
+        assert type(zero) is float and zero == 0.0
+    for bad in (float("nan"), float("inf"), -float("inf"), -1e-300,
+                np.nextafter(1.0, 2.0), 2):
+        with pytest.raises(ValueError):
+            expected_payment_benchmark(lin, 5, bad)
 
 
 def test_quadrature_payment_frozen_values():
@@ -72,6 +115,21 @@ def test_revenue_equivalence_general_linear_density():
     for n, k in ((5, 3), (6, 5), (4, 4)):
         bid = BidFunction.equilibrium(AuctionConfig(n, k), lin)
         assert revenue_equivalence_check(bid, lin, n, k).passed
+
+
+def test_revenue_equivalence_at_benchmark_sizes():
+    # the largest (n, k) of the benchmark's quad-verify workload, on a
+    # full-mantissa slope: about 0.4 s from cold caches on a 2-core Xeon VM
+    lin = make_linear(A_FULL, 1.0)
+    start = time.perf_counter()
+    for n, k in ((30, 20), (45, 30), (60, 50)):
+        cfg = AuctionConfig(n, k)
+        eq = revenue_equivalence_check(BidFunction.equilibrium(cfg, lin), lin, n, k)
+        assert eq.passed and eq.max_error < 1e-12, (n, k, eq.max_error)
+        truthful = revenue_equivalence_check(
+            BidFunction.second_price(cfg, lin), lin, n, k)
+        assert not truthful.passed and truthful.max_error > 0.1, (n, k)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_report_to_dict_schema():
