@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from kthprice import (catalan, catalan_integral, catalan_recurrence_holds,
                       jensen_sides, hagen_rothe_sides, omega,
-                      omega_bounds_hold, theta_table)
+                      omega_bounds_hold, theta_coeff)
 
 # the closed form, the recurrence, and a definite integral all agree
 print("first Catalan numbers:", [catalan(l) for l in range(10)])
@@ -20,7 +20,7 @@ for l in (0, 3, 8, 12):
 print()
 print("theta table for n=7:")
 for k in range(3, 8):
-    entries = theta_table(7, k).entries
+    entries = [theta_coeff(7, k, l) for l in range(k - 2)]
     print(f"  k={k}: " + ", ".join(str(e) for e in entries))
 
 # alternating Catalan sums stay positive and are sandwiched between

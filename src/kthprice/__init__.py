@@ -10,25 +10,21 @@ revenue-equivalence benchmark, and sharded deterministic Monte Carlo),
 and ships a CLI plus narrative demos on top.
 """
 
-from .combinatorics import (IdentityResult, ThetaTable, catalan,
-                            catalan_integral, catalan_recurrence_holds,
-                            hagen_rothe_sides, identity_sweep, jensen_sides,
-                            omega, omega_bounds, omega_bounds_hold,
-                            shifted_jensen_sides,
+from .combinatorics import (IdentityResult, catalan, catalan_integral,
+                            catalan_recurrence_holds, hagen_rothe_sides,
+                            identity_sweep, jensen_sides, omega, omega_bounds,
+                            omega_bounds_hold, shifted_jensen_sides,
                             theta_coeff, theta_index_identity_holds,
-                            theta_step_recurrence_holds, theta_table)
+                            theta_step_recurrence_holds)
 from .distributions import (NORMALIZATION_TOL, AuctionConfig,
-                            LinearDensityDistribution,
-                            conditional_order_stat_density,
-                            highest_order_stat, make_linear, make_triangle,
-                            make_uniform, sample_values)
+                            LinearDensityDistribution, make_linear,
+                            make_triangle, make_uniform)
 from .equilibrium import (BidFunction, MonotonicityResult,
                           bid_from_psi_ladder, monotonicity_certificate,
                           phi_ladder_check, psi_closed_form,
                           psi_ladder_oracle, series_coefficients)
 from .polynomials import Polynomial, RationalFunction, polynomial_gcd
-from .quadrature import (DEFAULT_QUADRATURE, QuadratureConfig,
-                         QuadratureError, integrate)
+from .quadrature import QuadratureError, integrate
 from .verification import (SHARD_SIZE, MonteCarloResult, VerificationReport,
                            best_response_profile, expected_payment_benchmark,
                            expected_payment_quadrature, expected_revenue,
@@ -40,30 +36,25 @@ __version__ = "0.1.0"
 __all__ = [
     "AuctionConfig",
     "BidFunction",
-    "DEFAULT_QUADRATURE",
     "IdentityResult",
     "LinearDensityDistribution",
     "MonotonicityResult",
     "MonteCarloResult",
     "NORMALIZATION_TOL",
     "Polynomial",
-    "QuadratureConfig",
     "QuadratureError",
     "RationalFunction",
     "SHARD_SIZE",
-    "ThetaTable",
     "VerificationReport",
     "best_response_profile",
     "bid_from_psi_ladder",
     "catalan",
     "catalan_integral",
     "catalan_recurrence_holds",
-    "conditional_order_stat_density",
     "expected_payment_benchmark",
     "expected_payment_quadrature",
     "expected_revenue",
     "hagen_rothe_sides",
-    "highest_order_stat",
     "identity_sweep",
     "integrate",
     "jensen_sides",
@@ -80,11 +71,9 @@ __all__ = [
     "psi_closed_form",
     "psi_ladder_oracle",
     "revenue_equivalence_check",
-    "sample_values",
     "series_coefficients",
     "shifted_jensen_sides",
     "theta_coeff",
     "theta_index_identity_holds",
     "theta_step_recurrence_holds",
-    "theta_table",
 ]

@@ -32,7 +32,7 @@ from itertools import islice
 
 import numpy as np
 
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import integrate
 
 __all__ = [
     "catalan",
@@ -41,9 +41,7 @@ __all__ = [
     "jensen_sides",
     "hagen_rothe_sides",
     "shifted_jensen_sides",
-    "ThetaTable",
     "theta_coeff",
-    "theta_table",
     "theta_step_recurrence_holds",
     "theta_index_identity_holds",
     "omega",
@@ -74,7 +72,7 @@ def catalan_recurrence_holds(l_max: int) -> bool:
     return True
 
 
-def catalan_integral(l: int, quad: QuadratureConfig | None = None) -> float:
+def catalan_integral(l: int) -> float:
     """Evaluate C_l from its integral representation by quadrature.
 
     Substituting t = sin(u)**2 removes both endpoint singularities of
@@ -83,8 +81,6 @@ def catalan_integral(l: int, quad: QuadratureConfig | None = None) -> float:
     """
     if l < 0:
         raise ValueError("catalan_integral: index must be >= 0")
-    if quad is None:
-        quad = QuadratureConfig(tol=1e-10)
     scale = 2.0 ** (2 * l + 2) / math.pi
 
     def integrand(u):
@@ -92,7 +88,7 @@ def catalan_integral(l: int, quad: QuadratureConfig | None = None) -> float:
         c = np.cos(u)
         return s ** (2 * l) * c * c
 
-    return scale * integrate(integrand, 0.0, math.pi / 2.0, quad)
+    return scale * integrate(integrand, 0.0, math.pi / 2.0)
 
 
 def _binom_falling(x: Fraction, s: int) -> Fraction:
@@ -158,15 +154,6 @@ def shifted_jensen_sides(r: float, z: float, s: int) -> tuple[float, float]:
     return float(lhs), float(rhs)
 
 
-@dataclass(frozen=True)
-class ThetaTable:
-    """Catalan-weighted binomial coefficients theta(n, k, l), l = 0..k-3."""
-
-    n: int
-    k: int
-    entries: tuple[Fraction, ...]
-
-
 def theta_coeff(n: int, k: int, l: int) -> Fraction:
     """theta(n, k, l) = binom(n-2, k-3-l) * C_l / 2**l, exact.
 
@@ -181,12 +168,6 @@ def theta_coeff(n: int, k: int, l: int) -> Fraction:
     if not 0 <= l <= k - 3:
         raise ValueError("theta_coeff: index l must lie in 0..k-3")
     return Fraction(math.comb(n - 2, k - 3 - l) * catalan(l), 2 ** l)
-
-
-def theta_table(n: int, k: int) -> ThetaTable:
-    if not 3 <= k <= n:
-        raise ValueError("theta_table: need 3 <= k <= n")
-    return ThetaTable(n, k, tuple(theta_coeff(n, k, l) for l in range(k - 2)))
 
 
 def theta_step_recurrence_holds(n: int, k: int) -> bool:

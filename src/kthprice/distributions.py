@@ -1,16 +1,16 @@
-"""Linear-density value distributions and their order statistics.
+"""Linear-density value distributions and the auction configuration.
 
 Values are drawn i.i.d. from F(x) = a*x**2/2 + b*x on [0, omega], with
 density f(x) = a*x + b. Constructors reject unnormalised parameters
 (F(omega) must be 1) instead of silently rescaling. Positivity of f is
 required on (0, omega] only, so the triangle case b = 0, f(0) = 0 is
-legal. Sampling inverts the quadratic CDF in closed form, so a stream
-of uniforms maps to values deterministically given the seed.
+legal. inverse_cdf inverts the quadratic CDF in closed form; the Monte
+Carlo routes use it to map uniforms to values.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,9 +25,6 @@ __all__ = [
     "make_uniform",
     "make_triangle",
     "make_linear",
-    "highest_order_stat",
-    "conditional_order_stat_density",
-    "sample_values",
 ]
 
 NORMALIZATION_TOL = 1e-12
@@ -41,6 +38,11 @@ class AuctionConfig:
     k: int
 
     def __post_init__(self):
+        for name in ("n", "k"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(
+                    f"AuctionConfig.{name} must be an integer, got {value!r}")
         if self.k < 2:
             raise ValueError(f"AuctionConfig.k must be >= 2, got {self.k}")
         if self.n < self.k:
@@ -124,50 +126,3 @@ def make_linear(a: float, omega: float) -> LinearDensityDistribution:
         raise ValueError(f"omega must be positive, got {omega}")
     b = (1.0 - a * omega ** 2 / 2.0) / omega
     return LinearDensityDistribution(a, b, omega)
-
-
-def highest_order_stat(dist: LinearDensityDistribution, n: int, y):
-    """CDF and density of the highest of n-1 opponent values.
-
-    Returns (G(y), g(y)) with G = F**(n-1), g = (n-1) F**(n-2) f.
-    """
-    if n < 2:
-        raise ValueError(f"highest_order_stat: need n >= 2, got {n}")
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr < 0.0) or np.any(y_arr > dist.omega):
-        raise ValueError("highest_order_stat: y must lie in [0, omega]")
-    big_f = dist.cdf(y)
-    g_cdf = big_f ** (n - 1)
-    g_pdf = (n - 1) * big_f ** (n - 2) * dist.pdf(y)
-    return g_cdf, g_pdf
-
-
-def conditional_order_stat_density(dist: LinearDensityDistribution,
-                                   m: int, r: int, x: float, y):
-    """Density of the r-th highest of m draws, given the highest is below x.
-
-    h(y) = m / F(x)**m * binom(m-1, r-1) (F(x)-F(y))**(r-1) F(y)**(m-r) f(y)
-    on [0, x]. With m = n-1 and r = k-1 this is exactly the density of
-    the price paid by a winning bidder with value x.
-    """
-    if not 1 <= r <= m:
-        raise ValueError(f"conditional_order_stat_density: need 1 <= r <= m, "
-                         f"got r={r}, m={m}")
-    if not 0.0 < x <= dist.omega:
-        raise ValueError("conditional_order_stat_density: x must lie in (0, omega]")
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr < 0.0) or np.any(y_arr > x):
-        raise ValueError("conditional_order_stat_density: y must lie in [0, x]")
-    fx = dist.cdf(x)
-    fy = dist.cdf(y_arr)
-    out = np.asarray(m / fx ** m * math.comb(m - 1, r - 1)
-                     * (fx - fy) ** (r - 1) * fy ** (m - r) * dist.pdf(y_arr))
-    return float(out) if out.ndim == 0 else out
-
-
-def sample_values(dist: LinearDensityDistribution, count: int, seed: int):
-    """count i.i.d. values via inverse-CDF sampling, deterministic in seed."""
-    if count < 1:
-        raise ValueError(f"sample_values: count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    return dist.inverse_cdf(rng.random(count))

@@ -1,46 +1,29 @@
-"""Gauss-Legendre integration with node doubling.
+"""Gauss-Legendre integration with node doubling, under one fixed rule.
 
-A fixed rule is applied, then the node count is doubled until two
-successive estimates agree; the difference between them is the reported
-error estimate. For the smooth integrands used in this package (bid
-integrands, trig-substituted Catalan integrands) Gauss rules converge
-geometrically, so the estimate is conservative for the finer rule.
+A START_NODES-point rule is applied, then the node count is doubled
+until two successive estimates agree to TOL * max(1, |integral|), or
+until MAX_NODES is reached; the difference between the last two
+estimates is the reported error estimate. For the smooth integrands
+used in this package (bid integrands, trig-substituted Catalan
+integrands) Gauss rules converge geometrically, so the estimate is
+conservative for the finer rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Node-doubling settings.
-
-    tol is measured against max(1, |integral|), so it acts as a relative
-    tolerance for large values and an absolute one near zero.
-    """
-
-    tol: float = 1e-10
-    start_nodes: int = 16
-    max_nodes: int = 4096
-
-    def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("QuadratureConfig.tol must be positive")
-        if self.start_nodes < 2:
-            raise ValueError("QuadratureConfig.start_nodes must be >= 2")
-        if self.max_nodes < 2 * self.start_nodes:
-            raise ValueError("QuadratureConfig.max_nodes leaves no room to double")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# The tolerance is measured against max(1, |integral|), so it acts as a
+# relative tolerance for large values and an absolute one near zero.
+TOL = 1e-10
+START_NODES = 16
+MAX_NODES = 4096
 
 
 class QuadratureError(RuntimeError):
-    """Raised when node doubling hits max_nodes before estimates settle."""
+    """Raised when node doubling hits MAX_NODES before estimates settle."""
 
     def __init__(self, message: str, estimate: float, error_estimate: float):
         super().__init__(message)
@@ -54,8 +37,7 @@ def _rule(nodes: int):
     return x, w
 
 
-def integrate(f, a: float, b: float,
-              quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def integrate(f, a: float, b: float) -> float:
     """Integrate a vectorized callable f over [a, b].
 
     f must accept an ndarray of abscissae and return an ndarray of the
@@ -71,18 +53,18 @@ def integrate(f, a: float, b: float,
         x, w = _rule(nodes)
         return half * float(np.dot(w, f(mid + half * x)))
 
-    nodes = quad.start_nodes
+    nodes = START_NODES
     prev = estimate(nodes)
-    while 2 * nodes <= quad.max_nodes:
+    while 2 * nodes <= MAX_NODES:
         nodes *= 2
         cur = estimate(nodes)
         err = abs(cur - prev)
-        if err <= quad.tol * max(1.0, abs(cur)):
+        if err <= TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise QuadratureError(
-        f"quadrature did not converge within {quad.max_nodes} nodes "
-        f"(last error estimate {err:.3e}, tol {quad.tol:.3e})",
+        f"quadrature did not converge within {MAX_NODES} nodes "
+        f"(last error estimate {err:.3e}, tol {TOL:.3e})",
         estimate=cur,
         error_estimate=err,
     )

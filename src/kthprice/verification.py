@@ -24,6 +24,7 @@ deviations z in [0, omega]; at equilibrium the argmax sits at z = x.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +34,7 @@ import numpy as np
 from .distributions import LinearDensityDistribution
 from .equilibrium import BidFunction
 from .polynomials import Polynomial
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from .quadrature import integrate
 
 __all__ = [
     "SHARD_SIZE",
@@ -135,6 +136,8 @@ def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
         raise ValueError(f"expected_payment_benchmark: need n >= 2, got {n}")
     if not 0.0 <= x <= dist.omega:
         raise ValueError("expected_payment_benchmark: x must lie in [0, omega]")
+    if isinstance(x, numbers.Integral):
+        x = int(x)  # numpy integers have no as_integer_ratio
     nums, den = _benchmark_antiderivative(dist, n)
     p, q = x.as_integer_ratio()
     acc, q_pow = nums[-1], 1
@@ -146,8 +149,7 @@ def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
 
 def expected_payment_quadrature(bid: BidFunction,
                                 dist: LinearDensityDistribution,
-                                n: int, k: int, x: float,
-                                quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+                                n: int, k: int, x: float) -> float:
     """Expected payment of a value-x bidder under an arbitrary bid profile.
 
     m(x) = (n-1) binom(n-2, k-2) *
@@ -166,15 +168,13 @@ def expected_payment_quadrature(bid: BidFunction,
         return (bid(y) * (fx - big_f) ** (k - 2)
                 * big_f ** (n - k) * dist.pdf(y))
 
-    return const * integrate(integrand, 0.0, x, quad)
+    return const * integrate(integrand, 0.0, x)
 
 
 def revenue_equivalence_check(bid: BidFunction,
                               dist: LinearDensityDistribution,
                               n: int, k: int, grid_size: int = 20,
-                              tol: float = 1e-8,
-                              quad: QuadratureConfig = DEFAULT_QUADRATURE
-                              ) -> VerificationReport:
+                              tol: float = 1e-8) -> VerificationReport:
     """Compare payment-by-quadrature against the benchmark on a grid.
 
     Grid points are omega * i / grid_size for i = 1..grid_size, all in
@@ -183,11 +183,11 @@ def revenue_equivalence_check(bid: BidFunction,
     """
     if grid_size < 2:
         raise ValueError("revenue_equivalence_check: grid_size must be >= 2")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("revenue_equivalence_check: tol must be positive")
     grid = [dist.omega * i / grid_size for i in range(1, grid_size + 1)]
     errors = [
-        abs(expected_payment_quadrature(bid, dist, n, k, x, quad)
+        abs(expected_payment_quadrature(bid, dist, n, k, x)
             - expected_payment_benchmark(dist, n, x))
         for x in grid
     ]
@@ -303,8 +303,7 @@ def expected_revenue(bid: BidFunction, dist: LinearDensityDistribution,
 
 
 def best_response_profile(bid: BidFunction, dist: LinearDensityDistribution,
-                          n: int, k: int, x: float, z_grid,
-                          quad: QuadratureConfig = DEFAULT_QUADRATURE):
+                          n: int, k: int, x: float, z_grid):
     """Interim payoff pi(z) = F(z)**(n-1) x - m(z) over deviation values z.
 
     The bidder pretends their value is z while it is really x; only
@@ -320,7 +319,7 @@ def best_response_profile(bid: BidFunction, dist: LinearDensityDistribution,
     if np.any(z_arr < 0.0) or np.any(z_arr > dist.omega):
         raise ValueError("best_response_profile: z_grid must lie in [0, omega]")
     payments = np.array([
-        0.0 if z == 0.0 else expected_payment_quadrature(bid, dist, n, k, z, quad)
+        0.0 if z == 0.0 else expected_payment_quadrature(bid, dist, n, k, z)
         for z in z_arr
     ])
     payoff = np.asarray(dist.cdf(z_arr)) ** (n - 1) * x - payments

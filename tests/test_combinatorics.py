@@ -5,10 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kthprice import (QuadratureConfig, catalan, catalan_integral,
-                      catalan_recurrence_holds, hagen_rothe_sides,
-                      jensen_sides, omega, omega_bounds, omega_bounds_hold,
-                      shifted_jensen_sides, theta_coeff, theta_table)
+from kthprice import (catalan, catalan_integral, catalan_recurrence_holds,
+                      hagen_rothe_sides, jensen_sides, omega, omega_bounds,
+                      omega_bounds_hold, shifted_jensen_sides, theta_coeff)
 
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -28,14 +27,13 @@ def test_catalan_recurrence_exact_to_60():
 
 
 def test_catalan_integral_matches_exact():
-    quad = QuadratureConfig(tol=1e-8)
     for l in range(13):
-        approx = catalan_integral(l, quad)
+        approx = catalan_integral(l)
         assert abs(approx - catalan(l)) / catalan(l) <= 1e-6, l
 
 
 def test_catalan_integral_tiny_tolerance_example():
-    assert abs(catalan_integral(0, QuadratureConfig(tol=1e-8)) - 1.0) <= 1e-8
+    assert abs(catalan_integral(0) - 1.0) <= 1e-8
 
 
 def test_identity_trivial_and_frozen_cases():
@@ -78,12 +76,16 @@ def test_identities_randomized():
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)), (m, r, z, s)
 
 
+def theta_row(n, k):
+    return [theta_coeff(n, k, l) for l in range(k - 2)]
+
+
 def test_theta_tables_frozen():
-    assert theta_table(3, 3).entries == (Fraction(1),)
-    assert theta_table(5, 4).entries == (Fraction(3), Fraction(1, 2))
-    assert theta_table(4, 4).entries == (Fraction(2), Fraction(1, 2))
+    assert theta_row(3, 3) == [Fraction(1)]
+    assert theta_row(5, 4) == [Fraction(3), Fraction(1, 2)]
+    assert theta_row(4, 4) == [Fraction(2), Fraction(1, 2)]
     # fractions arrive in lowest terms with positive denominators
-    for entry in theta_table(12, 9).entries:
+    for entry in theta_row(12, 9):
         from math import gcd
         assert entry.denominator > 0
         assert gcd(entry.numerator, entry.denominator) == 1
@@ -91,9 +93,11 @@ def test_theta_tables_frozen():
 
 def test_theta_validation():
     with pytest.raises(ValueError):
-        theta_table(4, 5)
+        theta_coeff(2, 3, 0)  # n < 3
     with pytest.raises(ValueError):
-        theta_table(4, 2)
+        theta_coeff(4, 2, 0)  # k < 3
+    with pytest.raises(ValueError):
+        theta_coeff(5, 4, -1)  # l < 0
     with pytest.raises(ValueError):
         theta_coeff(5, 4, 2)  # l > k-3
 

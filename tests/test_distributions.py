@@ -1,19 +1,15 @@
-"""Linear-density distributions: parameter checks, order statistics, sampling."""
+"""Linear-density distributions and auction configs: parameter checks,
+CDF, density and inverse CDF."""
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from kthprice import (
     AuctionConfig,
     LinearDensityDistribution,
-    conditional_order_stat_density,
-    highest_order_stat,
-    integrate,
     make_linear,
     make_triangle,
     make_uniform,
-    sample_values,
 )
 
 
@@ -43,10 +39,16 @@ def test_constructor_rejects_bad_parameters():
 
 def test_auction_config_validation():
     AuctionConfig(5, 3)
+    AuctionConfig(np.int64(6), np.int32(4))
     with pytest.raises(ValueError):
         AuctionConfig(5, 1)
     with pytest.raises(ValueError):
         AuctionConfig(3, 4)
+    # non-integers name the field instead of failing later in math.comb
+    for n, k, field in ((6.0, 4, "n"), (5.5, 3, "n"), (6, 4.0, "k"),
+                        (np.float64(6.0), 4, "n"), ("6", 4, "n")):
+        with pytest.raises(ValueError, match=f"AuctionConfig.{field} "):
+            AuctionConfig(n, k)
 
 
 def test_cdf_pdf_frozen_values():
@@ -85,88 +87,3 @@ def test_inverse_cdf_triangle_origin():
     t = make_triangle(1.0)
     assert t.inverse_cdf(0.0) == 0.0
     assert t.inverse_cdf(np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
-
-
-def test_highest_order_stat_frozen():
-    u, t = make_uniform(1.0), make_triangle(1.0)
-    assert highest_order_stat(u, 3, 0.5) == (0.25, 1.0)
-    assert highest_order_stat(t, 2, 0.5) == (0.25, 1.0)
-    with pytest.raises(ValueError):
-        highest_order_stat(u, 1, 0.5)
-    with pytest.raises(ValueError):
-        highest_order_stat(u, 3, 1.5)
-
-
-def test_highest_order_stat_is_derivative_of_cdf():
-    lin = make_linear(0.8, 1.0)
-    ys = np.linspace(0.01, 0.99, 25)
-    h = 1e-6
-    for n in (2, 4, 7):
-        _, g = highest_order_stat(lin, n, ys)
-        num = (highest_order_stat(lin, n, ys + h)[0]
-               - highest_order_stat(lin, n, ys - h)[0]) / (2 * h)
-        np.testing.assert_allclose(g, num, rtol=1e-6)
-
-
-def test_conditional_density_frozen_values():
-    u, t = make_uniform(1.0), make_triangle(1.0)
-    assert conditional_order_stat_density(u, 2, 1, 0.5, 0.25) == 2.0
-    assert conditional_order_stat_density(t, 3, 2, 1.0, 0.5) == 1.125
-
-
-def test_conditional_density_validation():
-    u = make_uniform(1.0)
-    with pytest.raises(ValueError):
-        conditional_order_stat_density(u, 3, 0, 0.5, 0.25)   # r < 1
-    with pytest.raises(ValueError):
-        conditional_order_stat_density(u, 3, 4, 0.5, 0.25)   # r > m
-    with pytest.raises(ValueError):
-        conditional_order_stat_density(u, 3, 2, 0.0, 0.0)    # x = 0
-    with pytest.raises(ValueError):
-        conditional_order_stat_density(u, 3, 2, 0.5, 0.6)    # y > x
-
-
-def test_conditional_density_integrates_to_one():
-    cases = [
-        (make_uniform(1.0), 4, 2, 0.8),
-        (make_triangle(1.0), 5, 3, 0.6),
-        (make_linear(1.0, 1.0), 3, 1, 1.0),
-        (make_linear(-1.5, 1.0), 6, 4, 0.9),
-    ]
-    for dist, m, r, x in cases:
-        mass = integrate(
-            lambda y: conditional_order_stat_density(dist, m, r, x, y), 0.0, x)
-        assert mass == pytest.approx(1.0, abs=1e-9)
-
-
-def test_conditional_density_matches_simulation():
-    # r-th highest of m draws given the max is below x: chi-square
-    # goodness of fit at the 1% level, fixed seed.
-    dist, m, r, x = make_uniform(1.0), 4, 2, 0.8
-    rng = np.random.default_rng(42)
-    vals = dist.inverse_cdf(rng.random((200_000, m)))
-    keep = vals[vals.max(axis=1) < x]
-    order = np.sort(keep, axis=1)[:, m - r]
-    bins = 10
-    edges = np.linspace(0.0, x, bins + 1)
-    obs, _ = np.histogram(order, bins=edges)
-    exp = np.array([
-        integrate(lambda y: conditional_order_stat_density(dist, m, r, x, y),
-                  lo, hi)
-        for lo, hi in zip(edges[:-1], edges[1:])
-    ]) * keep.shape[0]
-    chi2 = float(((obs - exp) ** 2 / exp).sum())
-    assert chi2 < stats.chi2.ppf(0.99, bins - 1)
-
-
-def test_sampling_deterministic_and_unbiased():
-    u, t = make_uniform(1.0), make_triangle(1.0)
-    s = sample_values(u, 100_000, 7)
-    assert np.array_equal(s, sample_values(u, 100_000, 7))
-    assert not np.array_equal(s, sample_values(u, 100_000, 8))
-    assert s.min() >= 0.0 and s.max() <= 1.0
-    # E[uniform] = 1/2, E[triangle] = 2/3; both ~3 standard errors wide
-    assert s.mean() == pytest.approx(0.5, abs=3e-3)
-    assert sample_values(t, 100_000, 7).mean() == pytest.approx(2 / 3, abs=3e-3)
-    with pytest.raises(ValueError):
-        sample_values(u, 0, 1)

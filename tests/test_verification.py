@@ -66,14 +66,17 @@ def test_benchmark_bit_identical_to_fraction_horner(dist):
 def test_benchmark_input_types():
     lin = make_linear(A_FULL, 1.0)
     for n in (3, 19):
-        assert expected_payment_benchmark(lin, n, 1) == \
-            expected_payment_benchmark(lin, n, 1.0)
+        for one in (1, np.int64(1)):
+            value = expected_payment_benchmark(lin, n, one)
+            assert type(value) is float
+            assert value == expected_payment_benchmark(lin, n, 1.0)
         for x in (0.3, 0.77, 1.0):
             value = expected_payment_benchmark(lin, n, np.float64(x))
             assert type(value) is float
             assert value == expected_payment_benchmark(lin, n, x)
-        zero = expected_payment_benchmark(lin, n, 0.0)
-        assert type(zero) is float and zero == 0.0
+        for zero in (0.0, np.int32(0)):
+            value = expected_payment_benchmark(lin, n, zero)
+            assert type(value) is float and value == 0.0
     for bad in (float("nan"), float("inf"), -float("inf"), -1e-300,
                 np.nextafter(1.0, 2.0), 2):
         with pytest.raises(ValueError):
@@ -106,8 +109,9 @@ def test_revenue_equivalence_pass_and_fail():
 
     with pytest.raises(ValueError):
         revenue_equivalence_check(eq, U, 4, 3, grid_size=1)
-    with pytest.raises(ValueError):
-        revenue_equivalence_check(eq, U, 4, 3, tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            revenue_equivalence_check(eq, U, 4, 3, tol=tol)
 
 
 def test_revenue_equivalence_general_linear_density():
