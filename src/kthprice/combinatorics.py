@@ -14,10 +14,13 @@ value density. Positivity of Omega and the sandwich
 
     binom(n-3, k-3)/2 <= Omega(n, k) <= 7*binom(n-3, k-3)/8   (n+4 > 2k)
 
-are exact rational statements, so everything feeding them is an int or
-a Fraction. Floating point appears in exactly two places: the
-real-argument binomial evaluators for the Jensen / Hagen-Rothe /
-shifted-Jensen convolution identities, and the quadrature check of the
+are exact rational statements, checked as integers over one
+denominator: theta * 2**l is an integer, and Omega is one integer over
+2**(2k-5), returned as a Fraction. The Jensen / Hagen-Rothe /
+shifted-Jensen convolution identities take real arguments; each side is
+summed exactly as an integer over one denominator from the binary values
+of the inputs, and its float is one correctly rounded int / int
+division. The only other floating point is the quadrature check of the
 integral representation
 
     C_l = (2**(2l+1) / pi) * int_0^1 t**l * sqrt((1-t)/t) dt.
@@ -26,6 +29,7 @@ integral representation
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -91,34 +95,56 @@ def catalan_integral(l: int) -> float:
     return scale * integrate(integrand, 0.0, math.pi / 2.0)
 
 
-def _binom_falling(x: Fraction, s: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(s):
-        out *= Fraction(x - i, i + 1)
+def _check_s(func: str, s) -> int:
+    """s as an int; a ValueError unless it is an integer >= 0."""
+    if not isinstance(s, numbers.Integral):
+        raise ValueError(f"{func}: s must be an integer, got {s!r}")
+    if s < 0:
+        raise ValueError(f"{func}: s must be >= 0")
+    return int(s)
+
+
+def _over_one_denominator(*xs) -> tuple[int, list[int]]:
+    """(D, [x*D for x in xs]): the exact values of xs as integers over
+    D, the lcm of their denominators (a power of 2 for floats)."""
+    # numpy integers have no as_integer_ratio
+    ratios = [(int(x), 1) if isinstance(x, numbers.Integral)
+              else x.as_integer_ratio() for x in xs]
+    den = math.lcm(*(q for _, q in ratios))
+    return den, [p * (den // q) for p, q in ratios]
+
+
+def _falling(x: int, j: int, d: int) -> int:
+    """x (x-d) ... (x-(j-1)d) = D**j j! binom(x/D, j) for d = D."""
+    out = 1
+    for i in range(j):
+        out *= x - i * d
     return out
 
 
 # The convolution sums below are brutally ill-conditioned in float64:
 # at s = 12 individual terms reach ~1e8 while the sides can cancel down
-# to ~1e-5, losing up to 13 digits. Each side is therefore accumulated
-# in exact rational arithmetic over the binary values of the float
-# inputs and rounded exactly once at return, which keeps the returned
-# pair within one ulp of the true (equal) sides.
+# to ~1e-5, losing up to 13 digits. Each side is therefore computed
+# exactly: the binary values of the inputs are brought to integers over
+# one denominator D, binom(X/D, j) = falling(X, j) / (D**j j!), and every
+# term becomes an integer over D**s s!. The one rounding is the final
+# int / int division, which is correctly rounded (the float nearest the
+# exact side), so the returned pair is within one ulp of the true
+# (equal) sides.
 
 def jensen_sides(m: float, r: float, z: float, s: int) -> tuple[float, float]:
     """Both sides of Jensen's convolution identity.
 
     sum_l binom(m+z*l, l) binom(r-z*l, s-l) == sum_l binom(m+r-l, s-l) z**l
     """
-    if s < 0:
-        raise ValueError("jensen_sides: s must be >= 0")
-    mf, rf, zf = Fraction(m), Fraction(r), Fraction(z)
-    lhs = sum((_binom_falling(mf + zf * l, l)
-               * _binom_falling(rf - zf * l, s - l) for l in range(s + 1)),
-              Fraction(0))
-    rhs = sum((_binom_falling(mf + rf - l, s - l) * zf ** l
-               for l in range(s + 1)), Fraction(0))
-    return float(lhs), float(rhs)
+    s = _check_s("jensen_sides", s)
+    d, (m, r, z) = _over_one_denominator(m, r, z)
+    lhs = sum(math.comb(s, l) * _falling(m + z * l, l, d)
+              * _falling(r - z * l, s - l, d) for l in range(s + 1))
+    rhs = sum(math.perm(s, l) * _falling(m + r - l * d, s - l, d) * z ** l
+              for l in range(s + 1))
+    scale = d ** s * math.factorial(s)
+    return lhs / scale, rhs / scale
 
 
 def hagen_rothe_sides(m: float, r: float, z: float, s: int) -> tuple[float, float]:
@@ -126,17 +152,18 @@ def hagen_rothe_sides(m: float, r: float, z: float, s: int) -> tuple[float, floa
 
     sum_l m/(m+z*l) binom(m+z*l, l) binom(r-z*l, s-l) == binom(m+r, s)
     """
-    if s < 0:
-        raise ValueError("hagen_rothe_sides: s must be >= 0")
-    mf, rf, zf = Fraction(m), Fraction(r), Fraction(z)
+    s = _check_s("hagen_rothe_sides", s)
+    d, (m, r, z) = _over_one_denominator(m, r, z)
     for l in range(s + 1):
-        if mf + zf * l == 0:
+        if m + z * l == 0:
             raise ValueError(f"hagen_rothe_sides: m + z*l vanishes at l={l}")
-    lhs = sum((mf / (mf + zf * l)
-               * _binom_falling(mf + zf * l, l)
-               * _binom_falling(rf - zf * l, s - l) for l in range(s + 1)),
-              Fraction(0))
-    return float(lhs), float(_binom_falling(mf + rf, s))
+    # D**l l! m/(m+z*l) binom(m+z*l, l) = M (M+Zl-D) ... (M+Zl-(l-1)D),
+    # and 1 at l = 0
+    lhs = sum(math.comb(s, l) * _falling(r - z * l, s - l, d)
+              * (m * _falling(m + z * l - d, l - 1, d) if l else 1)
+              for l in range(s + 1))
+    scale = d ** s * math.factorial(s)
+    return lhs / scale, _falling(m + r, s, d) / scale
 
 
 def shifted_jensen_sides(r: float, z: float, s: int) -> tuple[float, float]:
@@ -144,14 +171,19 @@ def shifted_jensen_sides(r: float, z: float, s: int) -> tuple[float, float]:
 
     sum_l binom(r-l, s-l) z**l == sum_l binom(r+1, s-l) (z-1)**l
     """
-    if s < 0:
-        raise ValueError("shifted_jensen_sides: s must be >= 0")
-    rf, zf = Fraction(r), Fraction(z)
-    lhs = sum((_binom_falling(rf - l, s - l) * zf ** l for l in range(s + 1)),
-              Fraction(0))
-    rhs = sum((_binom_falling(rf + 1, s - l) * (zf - 1) ** l
-               for l in range(s + 1)), Fraction(0))
-    return float(lhs), float(rhs)
+    s = _check_s("shifted_jensen_sides", s)
+    d, (r, z) = _over_one_denominator(r, z)
+    lhs = sum(math.perm(s, l) * _falling(r - l * d, s - l, d) * z ** l
+              for l in range(s + 1))
+    rhs = sum(math.perm(s, l) * _falling(r + d, s - l, d) * (z - d) ** l
+              for l in range(s + 1))
+    scale = d ** s * math.factorial(s)
+    return lhs / scale, rhs / scale
+
+
+def _theta_num(n: int, k: int, l: int) -> int:
+    """theta(n, k, l) * 2**l = binom(n-2, k-3-l) * C_l, unchecked."""
+    return math.comb(n - 2, k - 3 - l) * catalan(l)
 
 
 def theta_coeff(n: int, k: int, l: int) -> Fraction:
@@ -167,8 +199,10 @@ def theta_coeff(n: int, k: int, l: int) -> Fraction:
         raise ValueError("theta_coeff: need k >= 3")
     if not 0 <= l <= k - 3:
         raise ValueError("theta_coeff: index l must lie in 0..k-3")
-    return Fraction(math.comb(n - 2, k - 3 - l) * catalan(l), 2 ** l)
+    return Fraction(_theta_num(n, k, l), 2 ** l)
 
+
+# The two theta checks compare the integers theta * 2**l, cross-multiplied.
 
 def theta_step_recurrence_holds(n: int, k: int) -> bool:
     """Check theta(n, k+1, l) == (2l-1)/(l+1) * theta(n, k, l-1) exactly.
@@ -177,39 +211,32 @@ def theta_step_recurrence_holds(n: int, k: int) -> bool:
     """
     if not 3 <= k <= n:
         raise ValueError("theta_step_recurrence_holds: need 3 <= k <= n")
-    for l in range(1, k - 1):
-        lhs = theta_coeff(n, k + 1, l)
-        rhs = Fraction(2 * l - 1, l + 1) * theta_coeff(n, k, l - 1)
-        if lhs != rhs:
-            return False
-    return True
+    return all((l + 1) * _theta_num(n, k + 1, l)
+               == 2 * (2 * l - 1) * _theta_num(n, k, l - 1)
+               for l in range(1, k - 1))
 
 
 def theta_index_identity_holds(n: int, k: int) -> bool:
     """Check (n-k+l+1) * theta(n,k,l) == (k-2-l) * theta(n,k+1,l) exactly."""
     if not 3 <= k <= n:
         raise ValueError("theta_index_identity_holds: need 3 <= k <= n")
-    for l in range(k - 2):
-        lhs = (n - k + l + 1) * theta_coeff(n, k, l)
-        rhs = (k - 2 - l) * theta_coeff(n, k + 1, l)
-        if lhs != rhs:
-            return False
-    return True
+    return all((n - k + l + 1) * _theta_num(n, k, l)
+               == (k - 2 - l) * _theta_num(n, k + 1, l)
+               for l in range(k - 2))
 
 
 def omega(n: int, k: int) -> Fraction:
     """Alternating Catalan sum Omega(n, k), the triangle bid's slope premium.
 
-    Omega(n, k) = sum_{l=0}^{k-3} (-1)**l * theta(n, k, l) / 2**(l+1).
+    Omega(n, k) = sum_{l=0}^{k-3} (-1)**l * theta(n, k, l) / 2**(l+1),
+    summed as integers over the common denominator 2**(2k-5).
     Strictly positive for all 3 <= k <= n.
     """
     if not 3 <= k <= n:
         raise ValueError("omega: need 3 <= k <= n")
-    total = Fraction(0)
-    for l in range(k - 2):
-        term = theta_coeff(n, k, l) / 2 ** (l + 1)
-        total += -term if l % 2 else term
-    return total
+    total = sum((-1) ** l * _theta_num(n, k, l) * 4 ** (k - 3 - l)
+                for l in range(k - 2))
+    return Fraction(total, 2 ** (2 * k - 5))
 
 
 def omega_bounds(n: int, k: int) -> tuple[Fraction, Fraction] | None:

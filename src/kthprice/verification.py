@@ -33,7 +33,6 @@ import numpy as np
 
 from .distributions import LinearDensityDistribution
 from .equilibrium import BidFunction
-from .polynomials import Polynomial
 from .quadrature import integrate
 
 __all__ = [
@@ -111,15 +110,44 @@ class VerificationReport:
         }
 
 
+def _as_int(func: str, name: str, value) -> int:
+    """value as an int; a ValueError names the argument if it is not an integer."""
+    if type(value) is int:  # the common case, without the slower ABC check
+        return value
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{func}: {name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @lru_cache(maxsize=None)
 def _benchmark_antiderivative(dist: LinearDensityDistribution,
                               n: int) -> tuple[tuple[int, ...], int]:
-    """(N, D): int_0^x y (n-1) F**(n-2) f dy = sum_i N[i] x**i / D exactly."""
-    big_f, f = dist.exact_polynomials()
-    x = Polynomial.variable()
-    coeffs = ((n - 1) * x * big_f ** (n - 2) * f).antiderivative().coeffs
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+    """(N, D): int_0^x y (n-1) F**(n-2) f dy = sum_i N[i] x**i / D exactly.
+
+    Built in integers over one denominator, in closed form: with the
+    exact binary values a = A/Q and b = B/Q, F = x (2B + Ax) / (2Q) and
+    f = (B + Ax) / Q, so the integrand is
+    (n-1) x**(n-1) (2B + Ax)**(n-2) (B + Ax) / (2**(n-2) Q**(n-1)).
+    The binomial expansion gives its coefficients c_j of x**(n-1+j),
+    and the integral's, c_j / (n+j), share the denominator lcm(n..2n-1).
+    D is the least common denominator, as for reduced fractions.
+    """
+    (a_num, a_den), (b_num, b_den) = (dist.a.as_integer_ratio(),
+                                      dist.b.as_integer_ratio())
+    q = math.lcm(a_den, b_den)
+    a_int, b_int = a_num * (q // a_den), b_num * (q // b_den)
+    # (2B + Ax)**(n-2) = sum_j e[j] x**j, then times (B + Ax)
+    e = [math.comb(n - 2, j) * a_int ** j * (2 * b_int) ** (n - 2 - j)
+         for j in range(n - 1)] + [0]
+    c = [b_int * e[j] + (a_int * e[j - 1] if j else 0) for j in range(n)]
+    span = math.lcm(*range(n, 2 * n))
+    nums = [0] * n + [(n - 1) * c[j] * (span // (n + j)) for j in range(n)]
+    den = 2 ** (n - 2) * q ** (n - 1) * span
+    g = math.gcd(den, *nums)
+    nums = [v // g for v in nums]
+    while nums[-1] == 0:  # a = 0 leaves the top coefficients zero
+        nums.pop()
+    return tuple(nums), den // g
 
 
 def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
@@ -132,6 +160,7 @@ def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
     The only rounding is that final int / int division, which is
     correctly rounded: the result is the float nearest the exact m(x).
     """
+    n = _as_int("expected_payment_benchmark", "n", n)
     if n < 2:
         raise ValueError(f"expected_payment_benchmark: need n >= 2, got {n}")
     if not 0.0 <= x <= dist.omega:
@@ -155,6 +184,8 @@ def expected_payment_quadrature(bid: BidFunction,
     m(x) = (n-1) binom(n-2, k-2) *
            int_0^x bid(y) (F(x)-F(y))**(k-2) F(y)**(n-k) f(y) dy
     """
+    n = _as_int("expected_payment_quadrature", "n", n)
+    k = _as_int("expected_payment_quadrature", "k", k)
     if not 2 <= k <= n:
         raise ValueError(f"expected_payment_quadrature: need 2 <= k <= n, "
                          f"got n={n}, k={k}")
@@ -181,6 +212,9 @@ def revenue_equivalence_check(bid: BidFunction,
     (0, omega]. An equilibrium bid passes; truthful bidding with k >= 3
     must fail (it pays too little).
     """
+    n = _as_int("revenue_equivalence_check", "n", n)
+    k = _as_int("revenue_equivalence_check", "k", k)
+    grid_size = _as_int("revenue_equivalence_check", "grid_size", grid_size)
     if grid_size < 2:
         raise ValueError("revenue_equivalence_check: grid_size must be >= 2")
     if not tol > 0.0:
@@ -250,6 +284,9 @@ def monte_carlo_expected_payment(bid: BidFunction,
     Warns (RuntimeWarning) when no trial wins: the estimate is then
     0 +- 0, which only says that a win is rarer than 1 / samples.
     """
+    n = _as_int("monte_carlo_expected_payment", "n", n)
+    k = _as_int("monte_carlo_expected_payment", "k", k)
+    samples = _as_int("monte_carlo_expected_payment", "samples", samples)
     if samples < 1:
         raise ValueError("monte_carlo_expected_payment: samples must be >= 1")
     if not 2 <= k <= n:
@@ -288,6 +325,9 @@ def expected_revenue(bid: BidFunction, dist: LinearDensityDistribution,
     of k (revenue equivalence), equal to the expected second-highest
     value.
     """
+    n = _as_int("expected_revenue", "n", n)
+    k = _as_int("expected_revenue", "k", k)
+    samples = _as_int("expected_revenue", "samples", samples)
     if samples < 1:
         raise ValueError("expected_revenue: samples must be >= 1")
     if not 2 <= k <= n:
@@ -311,6 +351,8 @@ def best_response_profile(bid: BidFunction, dist: LinearDensityDistribution,
     Returns (argmax z*, payoff array); at equilibrium z* == x up to the
     grid resolution.
     """
+    n = _as_int("best_response_profile", "n", n)
+    k = _as_int("best_response_profile", "k", k)
     if not 0.0 < x <= dist.omega:
         raise ValueError("best_response_profile: x must lie in (0, omega]")
     z_arr = np.asarray(z_grid, dtype=float)

@@ -73,9 +73,9 @@ def test_criterion_02_randomized_identities():
     ok = all(results[name].passed and results[name].cases == 500
              for name in names)
     elapsed = time.perf_counter() - start
-    report(2, "500 randomized trials per identity", ok and elapsed < 5.0,
+    report(2, "500 randomized trials per identity", ok and elapsed < 1.0,
            f"tol=1e-9, cases={[results[n].cases for n in names]}, "
-           f"elapsed={elapsed:.2f}s < 5s")
+           f"elapsed={elapsed:.2f}s < 1s")
 
 
 def test_criterion_03_theta_omega_exact():

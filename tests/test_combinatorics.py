@@ -1,6 +1,8 @@
 """Catalan numbers, theta/omega coefficients, convolution identities."""
 
+import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from kthprice import (catalan, catalan_integral, catalan_recurrence_holds,
                       hagen_rothe_sides, jensen_sides, omega, omega_bounds,
                       omega_bounds_hold, shifted_jensen_sides, theta_coeff)
+from kthprice.combinatorics import _random_cases
 
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -74,6 +77,108 @@ def test_identities_randomized():
         if all(m + z * l != 0 for l in range(s + 1)):
             lhs, rhs = hagen_rothe_sides(m, r, z, s)
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)), (m, r, z, s)
+
+
+# Reference sides: each summed term by term in Fraction arithmetic over
+# the exact binary values of the inputs and rounded once. The library
+# computes the same exact sides in integers over one denominator, so the
+# floats must agree bit for bit.
+
+def _binom_falling(x, s):
+    out = Fraction(1)
+    for i in range(s):
+        out *= Fraction(x - i, i + 1)
+    return out
+
+
+def reference_jensen(m, r, z, s):
+    mf, rf, zf = Fraction(m), Fraction(r), Fraction(z)
+    lhs = sum((_binom_falling(mf + zf * l, l)
+               * _binom_falling(rf - zf * l, s - l) for l in range(s + 1)),
+              Fraction(0))
+    rhs = sum((_binom_falling(mf + rf - l, s - l) * zf ** l
+               for l in range(s + 1)), Fraction(0))
+    return float(lhs), float(rhs)
+
+
+def reference_hagen_rothe(m, r, z, s):
+    mf, rf, zf = Fraction(m), Fraction(r), Fraction(z)
+    for l in range(s + 1):
+        if mf + zf * l == 0:
+            raise ValueError(f"m + z*l vanishes at l={l}")
+    lhs = sum((mf / (mf + zf * l)
+               * _binom_falling(mf + zf * l, l)
+               * _binom_falling(rf - zf * l, s - l) for l in range(s + 1)),
+              Fraction(0))
+    return float(lhs), float(_binom_falling(mf + rf, s))
+
+
+def reference_shifted_jensen(r, z, s):
+    rf, zf = Fraction(r), Fraction(z)
+    lhs = sum((_binom_falling(rf - l, s - l) * zf ** l for l in range(s + 1)),
+              Fraction(0))
+    rhs = sum((_binom_falling(rf + 1, s - l) * (zf - 1) ** l
+               for l in range(s + 1)), Fraction(0))
+    return float(lhs), float(rhs)
+
+
+def assert_same_sides(sides, reference, *args):
+    """Equal float pairs, or the same exception type from both."""
+    try:
+        expected = reference(*args)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            sides(*args)
+        return
+    assert sides(*args) == expected, args
+
+
+def test_sides_bit_identical_to_fraction_reference_on_random_draws():
+    rng = np.random.default_rng(2024)
+    for m, r, z, s in islice(_random_cases(rng, avoid_poles=True), 2000):
+        assert_same_sides(jensen_sides, reference_jensen, m, r, z, s)
+        assert_same_sides(hagen_rothe_sides, reference_hagen_rothe, m, r, z, s)
+        assert_same_sides(shifted_jensen_sides, reference_shifted_jensen,
+                          r, z, s)
+
+
+@pytest.mark.parametrize("m, r, z", [
+    (1.7, 4.2, -0.9),
+    (2.3, 5.1, 0.0),               # z = 0
+    (2.3, 5.1, 5e-324),            # subnormal z
+    (3, -2, 1),                    # ints
+    (np.float64(0.3), np.float64(7.9), np.float64(-1.1)),
+    (Fraction(1, 3), 2.5, Fraction(-2, 3)),   # denominators not powers of 2
+    (0.75, 1e300, 0.5),            # r = 1e300: the sides overflow for s >= 2
+    (0.0, 1.5, 0.25),              # m = 0: Hagen-Rothe pole at l = 0
+    (2.0, 1.0, -1.0),              # Hagen-Rothe pole at l = 2
+])
+@pytest.mark.parametrize("s", [0, 1, 2, 7, 12])
+def test_sides_bit_identical_to_fraction_reference_on_edge_cases(m, r, z, s):
+    assert_same_sides(jensen_sides, reference_jensen, m, r, z, s)
+    assert_same_sides(hagen_rothe_sides, reference_hagen_rothe, m, r, z, s)
+    assert_same_sides(shifted_jensen_sides, reference_shifted_jensen, r, z, s)
+
+
+def test_sides_accept_numpy_integers():
+    assert jensen_sides(1.7, 4.2, -0.9, np.int64(7)) == \
+        jensen_sides(1.7, 4.2, -0.9, 7)
+    assert shifted_jensen_sides(np.int64(6), 0.5, 3) == \
+        shifted_jensen_sides(6, 0.5, 3)
+
+
+def test_theta_and_omega_equal_term_by_term_fraction_sums():
+    for n in range(3, 61):
+        for k in range(3, n + 1):
+            thetas = [Fraction(math.comb(n - 2, k - 3 - l)
+                               * (math.comb(2 * l, l) // (l + 1)), 2 ** l)
+                      for l in range(k - 2)]
+            assert [theta_coeff(n, k, l) for l in range(k - 2)] == thetas
+            total = Fraction(0)
+            for l, theta in enumerate(thetas):
+                term = theta / 2 ** (l + 1)
+                total += -term if l % 2 else term
+            assert omega(n, k) == total, (n, k)
 
 
 def theta_row(n, k):

@@ -15,11 +15,14 @@ from kthprice import (
     expected_payment_benchmark,
     expected_payment_quadrature,
     expected_revenue,
+    hagen_rothe_sides,
+    jensen_sides,
     make_linear,
     make_triangle,
     make_uniform,
     monte_carlo_expected_payment,
     revenue_equivalence_check,
+    shifted_jensen_sides,
 )
 from kthprice import verification
 from kthprice.polynomials import Polynomial
@@ -269,3 +272,37 @@ def test_best_response_validation():
         best_response_profile(eq, U, 4, 3, 0.5, np.array([0.5]))
     with pytest.raises(ValueError):
         best_response_profile(eq, U, 4, 3, 0.5, np.linspace(0, 2, 11))
+
+
+EQ43 = BidFunction.equilibrium(AuctionConfig(4, 3), U)
+GRID = np.linspace(0.0, 1.0, 11)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("n", lambda: expected_payment_benchmark(U, 4.0, 0.5)),
+    ("n", lambda: expected_payment_quadrature(EQ43, U, 4.0, 3, 0.5)),
+    ("k", lambda: expected_payment_quadrature(EQ43, U, 4, 3.0, 0.5)),
+    ("n", lambda: revenue_equivalence_check(EQ43, U, Fraction(4), 3)),
+    ("grid_size", lambda: revenue_equivalence_check(EQ43, U, 4, 3,
+                                                    grid_size=2.5)),
+    ("samples", lambda: monte_carlo_expected_payment(EQ43, U, 4, 3, 0.5,
+                                                     1000.0, 1)),
+    ("k", lambda: monte_carlo_expected_payment(EQ43, U, 4, "3", 0.5, 100, 1)),
+    ("samples", lambda: expected_revenue(EQ43, U, 4, 3, 1e3, 1)),
+    ("n", lambda: expected_revenue(EQ43, U, np.float64(4), 3, 100, 1)),
+    ("k", lambda: best_response_profile(EQ43, U, 4, 3.0, 0.5, GRID)),
+    ("s", lambda: jensen_sides(1.0, 2.0, 0.5, 2.0)),
+    ("s", lambda: hagen_rothe_sides(1.0, 2.0, 0.5, None)),
+    ("s", lambda: shifted_jensen_sides(2.0, 0.5, np.float64(3))),
+])
+def test_integer_arguments_are_checked_by_name(name, call):
+    with pytest.raises(ValueError, match=rf": {name} must be an integer"):
+        call()
+
+
+def test_numpy_integer_arguments_accepted():
+    n, k = np.int64(4), np.int64(3)
+    assert expected_payment_benchmark(U, n, 0.5) == \
+        expected_payment_benchmark(U, 4, 0.5)
+    assert expected_payment_quadrature(EQ43, U, n, k, 0.5) == \
+        expected_payment_quadrature(EQ43, U, 4, 3, 0.5)
