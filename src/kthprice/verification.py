@@ -52,6 +52,13 @@ __all__ = [
 # only on (seed, SHARD_SIZE), never on how shards are executed.
 SHARD_SIZE = 1 << 16
 
+# _order_statistic compares whole columns of _BLOCK_ROWS rows at a time
+# while its column work, m (p + 1) for m columns and p passes, is at most
+# _COLUMN_LIMIT; above that, one numpy call per row is cheaper (both
+# measured on shards of SHARD_SIZE rows, m up to 60).
+_BLOCK_ROWS = 4096
+_COLUMN_LIMIT = 32
+
 
 @dataclass(frozen=True)
 class MonteCarloResult:
@@ -243,6 +250,42 @@ def _shard_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+def _order_statistic(u: np.ndarray, r: int) -> np.ndarray:
+    """The r-th smallest entry (0-based) of each row of u, exactly.
+
+    u has m columns. Each bubble pass of compare-exchanges between whole
+    columns (np.minimum and np.maximum over a block of rows) carries the
+    largest entry of every row out of the columns still in play, or the
+    smallest for a rank below the middle. After p = min(r, m-1-r) passes
+    the wanted entry is the extreme of the columns left. Without NaNs, min
+    and max return one of their arguments, so the result equals
+    np.partition(u, r, axis=1)[:, r] bit for bit.
+
+    The column work grows as m (p+1). Above _COLUMN_LIMIT it falls back to
+    one numpy call per row: u.max for the maximum, else a partition of u
+    in place, which reorders the entries within u's rows.
+    """
+    rows, m = u.shape
+    p = min(r, m - 1 - r)
+    if m * (p + 1) > _COLUMN_LIMIT:
+        if r == m - 1:
+            return u.max(axis=1)
+        u.partition(r, axis=1)
+        return u[:, r]
+    # a high rank drops each row's maxima: the minimum stays behind
+    stay, carry = (np.minimum, np.maximum) if r > p else (np.maximum, np.minimum)
+    out = np.empty(rows)
+    for start in range(0, rows, _BLOCK_ROWS):
+        cols = u[start:start + _BLOCK_ROWS].T.copy()
+        for last in range(m - 1, m - 1 - p, -1):
+            carried = cols[0].copy()
+            for j in range(1, last + 1):
+                stay(carried, cols[j], out=cols[j - 1])
+                carry(carried, cols[j], out=carried)
+        carry.reduce(cols[:m - p], axis=0, out=out[start:start + _BLOCK_ROWS])
+    return out
+
+
 def _mc_accumulate(samples: int, seed: int, payoff_for_shard) -> MonteCarloResult:
     """Sum payoff_for_shard(rng, size) -> (payoffs, wins) over the shards."""
     total = 0.0
@@ -274,7 +317,10 @@ def monte_carlo_expected_payment(bid: BidFunction,
     else pays 0. F^-1 is increasing, so the order statistics of the
     values are F^-1 of the order statistics of the uniforms: only the
     maximum of each trial and, for winning trials, the (k-1)-th highest
-    uniform are inverted, and only the latter are bid on. The payoffs
+    uniform are inverted, and only the latter are bid on. Each order
+    statistic is picked exactly, by min/max comparisons of whole columns
+    of draws, or by one numpy call per trial past a fixed limit on that
+    column work (large n, interior ranks). The payoffs
     equal inverting and sorting all n-1 values whenever the float
     F^-1 keeps the order of the draws. It can swap only draws a few
     ulps apart (about 3 % of adjacent-float pairs for the triangle, none
@@ -287,8 +333,12 @@ def monte_carlo_expected_payment(bid: BidFunction,
     n = _as_int("monte_carlo_expected_payment", "n", n)
     k = _as_int("monte_carlo_expected_payment", "k", k)
     samples = _as_int("monte_carlo_expected_payment", "samples", samples)
+    seed = _as_int("monte_carlo_expected_payment", "seed", seed)
     if samples < 1:
         raise ValueError("monte_carlo_expected_payment: samples must be >= 1")
+    if seed < 0:
+        raise ValueError(f"monte_carlo_expected_payment: seed must be >= 0, "
+                         f"got {seed}")
     if not 2 <= k <= n:
         raise ValueError(f"monte_carlo_expected_payment: need 2 <= k <= n, "
                          f"got n={n}, k={k}")
@@ -298,11 +348,9 @@ def monte_carlo_expected_payment(bid: BidFunction,
 
     def shard(rng, size):
         u = rng.random((size, n - 1))
-        win = dist.inverse_cdf(u.max(axis=1)) < x
-        won = u[win]
-        won.partition(pivot, axis=1)
+        win = dist.inverse_cdf(_order_statistic(u, n - 2)) < x
         pay = np.zeros(size)
-        pay[win] = bid(dist.inverse_cdf(won[:, pivot]))
+        pay[win] = bid(dist.inverse_cdf(_order_statistic(u[win], pivot)))
         return pay, int(np.count_nonzero(win))
 
     result = _mc_accumulate(samples, seed, shard)
@@ -319,25 +367,27 @@ def expected_revenue(bid: BidFunction, dist: LinearDensityDistribution,
 
     For an increasing bid the k-th highest bid is the bid at the k-th
     highest value, and that value is F^-1 of the k-th highest of the n
-    uniforms drawn per trial: only that uniform is inverted and bid on
-    (see monte_carlo_expected_payment for the float caveat). Every trial
-    sells, so wins == samples. At equilibrium the revenue is independent
-    of k (revenue equivalence), equal to the expected second-highest
-    value.
+    uniforms drawn per trial: only that uniform, picked exactly as in
+    monte_carlo_expected_payment, is inverted and bid on (see there for
+    the float caveat). Every trial sells, so wins == samples. At
+    equilibrium the revenue is independent of k (revenue equivalence),
+    equal to the expected second-highest value.
     """
     n = _as_int("expected_revenue", "n", n)
     k = _as_int("expected_revenue", "k", k)
     samples = _as_int("expected_revenue", "samples", samples)
+    seed = _as_int("expected_revenue", "seed", seed)
     if samples < 1:
         raise ValueError("expected_revenue: samples must be >= 1")
+    if seed < 0:
+        raise ValueError(f"expected_revenue: seed must be >= 0, got {seed}")
     if not 2 <= k <= n:
         raise ValueError(f"expected_revenue: need 2 <= k <= n, got n={n}, k={k}")
     pivot = n - k
 
     def shard(rng, size):
         u = rng.random((size, n))
-        u.partition(pivot, axis=1)
-        return bid(dist.inverse_cdf(u[:, pivot])), size
+        return bid(dist.inverse_cdf(_order_statistic(u, pivot))), size
 
     return _mc_accumulate(samples, seed, shard)
 

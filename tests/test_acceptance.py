@@ -183,9 +183,9 @@ def test_criterion_08_monte_carlo():
                 ok = ok and gap <= 3.0 * se
     elapsed = time.perf_counter() - start
     report(8, "Monte Carlo payments within 4 SE + cross-k revenue within 3 SE",
-           ok and elapsed < 120.0,
+           ok and elapsed < 30.0,
            f"worst_z={worst_z:.2f} <= 4, worst_pair_ratio={worst_pair:.2f} <= 1, "
-           f"elapsed={elapsed:.1f}s < 120s")
+           f"elapsed={elapsed:.1f}s < 30s")
 
 
 def test_criterion_09_best_response():

@@ -1,5 +1,6 @@
 """Payment cross-checks: benchmark vs quadrature vs simulation."""
 
+import json
 import time
 from dataclasses import asdict
 from fractions import Fraction
@@ -191,6 +192,10 @@ def test_monte_carlo_validation():
         monte_carlo_expected_payment(eq, U, 4, 3, 0.0, 100, 1)
     with pytest.raises(ValueError):
         monte_carlo_expected_payment(eq, U, 4, 5, 0.5, 100, 1)
+    with pytest.raises(ValueError, match=r"payment: seed must be >= 0, got -1"):
+        monte_carlo_expected_payment(eq, U, 4, 3, 0.5, 100, -1)
+    with pytest.raises(ValueError, match=r"revenue: seed must be >= 0, got -1"):
+        expected_revenue(eq, U, 4, 3, 100, -1)
 
 
 def test_expected_revenue_anchors():
@@ -236,20 +241,52 @@ def _direct_revenue_shard(bid, dist, n, k):
 def test_monte_carlo_equals_direct_simulation(monkeypatch):
     # the library inverts and bids only the order statistics it uses; the
     # direct simulator inverts every value. Same stream, so same bits.
+    # n = 12 and 20 put interior ranks past the column limit (per-row path).
     monkeypatch.setattr(verification, "SHARD_SIZE", 3000)
     samples, seed = 1 << 13, 17  # three shards, the last one partial
+    cases = ([(n, k) for n in range(3, 7) for k in range(2, n + 1)]
+             + [(n, k) for n in (12, 20) for k in (2, n // 2, n)])
     for dist in (U, T, make_linear(0.73, 1.0)):
-        for n in range(3, 7):
-            for k in range(2, n + 1):
-                bid = BidFunction.equilibrium(AuctionConfig(n, k), dist)
-                for x in (0.2, 0.5, 0.8):
-                    direct = verification._mc_accumulate(
-                        samples, seed, _direct_payment_shard(bid, dist, n, k, x))
-                    assert monte_carlo_expected_payment(
-                        bid, dist, n, k, x, samples, seed) == direct
+        for n, k in cases:
+            bid = BidFunction.equilibrium(AuctionConfig(n, k), dist)
+            for x in (0.2, 0.5, 0.8):
                 direct = verification._mc_accumulate(
-                    samples, seed, _direct_revenue_shard(bid, dist, n, k))
-                assert expected_revenue(bid, dist, n, k, samples, seed) == direct
+                    samples, seed, _direct_payment_shard(bid, dist, n, k, x))
+                assert monte_carlo_expected_payment(
+                    bid, dist, n, k, x, samples, seed) == direct
+            direct = verification._mc_accumulate(
+                samples, seed, _direct_revenue_shard(bid, dist, n, k))
+            assert expected_revenue(bid, dist, n, k, samples, seed) == direct
+
+
+@pytest.mark.parametrize("limit", [0, verification._COLUMN_LIMIT, 10 ** 6],
+                         ids=["per-row", "cost-rule", "columns"])
+def test_order_statistic_equals_partition(monkeypatch, limit):
+    # a block of 8 rows, so 0, 1 and 21 rows give no block, a partial one,
+    # and two whole blocks and a partial one; integer draws tie in most rows
+    monkeypatch.setattr(verification, "_COLUMN_LIMIT", limit)
+    monkeypatch.setattr(verification, "_BLOCK_ROWS", 8)
+    rng = np.random.default_rng(29)
+    for m in range(1, 41):
+        for rows in (0, 1, 21):
+            for u in (rng.random((rows, m)),
+                      rng.integers(0, 4, (rows, m)).astype(float)):
+                for r in range(m):
+                    got = verification._order_statistic(u.copy(), r)
+                    assert np.array_equal(
+                        got, np.partition(u, r, axis=1)[:, r]), (m, rows, r)
+
+
+def test_order_statistic_at_shard_size():
+    # default block and limit, on a row count that is no block multiple;
+    # m = 8 is column work only, m = 12 takes both sides of the cost rule
+    rng = np.random.default_rng(31)
+    rows = 3 * verification._BLOCK_ROWS + 5
+    for m in (2, 7, 8, 12):
+        u = rng.random((rows, m))
+        for r in range(m):
+            assert np.array_equal(verification._order_statistic(u.copy(), r),
+                                  np.partition(u, r, axis=1)[:, r]), (m, r)
 
 
 def test_best_response_peaks_at_own_value():
@@ -290,6 +327,12 @@ GRID = np.linspace(0.0, 1.0, 11)
     ("k", lambda: monte_carlo_expected_payment(EQ43, U, 4, "3", 0.5, 100, 1)),
     ("samples", lambda: expected_revenue(EQ43, U, 4, 3, 1e3, 1)),
     ("n", lambda: expected_revenue(EQ43, U, np.float64(4), 3, 100, 1)),
+    ("seed", lambda: monte_carlo_expected_payment(EQ43, U, 4, 3, 0.5, 100,
+                                                  1.5)),
+    ("seed", lambda: monte_carlo_expected_payment(EQ43, U, 4, 3, 0.5, 100,
+                                                  "3")),
+    ("seed", lambda: expected_revenue(EQ43, U, 4, 3, 100, 1.5)),
+    ("seed", lambda: expected_revenue(EQ43, U, 4, 3, 100, "3")),
     ("k", lambda: best_response_profile(EQ43, U, 4, 3.0, 0.5, GRID)),
     ("s", lambda: jensen_sides(1.0, 2.0, 0.5, 2.0)),
     ("s", lambda: hagen_rothe_sides(1.0, 2.0, 0.5, None)),
@@ -306,3 +349,11 @@ def test_numpy_integer_arguments_accepted():
         expected_payment_benchmark(U, 4, 0.5)
     assert expected_payment_quadrature(EQ43, U, n, k, 0.5) == \
         expected_payment_quadrature(EQ43, U, 4, 3, 0.5)
+    seed = np.int64(3)
+    for mc, plain in (
+            (monte_carlo_expected_payment(EQ43, U, n, k, 0.5, 100, seed),
+             monte_carlo_expected_payment(EQ43, U, 4, 3, 0.5, 100, 3)),
+            (expected_revenue(EQ43, U, n, k, 100, seed),
+             expected_revenue(EQ43, U, 4, 3, 100, 3))):
+        assert mc == plain and type(mc.seed) is int
+        assert json.loads(json.dumps(asdict(mc)))["seed"] == 3
