@@ -318,8 +318,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.mode == "payment":
         if x is None:
             raise ConfigError("simulate payment requires --x")
-        if not 0.0 < x <= dist.omega:
-            raise ConfigError(f"x must lie in (0, omega], got {x}")
         result = monte_carlo_expected_payment(bid, dist, n, k, x,
                                               args.samples, args.seed)
         benchmark = expected_payment_benchmark(dist, n, x)

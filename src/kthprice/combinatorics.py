@@ -36,6 +36,7 @@ from itertools import islice
 
 import numpy as np
 
+from .distributions import _check_int, _check_nk
 from .quadrature import integrate
 
 __all__ = [
@@ -58,16 +59,14 @@ __all__ = [
 
 def catalan(l: int) -> int:
     """l-th Catalan number binom(2l, l) / (l + 1), exact."""
-    if l < 0:
-        raise ValueError("catalan: index must be >= 0")
+    l = _check_int("catalan", "l", l, 0)
     # (l+1) always divides binom(2l, l); // keeps the result an int
     return math.comb(2 * l, l) // (l + 1)
 
 
 def catalan_recurrence_holds(l_max: int) -> bool:
     """Check C_l == 2(2l-1)/(l+1) * C_{l-1} exactly for l = 1..l_max."""
-    if l_max < 1:
-        raise ValueError("catalan_recurrence_holds: l_max must be >= 1")
+    l_max = _check_int("catalan_recurrence_holds", "l_max", l_max, 1)
     c = Fraction(1)  # C_0
     for l in range(1, l_max + 1):
         c = c * Fraction(2 * (2 * l - 1), l + 1)
@@ -83,8 +82,7 @@ def catalan_integral(l: int) -> float:
     sqrt((1-t)/t) and leaves the smooth integrand
     (2**(2l+2)/pi) * sin(u)**(2l) * cos(u)**2 on [0, pi/2].
     """
-    if l < 0:
-        raise ValueError("catalan_integral: index must be >= 0")
+    l = _check_int("catalan_integral", "l", l, 0)
     scale = 2.0 ** (2 * l + 2) / math.pi
 
     def integrand(u):
@@ -93,15 +91,6 @@ def catalan_integral(l: int) -> float:
         return s ** (2 * l) * c * c
 
     return scale * integrate(integrand, 0.0, math.pi / 2.0)
-
-
-def _check_s(func: str, s) -> int:
-    """s as an int; a ValueError unless it is an integer >= 0."""
-    if not isinstance(s, numbers.Integral):
-        raise ValueError(f"{func}: s must be an integer, got {s!r}")
-    if s < 0:
-        raise ValueError(f"{func}: s must be >= 0")
-    return int(s)
 
 
 def _over_one_denominator(*xs) -> tuple[int, list[int]]:
@@ -137,7 +126,7 @@ def jensen_sides(m: float, r: float, z: float, s: int) -> tuple[float, float]:
 
     sum_l binom(m+z*l, l) binom(r-z*l, s-l) == sum_l binom(m+r-l, s-l) z**l
     """
-    s = _check_s("jensen_sides", s)
+    s = _check_int("jensen_sides", "s", s, 0)
     d, (m, r, z) = _over_one_denominator(m, r, z)
     lhs = sum(math.comb(s, l) * _falling(m + z * l, l, d)
               * _falling(r - z * l, s - l, d) for l in range(s + 1))
@@ -152,7 +141,7 @@ def hagen_rothe_sides(m: float, r: float, z: float, s: int) -> tuple[float, floa
 
     sum_l m/(m+z*l) binom(m+z*l, l) binom(r-z*l, s-l) == binom(m+r, s)
     """
-    s = _check_s("hagen_rothe_sides", s)
+    s = _check_int("hagen_rothe_sides", "s", s, 0)
     d, (m, r, z) = _over_one_denominator(m, r, z)
     for l in range(s + 1):
         if m + z * l == 0:
@@ -171,7 +160,7 @@ def shifted_jensen_sides(r: float, z: float, s: int) -> tuple[float, float]:
 
     sum_l binom(r-l, s-l) z**l == sum_l binom(r+1, s-l) (z-1)**l
     """
-    s = _check_s("shifted_jensen_sides", s)
+    s = _check_int("shifted_jensen_sides", "s", s, 0)
     d, (r, z) = _over_one_denominator(r, z)
     lhs = sum(math.perm(s, l) * _falling(r - l * d, s - l, d) * z ** l
               for l in range(s + 1))
@@ -189,14 +178,10 @@ def _theta_num(n: int, k: int, l: int) -> int:
 def theta_coeff(n: int, k: int, l: int) -> Fraction:
     """theta(n, k, l) = binom(n-2, k-3-l) * C_l / 2**l, exact.
 
-    Defined for k >= 3 and 0 <= l <= k-3; the binomial is simply zero
-    once k-3-l exceeds n-2, which is what the k-step recurrence checks
-    rely on at the table edge.
+    Defined for 3 <= k <= n and 0 <= l <= k-3.
     """
-    if n < 3:
-        raise ValueError("theta_coeff: need n >= 3")
-    if k < 3:
-        raise ValueError("theta_coeff: need k >= 3")
+    n, k = _check_nk("theta_coeff", n, k, 3)
+    l = _check_int("theta_coeff", "l", l)
     if not 0 <= l <= k - 3:
         raise ValueError("theta_coeff: index l must lie in 0..k-3")
     return Fraction(_theta_num(n, k, l), 2 ** l)
@@ -209,8 +194,7 @@ def theta_step_recurrence_holds(n: int, k: int) -> bool:
 
     Verified for l = 1..k-2, the full range on which both sides exist.
     """
-    if not 3 <= k <= n:
-        raise ValueError("theta_step_recurrence_holds: need 3 <= k <= n")
+    n, k = _check_nk("theta_step_recurrence_holds", n, k, 3)
     return all((l + 1) * _theta_num(n, k + 1, l)
                == 2 * (2 * l - 1) * _theta_num(n, k, l - 1)
                for l in range(1, k - 1))
@@ -218,8 +202,7 @@ def theta_step_recurrence_holds(n: int, k: int) -> bool:
 
 def theta_index_identity_holds(n: int, k: int) -> bool:
     """Check (n-k+l+1) * theta(n,k,l) == (k-2-l) * theta(n,k+1,l) exactly."""
-    if not 3 <= k <= n:
-        raise ValueError("theta_index_identity_holds: need 3 <= k <= n")
+    n, k = _check_nk("theta_index_identity_holds", n, k, 3)
     return all((n - k + l + 1) * _theta_num(n, k, l)
                == (k - 2 - l) * _theta_num(n, k + 1, l)
                for l in range(k - 2))
@@ -232,8 +215,7 @@ def omega(n: int, k: int) -> Fraction:
     summed as integers over the common denominator 2**(2k-5).
     Strictly positive for all 3 <= k <= n.
     """
-    if not 3 <= k <= n:
-        raise ValueError("omega: need 3 <= k <= n")
+    n, k = _check_nk("omega", n, k, 3)
     total = sum((-1) ** l * _theta_num(n, k, l) * 4 ** (k - 3 - l)
                 for l in range(k - 2))
     return Fraction(total, 2 ** (2 * k - 5))
@@ -246,8 +228,7 @@ def omega_bounds(n: int, k: int) -> tuple[Fraction, Fraction] | None:
     returns None. Divided by binom(n-2, k-2) they bound the triangle
     bid's slope premium by (k-2)/(2(n-2)) and 7(k-2)/(8(n-2)).
     """
-    if not 3 <= k <= n:
-        raise ValueError(f"omega_bounds: need 3 <= k <= n, got n={n}, k={k}")
+    n, k = _check_nk("omega_bounds", n, k, 3)
     if not n + 4 > 2 * k:
         return None
     anchor = math.comb(n - 3, k - 3)
@@ -260,6 +241,7 @@ def omega_bounds_hold(n: int, k: int) -> bool:
     Parameters off the wedge are rejected. For k = 3 the lower bound is
     attained with equality.
     """
+    n, k = _check_nk("omega_bounds_hold", n, k, 3)
     bounds = omega_bounds(n, k)
     if bounds is None:
         raise ValueError(f"omega_bounds_hold: bounds are only claimed for "
@@ -319,9 +301,14 @@ def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
     3 <= k <= n <= nmax; omega-bounds exactly on the wedge n + 4 > 2k,
     with Omega(n, 3) = 1/2. The library form of `kthprice identities`.
     """
-    if lmax < 1 or integral_lmax < 0 or trials < 1 or nmax < 3 or not tol > 0:
-        raise ValueError("identity_sweep: need lmax >= 1, integral_lmax >= 0, "
-                         "trials >= 1, nmax >= 3, tol > 0")
+    func = "identity_sweep"
+    lmax = _check_int(func, "lmax", lmax, 1)
+    integral_lmax = _check_int(func, "integral_lmax", integral_lmax, 0)
+    trials = _check_int(func, "trials", trials, 1)
+    seed = _check_int(func, "seed", seed, 0)
+    nmax = _check_int(func, "nmax", nmax, 3)
+    if not tol > 0:
+        raise ValueError(f"identity_sweep: tol must be > 0, got {tol}")
     worst = max(abs(catalan_integral(l) - catalan(l)) / catalan(l)
                 for l in range(integral_lmax + 1))
     results = [

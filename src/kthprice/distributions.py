@@ -5,7 +5,9 @@ density f(x) = a*x + b. Constructors reject unnormalised parameters
 (F(omega) must be 1) instead of silently rescaling. Positivity of f is
 required on (0, omega] only, so the triangle case b = 0, f(0) = 0 is
 legal. inverse_cdf inverts the quadratic CDF in closed form; the Monte
-Carlo routes use it to map uniforms to values.
+Carlo routes use it to map uniforms to values. _check_int and _check_nk,
+beside AuctionConfig, check the integer and (n, k) arguments of every
+module.
 """
 
 from __future__ import annotations
@@ -30,6 +32,29 @@ __all__ = [
 NORMALIZATION_TOL = 1e-12
 
 
+def _check_int(func: str, name: str, value, low: int | None = None) -> int:
+    """value as an int, and >= low if low is given; a ValueError names func
+    and name otherwise ("func: name", or "Class.name" for a class's field).
+    numpy integers are accepted and converted."""
+    if type(value) is not int:  # the common case skips the slower ABC check
+        if not isinstance(value, numbers.Integral):
+            where = f"{func}.{name}" if func[0].isupper() else f"{func}: {name}"
+            raise ValueError(f"{where} must be an integer, got {value!r}")
+        value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{func}: {name} must be >= {low}, got {value}")
+    return value
+
+
+def _check_nk(func: str, n, k, k_min: int) -> tuple[int, int]:
+    """(n, k) as ints with k_min <= k <= n, else a ValueError naming func."""
+    if type(n) is not int or type(k) is not int:
+        n, k = _check_int(func, "n", n), _check_int(func, "k", k)
+    if not k_min <= k <= n:
+        raise ValueError(f"{func}: need {k_min} <= k <= n, got n={n}, k={k}")
+    return n, k
+
+
 @dataclass(frozen=True)
 class AuctionConfig:
     """Bidder count n and price index k: winner pays the k-th highest bid."""
@@ -38,16 +63,9 @@ class AuctionConfig:
     k: int
 
     def __post_init__(self):
-        for name in ("n", "k"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(
-                    f"AuctionConfig.{name} must be an integer, got {value!r}")
-        if self.k < 2:
-            raise ValueError(f"AuctionConfig.k must be >= 2, got {self.k}")
-        if self.n < self.k:
-            raise ValueError(
-                f"AuctionConfig needs n >= k, got n={self.n}, k={self.k}")
+        n, k = _check_nk("AuctionConfig", self.n, self.k, 2)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True)

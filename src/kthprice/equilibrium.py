@@ -44,7 +44,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import combinatorics
-from .distributions import AuctionConfig, LinearDensityDistribution
+from .distributions import (AuctionConfig, LinearDensityDistribution,
+                            _check_int, _check_nk)
 from .polynomials import Polynomial, RationalFunction
 
 __all__ = [
@@ -75,11 +76,9 @@ def _exact_slope(dist: LinearDensityDistribution, n: int,
     return None
 
 
-@lru_cache(maxsize=None)
 def series_coefficients(n: int, k: int) -> tuple[Fraction, ...]:
     """Exact coefficients c_l = (-1)**l theta(n,k,l) / binom(n-2,k-2)."""
-    if not 3 <= k <= n:
-        raise ValueError("series_coefficients: need 3 <= k <= n")
+    n, k = _check_nk("series_coefficients", n, k, 3)
     denom = math.comb(n - 2, k - 2)
     out = []
     for l in range(k - 2):
@@ -206,8 +205,7 @@ def psi_ladder_oracle(dist: LinearDensityDistribution, n: int,
     polynomial arithmetic over powers of f. Independent of the series
     formula by construction: the only shared input is the distribution.
     """
-    if not 3 <= k <= n:
-        raise ValueError("psi_ladder_oracle: need 3 <= k <= n")
+    n, k = _check_nk("psi_ladder_oracle", n, k, 3)
     big_f, f = dist.exact_polynomials()
     num, j = _psi_ladder(big_f, f, n, k)
     return RationalFunction(num, f ** j)
@@ -223,8 +221,7 @@ def psi_closed_form(dist: LinearDensityDistribution, n: int,
     Over the common denominator f**(2m+1), m = k-3, the sum is
     F**(n-k+1) sum_l c_l (aF)**l (f**2)**(m-l), evaluated by Horner in f**2.
     """
-    if not 3 <= k <= n:
-        raise ValueError("psi_closed_form: need 3 <= k <= n")
+    n, k = _check_nk("psi_closed_form", n, k, 3)
     big_f, f = dist.exact_polynomials()
     a = Fraction(dist.a)
     x = Polynomial.variable()
@@ -244,8 +241,7 @@ def psi_closed_form(dist: LinearDensityDistribution, n: int,
 def bid_from_psi_ladder(dist: LinearDensityDistribution, n: int,
                         k: int) -> RationalFunction:
     """beta_k as a rational function, straight from the symbolic ladder."""
-    if not 3 <= k <= n:
-        raise ValueError("bid_from_psi_ladder: need 3 <= k <= n")
+    n, k = _check_nk("bid_from_psi_ladder", n, k, 3)
     big_f, f = dist.exact_polynomials()
     num, j = _psi_ladder(big_f, f, n, k)
     scale = math.comb(n - 2, k - 2) * math.factorial(k - 2)
@@ -266,8 +262,7 @@ def phi_ladder_check(dist: LinearDensityDistribution, n: int, k: int) -> bool:
     N = (k-2)! beta_k F**(n-k) f**j. Requires a uniform or triangle
     distribution so every gamma_l is a polynomial.
     """
-    if not 3 <= k <= n:
-        raise ValueError("phi_ladder_check: need 3 <= k <= n")
+    n, k = _check_nk("phi_ladder_check", n, k, 3)
     slope = _exact_slope(dist, n, k)
     if slope is None:
         raise ValueError("phi_ladder_check: distribution must be uniform or "
@@ -315,8 +310,8 @@ def monotonicity_certificate(bid: BidFunction, grid_size: int = 256) -> Monotoni
     series is checked on a grid over (0, omega], and a failing adjacent
     pair is returned as the witness.
     """
-    if grid_size < 2:
-        raise ValueError("monotonicity_certificate: grid_size must be >= 2")
+    grid_size = _check_int("monotonicity_certificate", "grid_size",
+                           grid_size, 2)
     if bid.slope is not None:
         return MonotonicityResult(bid.slope > 0, slope=bid.slope)
     omega = bid.dist.omega

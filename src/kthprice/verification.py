@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import LinearDensityDistribution
+from .distributions import LinearDensityDistribution, _check_int, _check_nk
 from .equilibrium import BidFunction
 from .quadrature import integrate
 
@@ -117,15 +117,6 @@ class VerificationReport:
         }
 
 
-def _as_int(func: str, name: str, value) -> int:
-    """value as an int; a ValueError names the argument if it is not an integer."""
-    if type(value) is int:  # the common case, without the slower ABC check
-        return value
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{func}: {name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @lru_cache(maxsize=None)
 def _benchmark_antiderivative(dist: LinearDensityDistribution,
                               n: int) -> tuple[tuple[int, ...], int]:
@@ -167,11 +158,10 @@ def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
     The only rounding is that final int / int division, which is
     correctly rounded: the result is the float nearest the exact m(x).
     """
-    n = _as_int("expected_payment_benchmark", "n", n)
-    if n < 2:
-        raise ValueError(f"expected_payment_benchmark: need n >= 2, got {n}")
+    n = _check_int("expected_payment_benchmark", "n", n, 2)
     if not 0.0 <= x <= dist.omega:
-        raise ValueError("expected_payment_benchmark: x must lie in [0, omega]")
+        raise ValueError(f"expected_payment_benchmark: x must lie in "
+                         f"[0, omega], got x={x}")
     if isinstance(x, numbers.Integral):
         x = int(x)  # numpy integers have no as_integer_ratio
     nums, den = _benchmark_antiderivative(dist, n)
@@ -191,13 +181,10 @@ def expected_payment_quadrature(bid: BidFunction,
     m(x) = (n-1) binom(n-2, k-2) *
            int_0^x bid(y) (F(x)-F(y))**(k-2) F(y)**(n-k) f(y) dy
     """
-    n = _as_int("expected_payment_quadrature", "n", n)
-    k = _as_int("expected_payment_quadrature", "k", k)
-    if not 2 <= k <= n:
-        raise ValueError(f"expected_payment_quadrature: need 2 <= k <= n, "
-                         f"got n={n}, k={k}")
+    n, k = _check_nk("expected_payment_quadrature", n, k, 2)
     if not 0.0 < x <= dist.omega:
-        raise ValueError("expected_payment_quadrature: x must lie in (0, omega]")
+        raise ValueError(f"expected_payment_quadrature: x must lie in "
+                         f"(0, omega], got x={x}")
     fx = dist.cdf(x)
     const = (n - 1) * math.comb(n - 2, k - 2)
 
@@ -219,11 +206,9 @@ def revenue_equivalence_check(bid: BidFunction,
     (0, omega]. An equilibrium bid passes; truthful bidding with k >= 3
     must fail (it pays too little).
     """
-    n = _as_int("revenue_equivalence_check", "n", n)
-    k = _as_int("revenue_equivalence_check", "k", k)
-    grid_size = _as_int("revenue_equivalence_check", "grid_size", grid_size)
-    if grid_size < 2:
-        raise ValueError("revenue_equivalence_check: grid_size must be >= 2")
+    n, k = _check_nk("revenue_equivalence_check", n, k, 2)
+    grid_size = _check_int("revenue_equivalence_check", "grid_size",
+                           grid_size, 2)
     if not tol > 0.0:
         raise ValueError("revenue_equivalence_check: tol must be positive")
     grid = [dist.omega * i / grid_size for i in range(1, grid_size + 1)]
@@ -330,20 +315,12 @@ def monte_carlo_expected_payment(bid: BidFunction,
     Warns (RuntimeWarning) when no trial wins: the estimate is then
     0 +- 0, which only says that a win is rarer than 1 / samples.
     """
-    n = _as_int("monte_carlo_expected_payment", "n", n)
-    k = _as_int("monte_carlo_expected_payment", "k", k)
-    samples = _as_int("monte_carlo_expected_payment", "samples", samples)
-    seed = _as_int("monte_carlo_expected_payment", "seed", seed)
-    if samples < 1:
-        raise ValueError("monte_carlo_expected_payment: samples must be >= 1")
-    if seed < 0:
-        raise ValueError(f"monte_carlo_expected_payment: seed must be >= 0, "
-                         f"got {seed}")
-    if not 2 <= k <= n:
-        raise ValueError(f"monte_carlo_expected_payment: need 2 <= k <= n, "
-                         f"got n={n}, k={k}")
+    func = "monte_carlo_expected_payment"
+    n, k = _check_nk(func, n, k, 2)
+    samples = _check_int(func, "samples", samples, 1)
+    seed = _check_int(func, "seed", seed, 0)
     if not 0.0 < x <= dist.omega:
-        raise ValueError("monte_carlo_expected_payment: x must lie in (0, omega]")
+        raise ValueError(f"{func}: x must lie in (0, omega], got x={x}")
     pivot = n - k  # ascending index of the (k-1)-th highest of n-1 values
 
     def shard(rng, size):
@@ -373,16 +350,9 @@ def expected_revenue(bid: BidFunction, dist: LinearDensityDistribution,
     equilibrium the revenue is independent of k (revenue equivalence),
     equal to the expected second-highest value.
     """
-    n = _as_int("expected_revenue", "n", n)
-    k = _as_int("expected_revenue", "k", k)
-    samples = _as_int("expected_revenue", "samples", samples)
-    seed = _as_int("expected_revenue", "seed", seed)
-    if samples < 1:
-        raise ValueError("expected_revenue: samples must be >= 1")
-    if seed < 0:
-        raise ValueError(f"expected_revenue: seed must be >= 0, got {seed}")
-    if not 2 <= k <= n:
-        raise ValueError(f"expected_revenue: need 2 <= k <= n, got n={n}, k={k}")
+    n, k = _check_nk("expected_revenue", n, k, 2)
+    samples = _check_int("expected_revenue", "samples", samples, 1)
+    seed = _check_int("expected_revenue", "seed", seed, 0)
     pivot = n - k
 
     def shard(rng, size):
@@ -401,10 +371,10 @@ def best_response_profile(bid: BidFunction, dist: LinearDensityDistribution,
     Returns (argmax z*, payoff array); at equilibrium z* == x up to the
     grid resolution.
     """
-    n = _as_int("best_response_profile", "n", n)
-    k = _as_int("best_response_profile", "k", k)
+    n, k = _check_nk("best_response_profile", n, k, 2)
     if not 0.0 < x <= dist.omega:
-        raise ValueError("best_response_profile: x must lie in (0, omega]")
+        raise ValueError(f"best_response_profile: x must lie in (0, omega], "
+                         f"got x={x}")
     z_arr = np.asarray(z_grid, dtype=float)
     if z_arr.ndim != 1 or z_arr.size < 2:
         raise ValueError("best_response_profile: z_grid must be a 1-d grid")

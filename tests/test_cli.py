@@ -168,7 +168,7 @@ def test_simulate_payment_requires_x(capsys):
     assert code == EXIT_CONFIG and "--x" in err
     code, _, err = run(capsys, "simulate", "payment", "--n", "4", "--k", "3",
                        "--x", "1.5")
-    assert code == EXIT_CONFIG
+    assert code == EXIT_CONFIG and "x must lie in" in err and "x=1.5" in err
 
 
 def test_simulate_revenue_repeat_runs_identical(capsys):

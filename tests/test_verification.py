@@ -13,17 +13,33 @@ from kthprice import (
     BidFunction,
     VerificationReport,
     best_response_profile,
+    bid_from_psi_ladder,
+    catalan,
+    catalan_integral,
+    catalan_recurrence_holds,
     expected_payment_benchmark,
     expected_payment_quadrature,
     expected_revenue,
     hagen_rothe_sides,
+    identity_sweep,
     jensen_sides,
     make_linear,
     make_triangle,
     make_uniform,
+    monotonicity_certificate,
     monte_carlo_expected_payment,
+    omega,
+    omega_bounds,
+    omega_bounds_hold,
+    phi_ladder_check,
+    psi_closed_form,
+    psi_ladder_oracle,
     revenue_equivalence_check,
+    series_coefficients,
     shifted_jensen_sides,
+    theta_coeff,
+    theta_index_identity_holds,
+    theta_step_recurrence_holds,
 )
 from kthprice import verification
 from kthprice.polynomials import Polynomial
@@ -196,6 +212,9 @@ def test_monte_carlo_validation():
         monte_carlo_expected_payment(eq, U, 4, 3, 0.5, 100, -1)
     with pytest.raises(ValueError, match=r"revenue: seed must be >= 0, got -1"):
         expected_revenue(eq, U, 4, 3, 100, -1)
+    # the identity sweep's random trials are seeded the same way
+    with pytest.raises(ValueError, match=r"sweep: seed must be >= 0, got -1"):
+        identity_sweep(1, 0, 1, -1, 3, 1e-9)
 
 
 def test_expected_revenue_anchors():
@@ -309,10 +328,18 @@ def test_best_response_validation():
         best_response_profile(eq, U, 4, 3, 0.5, np.array([0.5]))
     with pytest.raises(ValueError):
         best_response_profile(eq, U, 4, 3, 0.5, np.linspace(0, 2, 11))
+    # (n, k) is checked at entry, also when no z > 0 needs a payment
+    with pytest.raises(ValueError, match=r"need 2 <= k <= n, got n=3, k=1"):
+        best_response_profile(eq, U, 3, 1, 0.5, [0.0, 0.0])
 
 
 EQ43 = BidFunction.equilibrium(AuctionConfig(4, 3), U)
 GRID = np.linspace(0.0, 1.0, 11)
+
+
+def _case(name, func, *args):
+    """func(*args) must reject argument name; the id names func."""
+    return pytest.param(name, lambda: func(*args), id=f"{func.__name__}-{name}")
 
 
 @pytest.mark.parametrize("name, call", [
@@ -337,6 +364,27 @@ GRID = np.linspace(0.0, 1.0, 11)
     ("s", lambda: jensen_sides(1.0, 2.0, 0.5, 2.0)),
     ("s", lambda: hagen_rothe_sides(1.0, 2.0, 0.5, None)),
     ("s", lambda: shifted_jensen_sides(2.0, 0.5, np.float64(3))),
+    _case("n", psi_ladder_oracle, U, 5.0, 3),
+    _case("n", psi_closed_form, U, 4.0, 3),
+    _case("k", bid_from_psi_ladder, U, 5, np.float64(3)),
+    _case("k", phi_ladder_check, U, 5, 3.0),
+    _case("n", series_coefficients, 6.0, 4),
+    _case("grid_size", monotonicity_certificate, EQ43, 10.5),
+    _case("l", catalan, Fraction(2)),
+    _case("l", catalan_integral, 2.5),
+    _case("l_max", catalan_recurrence_holds, 3.0),
+    _case("n", theta_coeff, 6.5, 4, 0),
+    _case("l", theta_coeff, 6, 4, 0.0),
+    _case("k", theta_step_recurrence_holds, 6, 4.0),
+    _case("n", theta_index_identity_holds, "6", 4),
+    _case("n", omega, 6.0, 4),
+    _case("k", omega_bounds, 10, 3.0),
+    _case("n", omega_bounds_hold, np.float64(10), 3),
+    _case("lmax", identity_sweep, 3.5, 0, 1, 1, 3, 1e-9),
+    _case("integral_lmax", identity_sweep, 1, 0.0, 1, 1, 3, 1e-9),
+    _case("trials", identity_sweep, 1, 0, 1.0, 1, 3, 1e-9),
+    _case("seed", identity_sweep, 1, 0, 1, 1.5, 3, 1e-9),
+    _case("nmax", identity_sweep, 1, 0, 1, 1, 3.0, 1e-9),
 ])
 def test_integer_arguments_are_checked_by_name(name, call):
     with pytest.raises(ValueError, match=rf": {name} must be an integer"):
@@ -357,3 +405,9 @@ def test_numpy_integer_arguments_accepted():
              expected_revenue(EQ43, U, 4, 3, 100, 3))):
         assert mc == plain and type(mc.seed) is int
         assert json.loads(json.dumps(asdict(mc)))["seed"] == 3
+    n, k = np.int64(5), np.int32(3)
+    for ladder in (psi_ladder_oracle, psi_closed_form, bid_from_psi_ladder,
+                   phi_ladder_check):
+        assert ladder(U, n, k) == ladder(U, 5, 3)
+    config = AuctionConfig(np.int64(6), np.int32(4))
+    assert type(config.n) is int and type(config.k) is int
