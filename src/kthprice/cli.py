@@ -349,19 +349,28 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     n, k, nmax = args.n, args.k, args.nmax
     if nmax is not None:
         pairs = [(nn, kk) for nn in range(3, nmax + 1)
-                 for kk in range(3, nn + 1) if combinatorics.omega_bounds(nn, kk)]
+                 for kk in range(3, nn + 1)]
     elif n is not None and k is not None:
-        pairs = [(n, k)]  # omega_bounds_hold rejects a pair off the wedge
+        pairs = [(n, k)]
     else:
         raise ConfigError("bounds requires either --nmax or both --n and --k")
 
-    checked = [(nn, kk, combinatorics.omega_bounds_hold(nn, kk),
-                combinatorics.omega_bounds(nn, kk)) for nn, kk in pairs]
+    checked = []  # one omega and one omega_bounds per visited pair
+    for nn, kk in pairs:
+        bounds = combinatorics.omega_bounds(nn, kk)
+        if bounds is None:
+            if nmax is not None:
+                continue
+            raise ConfigError(f"bounds are only claimed for n + 4 > 2k, "
+                              f"got n={nn}, k={kk}")
+        value = combinatorics.omega(nn, kk)
+        lower, upper = bounds
+        checked.append((nn, kk, value, lower, upper, lower <= value <= upper))
     _write(f"{'ok' if ok else 'FAIL'} n={nn} k={kk} "
-           f"omega={_frac_str(combinatorics.omega(nn, kk))} "
+           f"omega={_frac_str(value)} "
            f"lower={_frac_str(lower)} upper={_frac_str(upper)}"
-           for nn, kk, ok, (lower, upper) in checked)
-    return EXIT_OK if all(ok for _, _, ok, _ in checked) else EXIT_CHECK_FAILED
+           for nn, kk, value, lower, upper, ok in checked)
+    return EXIT_OK if all(row[-1] for row in checked) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,10 @@ equilibrium takes the slope where there is one, and series, third_price
 The ladder is also run symbolically in exact arithmetic
 (psi_ladder_oracle), which makes the series formula checkable as a
 polynomial identity with no floating point anywhere in the loop. Every
-denominator on it is a power of f, so each value is carried as a
-numerator and a power of f; a step is polynomial arithmetic only, and
+denominator on it is a power of f, and with a = A/D, b = B/D exactly,
+f = g/D for the integer polynomial g = B + A x. So each value is carried
+as an integer coefficient list, one Fraction scale and a power of g; a
+step and the closed form are integer polynomial arithmetic only, and
 each public result becomes one RationalFunction (one gcd) at the end.
 """
 
@@ -46,7 +48,8 @@ import numpy as np
 from . import combinatorics
 from .distributions import (AuctionConfig, LinearDensityDistribution,
                             _check_int, _check_nk)
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import (Polynomial, RationalFunction, _cleared, _iadd, _imul,
+                          _ipow)
 
 __all__ = [
     "BidFunction",
@@ -174,26 +177,81 @@ class BidFunction:
 
 # ---------------------------------------------------------------------------
 # symbolic ladders
+#
+# With the exact binary values a = A/D and b = B/D (D the lcm of their
+# denominators), g = D f = B + A x and G = 2D F = x (2B + A x) are integer
+# coefficient lists, and every value on a ladder is scale * N / g**j: an
+# integer list N, one Fraction scale and a power of g.
 
-def _ladder(num: Polynomial, j: int, f: Polynomial,
-            steps: int) -> tuple[Polynomial, int]:
-    """Apply psi -> psi' / f `steps` times to psi = num / f**j.
+def _int_density(dist: LinearDensityDistribution) -> tuple[int, int, int]:
+    """(A, B, D): a = A/D and b = B/D exactly."""
+    (a_num, a_den), (b_num, b_den) = (dist.a.as_integer_ratio(),
+                                      dist.b.as_integer_ratio())
+    d = math.lcm(a_den, b_den)
+    return a_num * (d // a_den), b_num * (d // b_den), d
+
+
+def _int_polynomials(
+        density: tuple[int, int, int]) -> tuple[list[int], list[int]]:
+    """(G, g) = (2D F, D f) as integer coefficient lists."""
+    a_int, b_int, _ = density
+    if not a_int:
+        return [0, 2 * b_int], [b_int]
+    return [0, 2 * b_int, a_int], [b_int, a_int]
+
+
+@lru_cache(maxsize=None)
+def _psi_0(dist: LinearDensityDistribution,
+           n: int) -> tuple[tuple[int, ...], int]:
+    """(N, L): psi_0 = int_0^x y F**(n-2) f dy = sum_i N[i] x**i / L exactly.
+
+    In closed form: the integrand is
+    x**(n-1) (2B + Ax)**(n-2) (B + Ax) / (2**(n-2) D**(n-1)). The binomial
+    expansion gives its coefficients c_j of x**(n-1+j), and the
+    integral's, c_j / (n+j), share the denominator lcm(n..2n-1). L is the
+    least common denominator, as for reduced fractions.
+    """
+    a_int, b_int, d = _int_density(dist)
+    # (2B + Ax)**(n-2) = sum_j e[j] x**j, then times (B + Ax)
+    e = [math.comb(n - 2, j) * a_int ** j * (2 * b_int) ** (n - 2 - j)
+         for j in range(n - 1)] + [0]
+    c = [b_int * e[j] + (a_int * e[j - 1] if j else 0) for j in range(n)]
+    span = math.lcm(*range(n, 2 * n))
+    nums = [0] * n + [c[j] * (span // (n + j)) for j in range(n)]
+    den = 2 ** (n - 2) * d ** (n - 1) * span
+    g = math.gcd(den, *nums)
+    nums = [v // g for v in nums]
+    while nums[-1] == 0:  # a = 0 leaves the top coefficients zero
+        nums.pop()
+    return tuple(nums), den // g
+
+
+def _ladder(num, scale: Fraction, j: int, density: tuple[int, int, int],
+            steps: int) -> tuple[list[int], Fraction, int]:
+    """Apply psi -> psi' / f `steps` times to psi = scale * num / g**j.
 
     By the quotient rule with f' = a constant,
-    (N / f**j)' / f = (N' f - j a N) / f**(j+2).
+    (N / g**j)' / f = D (N' g - j A N) / g**(j+2), and the coefficient of
+    x**i in N' (B + A x) - j A N is B (i+1) N[i+1] + A (i-j) N[i].
     """
-    a = f.derivative()(0)
+    a_int, b_int, d = density
     for _ in range(steps):
-        num = num.derivative() * f - (j * a) * num
-        j += 2
-    return num, j
+        nxt = [a_int * (i - j) * c for i, c in enumerate(num)]
+        for i in range(1, len(num)):
+            nxt[i - 1] += b_int * i * num[i]
+        while nxt and nxt[-1] == 0:
+            nxt.pop()
+        num, scale, j = nxt, scale * d, j + 2
+    return num, scale, j
 
 
-def _psi_ladder(big_f: Polynomial, f: Polynomial, n: int,
-                k: int) -> tuple[Polynomial, int]:
-    """psi_{k-1} as the pair (numerator, power of f)."""
-    psi_0 = (Polynomial.variable() * big_f ** (n - 2) * f).antiderivative()
-    return _ladder(psi_0, 0, f, k - 1)
+def _psi_ladder(dist: LinearDensityDistribution, n: int,
+                k: int) -> tuple[list[int], Fraction, int, tuple[int, int, int]]:
+    """psi_{k-1} as (N, scale, j) with the density (A, B, D) it ran on:
+    psi_{k-1} = scale * N / g**j."""
+    density = _int_density(dist)
+    nums, den = _psi_0(dist, n)
+    return *_ladder(nums, Fraction(1, den), 0, density, k - 1), density
 
 
 def psi_ladder_oracle(dist: LinearDensityDistribution, n: int,
@@ -202,13 +260,15 @@ def psi_ladder_oracle(dist: LinearDensityDistribution, n: int,
 
     psi_0 is the exact antiderivative of x F**(n-2) f (zero at 0); each
     step differentiates and divides by f by the quotient rule, in exact
-    polynomial arithmetic over powers of f. Independent of the series
-    formula by construction: the only shared input is the distribution.
+    integer polynomial arithmetic over powers of f. Independent of the
+    series formula by construction: the only shared input is the
+    distribution.
     """
     n, k = _check_nk("psi_ladder_oracle", n, k, 3)
-    big_f, f = dist.exact_polynomials()
-    num, j = _psi_ladder(big_f, f, n, k)
-    return RationalFunction(num, f ** j)
+    num, scale, j, density = _psi_ladder(dist, n, k)
+    _, g = _int_polynomials(density)
+    return RationalFunction(Polynomial(scale * c for c in num),
+                            Polynomial(_ipow(g, j)))
 
 
 def psi_closed_form(dist: LinearDensityDistribution, n: int,
@@ -219,33 +279,48 @@ def psi_closed_form(dist: LinearDensityDistribution, n: int,
                          + sum_l (-1)**l theta(n,k,l) a**l F**(n-k+l+1) / f**(2l+1)
 
     Over the common denominator f**(2m+1), m = k-3, the sum is
-    F**(n-k+1) sum_l c_l (aF)**l (f**2)**(m-l), evaluated by Horner in f**2.
+    F**(n-k+1) sum_l (-1)**l theta(n,k,l) (aF)**l (f**2)**(m-l). In
+    integers, with theta(n,k,l) = T_l / 2**l, it is
+    G**(n-k+1) S D / ((2D)**(n-k+1) 4**m g**(2m+1)), where
+    S = sum_l (-1)**l T_l (A G)**l (4 g**2)**(m-l) is evaluated by Horner
+    in 4 g**2.
     """
     n, k = _check_nk("psi_closed_form", n, k, 3)
-    big_f, f = dist.exact_polynomials()
-    a = Fraction(dist.a)
-    x = Polynomial.variable()
-    f2 = f * f
-    a_big_f = a * big_f
-    power = Polynomial([1])  # (aF)**l
-    acc = Polynomial()
+    density = _int_density(dist)
+    a_int, _, d = density
+    big_g, g = _int_polynomials(density)
+    m = k - 3
+    g2 = [4 * c for c in _imul(g, g)]
+    a_big_g = [a_int * c for c in big_g] if a_int else []
+    power = [1]  # (A G)**l
+    acc = []
     for l in range(k - 2):
-        coeff = combinatorics.theta_coeff(n, k, l)
-        acc = acc * f2 + (-coeff if l % 2 else coeff) * power
-        power = power * a_big_f
-    den = f * f2 ** (k - 3)
-    num = big_f ** (n - k) * (math.comb(n - 2, k - 2) * x * den + big_f * acc)
-    return RationalFunction(math.factorial(k - 2) * num, den)
+        coeff = combinatorics._theta_num(n, k, l)
+        acc = _iadd(_imul(acc, g2),
+                    [(-coeff if l % 2 else coeff) * c for c in power])
+        power = _imul(power, a_big_g)
+    den = _ipow(g, 2 * m + 1)
+    x_term = [0] + [math.comb(n - 2, k - 2) * 2 ** (2 * m + 1) * c
+                    for c in den]
+    num = _imul(_ipow(big_g, n - k), _iadd(x_term, _imul(big_g, acc)))
+    scale = Fraction(math.factorial(k - 2),
+                     (2 * d) ** (n - k) * 2 ** (2 * m + 1))
+    return RationalFunction(Polynomial(scale * c for c in num),
+                            Polynomial(den))
 
 
 def bid_from_psi_ladder(dist: LinearDensityDistribution, n: int,
                         k: int) -> RationalFunction:
     """beta_k as a rational function, straight from the symbolic ladder."""
     n, k = _check_nk("bid_from_psi_ladder", n, k, 3)
-    big_f, f = dist.exact_polynomials()
-    num, j = _psi_ladder(big_f, f, n, k)
-    scale = math.comb(n - 2, k - 2) * math.factorial(k - 2)
-    return RationalFunction(num, scale * big_f ** (n - k) * f ** j)
+    num, scale, j, density = _psi_ladder(dist, n, k)
+    big_g, g = _int_polynomials(density)
+    # beta_k = psi_{k-1} / (binom(n-2,k-2) (k-2)! F**(n-k)), F = G / (2D)
+    scale *= Fraction((2 * density[2]) ** (n - k),
+                      math.comb(n - 2, k - 2) * math.factorial(k - 2))
+    den = _imul(_ipow(big_g, n - k), _ipow(g, j))
+    return RationalFunction(Polynomial(scale * c for c in num),
+                            Polynomial(den))
 
 
 def phi_ladder_check(dist: LinearDensityDistribution, n: int, k: int) -> bool:
@@ -258,9 +333,9 @@ def phi_ladder_check(dist: LinearDensityDistribution, n: int, k: int) -> bool:
     verifies (i) Phi_t' = (k-t) Phi_{t+1} f as polynomial identities for
     t = 2..k-1, and (ii) that applying the divide-by-f derivative ladder
     k-1 times to Phi_2 lands exactly on (k-2)! beta_k F**(n-k); with the
-    ladder at N / f**j, (ii) is the polynomial identity
-    N = (k-2)! beta_k F**(n-k) f**j. Requires a uniform or triangle
-    distribution so every gamma_l is a polynomial.
+    ladder at scale * N / g**j, (ii) is the polynomial identity
+    scale * N = (k-2)! beta_k F**(n-k) g**j. Requires a uniform or
+    triangle distribution so every gamma_l is a polynomial.
     """
     n, k = _check_nk("phi_ladder_check", n, k, 3)
     slope = _exact_slope(dist, n, k)
@@ -284,8 +359,15 @@ def phi_ladder_check(dist: LinearDensityDistribution, n: int, k: int) -> bool:
         if phis[t].derivative() != (k - t) * phis[t + 1] * f:
             return False
 
-    num, j = _ladder(phis[2], 0, f, k - 1)
-    return num == math.factorial(k - 2) * beta * big_f ** (n - k) * f ** j
+    phi_2, lcm = _cleared(phis[2].coeffs)
+    density = _int_density(dist)
+    num, scale, j = _ladder(phi_2, Fraction(1, lcm), 0, density, k - 1)
+    big_g, g = _int_polynomials(density)
+    # (k-2)! beta_k F**(n-k) g**j, with beta_k = slope x and F = G / (2D)
+    want = [0] + _imul(_ipow(big_g, n - k), _ipow(g, j))
+    want_scale = math.factorial(k - 2) * slope / (2 * density[2]) ** (n - k)
+    return (Polynomial(scale * c for c in num)
+            == Polynomial(want_scale * c for c in want))
 
 
 # ---------------------------------------------------------------------------

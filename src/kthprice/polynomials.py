@@ -1,20 +1,22 @@
 """Univariate polynomials and rational functions over exact rationals.
 
 Just enough symbolic machinery for the differentiation ladders that
-verify bid functions: polynomial arithmetic, derivative, antiderivative
-vanishing at zero, exact division and gcd. The ladders step over
-polynomials (a numerator over a power of the density) and build a
-RationalFunction, with its one gcd, only for a finished result; a
-RationalFunction is compared by cross-multiplication, evaluated, and
-differentiated or divided only as the quotient-rule reference the
-ladder step is tested against. Coefficients are
-fractions.Fraction throughout, so every identity checked here is a
-statement about integers, never about floats. Not a general CAS and not
-trying to be.
+verify bid functions. The ladders step over integer coefficient lists
+(ascending, no trailing zeros) times one Fraction scale, with the
+private helpers _imul, _ipow and _iadd, and build a RationalFunction,
+with its one gcd, only for a finished result. Polynomial holds Fraction
+coefficients and does arithmetic, derivative, antiderivative vanishing
+at zero, exact division and gcd. A RationalFunction is compared by
+integer cross-multiplication, evaluated, and differentiated or divided
+only as the quotient-rule reference the ladder step is tested against.
+Every coefficient is an int or a Fraction, so every identity checked
+here is a statement about integers, never about floats. Not a general
+CAS and not trying to be.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -207,6 +209,49 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
+# Integer coefficient lists, ascending by power, with no trailing zeros:
+# a product or power of such lists has none either, and a sum is trimmed.
+
+def _imul(p: list[int], q: list[int]) -> list[int]:
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _ipow(p: list[int], exponent: int) -> list[int]:
+    out = [1]
+    while exponent:
+        if exponent & 1:
+            out = _imul(out, p)
+        exponent >>= 1
+        if exponent:
+            p = _imul(p, p)
+    return out
+
+
+def _iadd(p: list[int], q: list[int]) -> list[int]:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _cleared(coeffs) -> tuple[list[int], int]:
+    """Fractions as integers over one denominator: (coeffs * L, L), with
+    L the lcm of their denominators."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (lcm // c.denominator) for c in coeffs], lcm
+
+
 def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic gcd by the Euclidean algorithm over the rationals."""
     while q:
@@ -249,8 +294,16 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # cross-multiplied: p1/q1 == p2/q2  iff  p1*q2 == p2*q1
-        return self.num * other.den == other.num * self.den
+        # cross-multiplied: p1/q1 == p2/q2  iff  p1*q2 == p2*q1, in integers
+        # once each side's num and den are cleared by one lcm
+        p1, q1 = self._as_integers()
+        p2, q2 = other._as_integers()
+        return _imul(p1, q2) == _imul(p2, q1)
+
+    def _as_integers(self) -> tuple[list[int], list[int]]:
+        ints, _ = _cleared(self.num.coeffs + self.den.coeffs)
+        split = len(self.num.coeffs)
+        return ints[:split], ints[split:]
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -4,10 +4,11 @@ Three routes to the same expected payment, none sharing code with the
 bid formulas they test:
 
 * expected_payment_benchmark: the revenue-equivalence target
-  int_0^x y g(y) dy with g = (n-1) F**(n-2) f, from its exact
-  antiderivative held as integers over one denominator and evaluated in
-  integers at the exact binary value p / 2**e of x; the one rounding is
-  the final correctly rounded division;
+  int_0^x y g(y) dy with g = (n-1) F**(n-2) f, which is (n-1) psi_0(x):
+  the exact antiderivative the symbolic ladder starts from, held as
+  integers over one denominator and evaluated in integers at the exact
+  binary value p / 2**e of x; the one rounding is the final correctly
+  rounded division;
 * expected_payment_quadrature: the k-th price payment formula
   (n-1) binom(n-2,k-2) int_0^x beta(y) (F(x)-F(y))**(k-2) F(y)**(n-k) f(y) dy
   under the candidate bid, by adaptive Gauss-Legendre quadrature;
@@ -27,12 +28,11 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .distributions import LinearDensityDistribution, _check_int, _check_nk
-from .equilibrium import BidFunction
+from .equilibrium import BidFunction, _psi_0
 from .quadrature import integrate
 
 __all__ = [
@@ -117,44 +117,14 @@ class VerificationReport:
         }
 
 
-@lru_cache(maxsize=None)
-def _benchmark_antiderivative(dist: LinearDensityDistribution,
-                              n: int) -> tuple[tuple[int, ...], int]:
-    """(N, D): int_0^x y (n-1) F**(n-2) f dy = sum_i N[i] x**i / D exactly.
-
-    Built in integers over one denominator, in closed form: with the
-    exact binary values a = A/Q and b = B/Q, F = x (2B + Ax) / (2Q) and
-    f = (B + Ax) / Q, so the integrand is
-    (n-1) x**(n-1) (2B + Ax)**(n-2) (B + Ax) / (2**(n-2) Q**(n-1)).
-    The binomial expansion gives its coefficients c_j of x**(n-1+j),
-    and the integral's, c_j / (n+j), share the denominator lcm(n..2n-1).
-    D is the least common denominator, as for reduced fractions.
-    """
-    (a_num, a_den), (b_num, b_den) = (dist.a.as_integer_ratio(),
-                                      dist.b.as_integer_ratio())
-    q = math.lcm(a_den, b_den)
-    a_int, b_int = a_num * (q // a_den), b_num * (q // b_den)
-    # (2B + Ax)**(n-2) = sum_j e[j] x**j, then times (B + Ax)
-    e = [math.comb(n - 2, j) * a_int ** j * (2 * b_int) ** (n - 2 - j)
-         for j in range(n - 1)] + [0]
-    c = [b_int * e[j] + (a_int * e[j - 1] if j else 0) for j in range(n)]
-    span = math.lcm(*range(n, 2 * n))
-    nums = [0] * n + [(n - 1) * c[j] * (span // (n + j)) for j in range(n)]
-    den = 2 ** (n - 2) * q ** (n - 1) * span
-    g = math.gcd(den, *nums)
-    nums = [v // g for v in nums]
-    while nums[-1] == 0:  # a = 0 leaves the top coefficients zero
-        nums.pop()
-    return tuple(nums), den // g
-
-
 def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
                                x: float) -> float:
     """Revenue-equivalence target m(x) = int_0^x y (n-1) F**(n-2) f dy.
 
-    The exact antiderivative, integers N[i] over one denominator D, is
+    m = (n-1) psi_0, and psi_0, integers N[i] over one denominator D, is
     evaluated by Horner in integers at the exact value x = p / q (q is a
-    power of 2 for a float): m(x) = sum_i N[i] p**i q**(d-i) / (D q**d).
+    power of 2 for a float):
+    m(x) = (n-1) sum_i N[i] p**i q**(d-i) / (D q**d).
     The only rounding is that final int / int division, which is
     correctly rounded: the result is the float nearest the exact m(x).
     """
@@ -164,13 +134,13 @@ def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
                          f"[0, omega], got x={x}")
     if isinstance(x, numbers.Integral):
         x = int(x)  # numpy integers have no as_integer_ratio
-    nums, den = _benchmark_antiderivative(dist, n)
+    nums, den = _psi_0(dist, n)
     p, q = x.as_integer_ratio()
     acc, q_pow = nums[-1], 1
     for c in reversed(nums[:-1]):
         q_pow *= q
         acc = acc * p + c * q_pow
-    return acc / (den * q_pow)
+    return (n - 1) * acc / (den * q_pow)
 
 
 def expected_payment_quadrature(bid: BidFunction,

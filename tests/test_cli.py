@@ -199,6 +199,26 @@ def test_bounds_sweep_and_validation(capsys):
     assert code == EXIT_CONFIG
 
 
+def test_bounds_computes_each_pair_once(capsys, monkeypatch):
+    import kthprice.combinatorics as comb
+    calls = {"omega": 0, "omega_bounds": 0}
+
+    def counted(name):
+        fn = getattr(comb, name)
+
+        def wrapper(n, k):
+            calls[name] += 1
+            return fn(n, k)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(comb, name, counted(name))
+    code, out, _ = run(capsys, "bounds", "--nmax", "20")
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == calls["omega"] == 90
+    assert calls["omega_bounds"] == 171  # every pair 3 <= k <= n <= 20
+
+
 # ---------------------------------------------------------------------------
 # config files and error mapping
 

@@ -1,6 +1,7 @@
 """Catalan numbers, theta/omega coefficients, convolution identities."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -211,6 +212,28 @@ def test_omega_frozen_values():
     assert omega(3, 3) == Fraction(1, 2)
     assert omega(5, 4) == Fraction(11, 8)
     assert omega(4, 4) == Fraction(7, 8)
+
+
+def _general_binom(x: Fraction, j: int) -> Fraction:
+    # x (x-1) ... (x-j+1) / j!, for any rational x
+    out = Fraction(1)
+    for i in range(j):
+        out *= x - i
+    return out / math.factorial(j)
+
+
+def test_omega_closed_form_by_an_independent_route():
+    # Omega(n, k) = binom(n - 3/2, k - 2) - binom(n - 2, k - 2), from
+    # sum_l C_l (-t/4)**l = 2 (sqrt(1+t) - 1) / t; shares no code with omega
+    start = time.perf_counter()
+    pairs = [(n, k) for n in range(3, 81) for k in range(3, n + 1)]
+    assert len(pairs) == 3081
+    for n, k in pairs:
+        want = (_general_binom(Fraction(2 * n - 3, 2), k - 2)
+                - _general_binom(Fraction(n - 2), k - 2))
+        assert omega(n, k) == want, (n, k)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"elapsed={elapsed:.2f}s >= 5s"
 
 
 def test_omega_bounds_rejects_outside_wedge():

@@ -20,8 +20,9 @@ from kthprice import (
     psi_closed_form,
     psi_ladder_oracle,
     series_coefficients,
+    theta_coeff,
 )
-from kthprice.equilibrium import _ladder
+from kthprice.equilibrium import _int_density, _int_polynomials, _ladder
 import math
 import time
 
@@ -192,23 +193,89 @@ def test_psi_ladder_general_k3_form():
         assert psi_ladder_oracle(lin, n, 3) == want
 
 
+# The Fraction ladders the integer ones replaced, kept as the reference
+# they must equal field by field.
+
+def _fraction_ladder(num, j, f, steps):
+    # (N / f**j)' / f = (N' f - j a N) / f**(j+2), f' = a constant
+    a = f.derivative()(0)
+    for _ in range(steps):
+        num = num.derivative() * f - (j * a) * num
+        j += 2
+    return num, j
+
+
+def _fraction_psi(dist, n, k):
+    big_f, f = dist.exact_polynomials()
+    psi_0 = (X * big_f ** (n - 2) * f).antiderivative()
+    num, j = _fraction_ladder(psi_0, 0, f, k - 1)
+    oracle = RationalFunction(num, f ** j)
+    scale = math.comb(n - 2, k - 2) * math.factorial(k - 2)
+    bid = RationalFunction(num, scale * big_f ** (n - k) * f ** j)
+    return oracle, bid
+
+
+def _fraction_closed_form(dist, n, k):
+    big_f, f = dist.exact_polynomials()
+    a = Fraction(dist.a)
+    f2 = f * f
+    a_big_f = a * big_f
+    power = Polynomial([1])  # (aF)**l
+    acc = Polynomial()
+    for l in range(k - 2):
+        coeff = theta_coeff(n, k, l)
+        acc = acc * f2 + (-coeff if l % 2 else coeff) * power
+        power = power * a_big_f
+    den = f * f2 ** (k - 3)
+    num = big_f ** (n - k) * (math.comb(n - 2, k - 2) * X * den + big_f * acc)
+    return RationalFunction(math.factorial(k - 2) * num, den)
+
+
+REFERENCE_DISTS = {
+    "uniform": U,
+    "triangle-1": T,
+    "triangle-2.5": make_triangle(2.5),
+    "linear-1": make_linear(1.0, 1.0),
+    "linear-full-mantissa": make_linear(6575255455960925 / 2 ** 53, 1.0),
+    "linear-negative": make_linear(-1.3, 1.0),
+}
+
+
+@pytest.mark.parametrize("dist", REFERENCE_DISTS.values(),
+                         ids=REFERENCE_DISTS.keys())
+def test_ladders_equal_fraction_reference(dist):
+    for n in range(3, 13):
+        for k in range(3, n + 1):
+            oracle, bid = _fraction_psi(dist, n, k)
+            for got, want in ((psi_ladder_oracle(dist, n, k), oracle),
+                              (bid_from_psi_ladder(dist, n, k), bid),
+                              (psi_closed_form(dist, n, k),
+                               _fraction_closed_form(dist, n, k))):
+                assert got.num == want.num and got.den == want.den, (n, k)
+
+
 @pytest.mark.parametrize("dist", [U, T, make_linear(0.73, 1.0)],
                          ids=["uniform", "triangle", "linear-0.73"])
 @pytest.mark.parametrize("j", [0, 1, 4])
 def test_ladder_step_matches_quotient_rule(dist, j):
-    # one (numerator, power of f) step against the general rational route
-    big_f, f = dist.exact_polynomials()
-    num = (X * big_f ** 3 * f).antiderivative() + Polynomial([1, -2, 3])
-    stepped, power = _ladder(num, j, f, 1)
-    assert power == j + 2
-    assert RationalFunction(stepped, f ** power) == \
-        RationalFunction(num, f ** j).derivative() / RationalFunction(f)
+    # one integer step, scale * N / g**j with g = D f, against the general
+    # rational route
+    density = _int_density(dist)
+    _, g = _int_polynomials(density)
+    num, scale = [3, -2, 0, 5, 7], Fraction(5, 3)
+    stepped, new_scale, power = _ladder(num, scale, j, density, 1)
+    assert power == j + 2 and new_scale == scale * density[2]
+    g = Polynomial(g)
+    psi = RationalFunction(Polynomial(num) * scale, g ** j)
+    _, f = dist.exact_polynomials()
+    assert RationalFunction(Polynomial(stepped) * new_scale, g ** power) == \
+        psi.derivative() / RationalFunction(f)
 
 
 def test_psi_oracle_sweep_to_n30():
     start = time.perf_counter()
     cases = [(dist, n) for dist in (U, T) for n in range(3, 31)]
-    cases += [(make_linear(1.0, 1.0), n) for n in range(3, 13)]
+    cases += [(make_linear(1.0, 1.0), n) for n in range(3, 21)]
     assert all(psi_ladder_oracle(dist, n, k) == psi_closed_form(dist, n, k)
                for dist, n in cases for k in range(3, n + 1))
     elapsed = time.perf_counter() - start
