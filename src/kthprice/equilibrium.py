@@ -26,6 +26,16 @@ and b = 0, so a BidFunction is an exact rational slope or the series:
 equilibrium takes the slope where there is one, and series, third_price
 (the series at k = 3) and second_price (slope 1) build one form directly.
 
+The series alternates in r = aF/f**2. In u = 1 - 2r = (b/f)**2 the
+binomial series makes every term positive: beta_k = x + (F/f) Q(u),
+Q(u) = sum_{j=0}^{k-3} d_j u**j, d_j = t_{j+1} + ... + t_{k-2}, with
+t_i = 2 C_{i-1} 2**(1-2i) binom(n-3/2-i, k-2-i) / binom(n-2, k-2) > 0.
+So beta' = M(u) = 1 + (1+u)/2 Q - u(1-u) Q' has positive coefficients,
+1 + d_0/2 and then (j - 1/2) t_j, and rises from the triangle slope
+M(0) = prod_{m=n-k+1}^{n-2} (1 + 1/(2m)) to the uniform slope
+M(1) = prod (1 + 1/m) = (n-1)/(n-k+1): for a > 0, u lies in (0, 1] and
+beta' between the two; for a < 0, u >= 1 and beta' >= M(1).
+
 The ladder is also run symbolically in exact arithmetic
 (psi_ladder_oracle), which makes the series formula checkable as a
 polynomial identity with no floating point anywhere in the loop. Every
@@ -47,7 +57,7 @@ import numpy as np
 
 from . import combinatorics
 from .distributions import (AuctionConfig, LinearDensityDistribution,
-                            _check_int, _check_nk)
+                            _check_nk, make_triangle, make_uniform)
 from .polynomials import (Polynomial, RationalFunction, _cleared, _iadd, _imul,
                           _ipow)
 
@@ -90,31 +100,35 @@ def series_coefficients(n: int, k: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _u_coefficients(n: int, k: int) -> tuple[Fraction, ...]:
+    """Exact d_0..d_{k-3} of Q(u), as suffix sums of the t_i > 0."""
+    denom = math.comb(n - 2, k - 2)
+    out, acc = [], Fraction(0)
+    for i in range(k - 2, 0, -1):
+        m = k - 2 - i  # 2**m m! binom(n-3/2-i, m) = falling(2n-3-2i, m, 2)
+        odd = combinatorics._falling(2 * n - 3 - 2 * i, m, 2)
+        acc += Fraction(combinatorics.catalan(i - 1) * odd,
+                        2 ** (i + k - 4) * math.factorial(m) * denom)
+        out.append(acc)
+    return tuple(reversed(out))
+
+
 @lru_cache(maxsize=None)
 def _float_series_coefficients(n: int, k: int) -> tuple[float, ...]:
-    return tuple(float(c) for c in series_coefficients(n, k))
+    return tuple(float(d) for d in _u_coefficients(n, k))
 
 
 def _series_eval(dist: LinearDensityDistribution, n: int, k: int,
                  x: np.ndarray) -> np.ndarray:
-    """Series bid x + sum_l c_l a**l F(x)**(l+1) / f(x)**(2l+1), vectorized.
-
-    x = 0 maps to 0 by continuity (for the triangle density the series
-    term there is a 0/0 form).
-    """
-    cs = _float_series_coefficients(n, k)
-    big_f = np.asarray(dist.cdf(x))
+    """Series bid x + (F/f) Q(v**2), vectorized, with v = b/f and
+    F/f = x (1 + v) / 2. f = 0 only at x = 0 on the triangle (b = 0)."""
+    ds = _float_series_coefficients(n, k)
     f = np.asarray(dist.pdf(x))
-    pos = f > 0.0
-    f_safe = np.where(pos, f, 1.0)
-    base = big_f / f_safe                      # F/f
-    # sum_l c_l a^l F^(l+1) / f^(2l+1) = base * Horner(a F / f^2; c_l)
-    acc = cs[-1]
-    if len(cs) > 1:
-        factor = dist.a * big_f / (f_safe * f_safe)
-        for c in reversed(cs[:-1]):
-            acc = acc * factor + c
-    return np.where(pos, x + base * acc, 0.0)
+    v = dist.b / np.where(f > 0.0, f, 1.0)
+    u, acc = v * v, ds[-1]
+    for d in reversed(ds[:-1]):
+        acc = acc * u + d
+    return x + x * (1.0 + v) / 2.0 * acc
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +145,16 @@ class BidFunction:
     config: AuctionConfig
     dist: LinearDensityDistribution
     slope: Fraction | None = None
+
+    def __post_init__(self):
+        n, k, a = self.config.n, self.config.k, self.dist.a
+        if self.slope is None and k < 3:
+            raise ValueError("series bid needs k >= 3 (k = 2 is second price)")
+        if self.slope is None and a < 0:  # increasing: largest at omega
+            with np.errstate(over="ignore"):
+                if not math.isfinite(self(self.dist.omega)):
+                    raise ValueError(f"series bid exceeds the float range at "
+                                     f"omega for n={n}, k={k}, a={a}")
 
     @classmethod
     def second_price(cls, config: AuctionConfig,
@@ -149,13 +173,11 @@ class BidFunction:
     @classmethod
     def series(cls, config: AuctionConfig,
                dist: LinearDensityDistribution) -> "BidFunction":
-        """The Catalan series in floats, for any linear density. Against
-        exact Fraction evaluation (a = 1.9, 20 points in [0.05, 1]) its
-        relative error is at most 1e-13 for n <= 20, 5.7e-12 at n = 30 and
-        2.2e-9 at n = 40, worst at k = n, where the alternating Horner sum
-        cancels; larger n is accepted but not validated."""
-        if config.k < 3:
-            raise ValueError("series bid needs k >= 3 (k = 2 is second price)")
+        """The Catalan series in floats, for any linear density, k >= 3.
+        Against exact rational evaluation its relative error is at most
+        2e-15 for a > 0 and 2e-13 at a = -1 and -1.9 (tested to n = 150).
+        For a < 0 a bid past the float range at omega raises ValueError;
+        for a >= 0, beta <= x (n-1)/(n-k+1) cannot overflow."""
         return cls(config, dist)
 
     @classmethod
@@ -375,33 +397,18 @@ def phi_ladder_check(dist: LinearDensityDistribution, n: int, k: int) -> bool:
 
 @dataclass(frozen=True)
 class MonotonicityResult:
-    """Outcome of a strict-increase check; truthy iff the bid is increasing."""
+    """An exact lower bound on beta' over (0, omega]; truthy iff > 0."""
 
-    increasing: bool
-    witness: tuple[float, float] | None = None
-    slope: Fraction | None = None
+    slope: Fraction
 
     def __bool__(self) -> bool:
-        return self.increasing
+        return self.slope > 0
 
 
-def monotonicity_certificate(bid: BidFunction, grid_size: int = 256) -> MonotonicityResult:
-    """Certify that a bid function is strictly increasing.
-
-    A bid with an exact slope is certified exactly (slope > 0); the
-    series is checked on a grid over (0, omega], and a failing adjacent
-    pair is returned as the witness.
-    """
-    grid_size = _check_int("monotonicity_certificate", "grid_size",
-                           grid_size, 2)
+def monotonicity_certificate(bid: BidFunction) -> MonotonicityResult:
+    """The exact lower bound on beta' (module docstring): a linear bid's
+    slope, else the triangle slope for a >= 0 and the uniform for a < 0."""
     if bid.slope is not None:
-        return MonotonicityResult(bid.slope > 0, slope=bid.slope)
-    omega = bid.dist.omega
-    xs = omega * np.arange(1, grid_size + 1) / grid_size
-    vals = bid(xs)
-    diffs = np.diff(vals)
-    bad = np.nonzero(diffs <= 0.0)[0]
-    if bad.size:
-        i = int(bad[0])
-        return MonotonicityResult(False, witness=(float(xs[i]), float(xs[i + 1])))
-    return MonotonicityResult(True)
+        return MonotonicityResult(bid.slope)
+    edge = make_uniform(1.0) if bid.dist.a < 0 else make_triangle(1.0)
+    return MonotonicityResult(_exact_slope(edge, bid.config.n, bid.config.k))

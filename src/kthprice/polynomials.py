@@ -122,14 +122,12 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        out = Polynomial([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
+        out, base = Polynomial([1]), self
+        while exponent:
+            if exponent & 1:
                 out = out * base
             base = base * base
-            e >>= 1
+            exponent >>= 1
         return out
 
     def __divmod__(self, other):

@@ -192,13 +192,8 @@ def revenue_equivalence_check(bid: BidFunction,
 
 
 def _shards(samples: int):
-    index = 0
-    done = 0
-    while done < samples:
-        size = min(SHARD_SIZE, samples - done)
-        yield index, size
-        index += 1
-        done += size
+    for index, done in enumerate(range(0, samples, SHARD_SIZE)):
+        yield index, min(SHARD_SIZE, samples - done)
 
 
 def _shard_rng(seed: int, index: int) -> np.random.Generator:

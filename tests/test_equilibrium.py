@@ -22,8 +22,12 @@ from kthprice import (
     series_coefficients,
     theta_coeff,
 )
-from kthprice.equilibrium import _int_density, _int_polynomials, _ladder
+from kthprice.equilibrium import (_exact_slope, _int_density, _int_polynomials,
+                                  _ladder, _u_coefficients)
+from kthprice.polynomials import _cleared
+import functools
 import math
+import sys
 import time
 
 X = Polynomial.variable()
@@ -106,27 +110,97 @@ def test_series_slope_sum_is_exact_on_triangle():
             assert total == omega(n, k) / math.comb(n - 2, k - 2)
 
 
-def test_series_float_error_against_exact_series():
-    # The alternating Catalan-weighted Horner sum cancels; measured worst
-    # relative error on this grid is 1.8e-14 at n = 20 (k = 20, x = 0.75),
-    # growing to 5.7e-12 at n = 30 and 2.2e-9 at n = 40, each at k = n.
-    lin = make_linear(1.9, 1.0)
-    a, b = Fraction(lin.a), Fraction(lin.b)
-    xs = np.linspace(0.05, 1.0, 20)
-    worst = 0.0
-    for n in range(3, 21):
+@functools.lru_cache(maxsize=None)
+def _paper_coefficients(n, k):
+    """series_coefficients(n, k) as (integers over one denominator, it)."""
+    return _cleared(series_coefficients(n, k))
+
+
+def _exact_series(n, k, dist, x):
+    """beta_k(x) from the paper's form x + (F/f) sum_l c_l r**l, r = aF/f**2,
+    exactly, in integers: with a = A/D, b = B/D and x = P/Q,
+    g = A P + B Q = D Q f and h = A P + 2 B Q = 2 D Q**2 F / P, so
+    r = A P h / (2 g**2) and F/f = P h / (2 Q g). Returned as the integer
+    pair (numerator, denominator), positive and not reduced."""
+    cs, den = _paper_coefficients(n, k)
+    big_a, big_b, _ = _int_density(dist)
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    g, h = big_a * p + big_b * q, big_a * p + 2 * big_b * q
+    r_num, r_den = big_a * p * h, 2 * g * g
+    acc, r_pow = cs[-1], 1  # sum_l cs[l] r_num**l r_den**(m-l), m = k-3
+    for c in reversed(cs[:-1]):
+        r_pow *= r_den
+        acc = acc * r_num + c * r_pow
+    scale = 2 * g * den * r_pow
+    return p * (scale + h * acc), q * scale
+
+
+def test_u_coefficients_equal_the_taylor_shift():
+    # d_j = (-1)**j sum_{l>=j} c_l binom(l, j) / 2**l re-expands the paper's
+    # P(r) = sum_l c_l r**l at r = (1-u)/2; the library sums the closed
+    # form instead. Both must agree exactly, and the d_j must be positive,
+    # strictly decreasing, and give the triangle and uniform slopes at
+    # u = 0 and u = 1. 1711 pairs, about 1 s on a 2-core VM.
+    start = time.perf_counter()
+    for n in range(3, 61):
         for k in range(3, n + 1):
-            got = BidFunction.series(AuctionConfig(n, k), lin)(xs)
-            cs = series_coefficients(n, k)
-            for x, value in zip(xs, got):
-                x = Fraction(float(x))
-                big_f, f = a * x * x / 2 + b * x, a * x + b
-                acc = Fraction(0)
-                for c in reversed(cs):
-                    acc = acc * (a * big_f / (f * f)) + c
-                exact = x + big_f / f * acc
-                worst = max(worst, float(abs(Fraction(float(value)) - exact) / exact))
-    assert worst <= 1e-13
+            cs, den = _paper_coefficients(n, k)
+            top = len(cs) - 1
+            shifted = tuple(
+                Fraction((-1) ** j * sum(c * math.comb(l, j) * 2 ** (top - l)
+                                         for l, c in enumerate(cs) if l >= j),
+                         den * 2 ** top)
+                for j in range(len(cs)))
+            d = _u_coefficients(n, k)
+            assert d == shifted, (n, k)
+            assert d[-1] > 0 and all(d[j - 1] > d[j] for j in range(1, len(d)))
+            assert 1 + d[0] / 2 == _exact_slope(T, n, k)
+            assert 1 + sum(d) == _exact_slope(U, n, k)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"elapsed={elapsed:.2f}s >= 5s"
+
+
+SWEEP_PAIRS = [(n, k) for n in range(3, 31) for k in range(3, n + 1)] + [
+    (n, k) for n in (60, 100, 150) for k in (3, n // 2, n - 1, n)]
+
+
+def test_series_float_error_against_exact_series():
+    # Every k for n <= 30 and four k each at n = 60, 100 and 150, on 20
+    # points, five densities: about 2 s on a 2-core VM. For a < 0,
+    # f = a x + b is small near omega; the worst errors measured there are
+    # 3.4e-14 (a = -1, (150, 150)) and 1.5e-13 (a = -1.9, (100, 100)). A
+    # bid past the float range at omega must be refused, and only if its
+    # exact value there is.
+    start = time.perf_counter()
+    xs = np.linspace(0.05, 1.0, 20)
+    for a, bound in ((0.73, 2e-15), (1.9, 2e-15), (2 - 2.0 ** -40, 2e-15),
+                     (-1.0, 2e-13), (-1.9, 2e-13)):
+        lin = make_linear(a, 1.0)
+        worst = 0.0
+        for n, k in SWEEP_PAIRS:
+            try:
+                bid = BidFunction.series(AuctionConfig(n, k), lin)
+            except ValueError:
+                num, den = _exact_series(n, k, lin, 1.0)
+                assert a < 0 and num > den * int(sys.float_info.max), (a, n, k)
+                continue
+            for x, value in zip(xs, bid(xs)):
+                num, den = _exact_series(n, k, lin, float(x))
+                v_num, v_den = float(value).as_integer_ratio()
+                worst = max(worst,
+                            abs(v_num * den - v_den * num) / (v_den * num))
+        assert worst <= bound, (a, worst)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"elapsed={elapsed:.2f}s >= 10s"
+
+
+def test_series_out_of_float_range_is_refused():
+    lin = make_linear(-1.9, 1.0)
+    with pytest.raises(ValueError, match=r"n=150, k=150, a=-1\.9"):
+        BidFunction.series(AuctionConfig(150, 150), lin)
+    top = BidFunction.series(AuctionConfig(100, 100), lin)(1.0)
+    assert 1e306 < top < sys.float_info.max  # largest, and still finite
 
 
 def test_series_validation_and_origin():
@@ -323,15 +397,32 @@ def test_monotonicity_exact_for_linear_kinds():
     res = monotonicity_certificate(
         BidFunction.equilibrium(AuctionConfig(6, 4), make_triangle(1.0)))
     assert res and res.slope > 1
+    # a series bid is bounded below by the triangle slope for a > 0 and by
+    # the uniform slope for a < 0
+    cfg = AuctionConfig(6, 4)
+    for a, edge in ((1.0, T), (-1.0, U)):
+        bid = BidFunction.series(cfg, make_linear(a, 1.0))
+        res = monotonicity_certificate(bid)
+        assert res and res.slope == BidFunction.equilibrium(cfg, edge).slope
 
 
-def test_monotonicity_grid_kinds():
-    lin = make_linear(1.0, 1.0)
-    assert monotonicity_certificate(BidFunction.series(AuctionConfig(6, 4), lin))
-    assert monotonicity_certificate(BidFunction.third_price(AuctionConfig(4, 3), lin))
-    with pytest.raises(ValueError):
-        monotonicity_certificate(
-            BidFunction.second_price(AuctionConfig(4, 2), lin), grid_size=1)
+@pytest.mark.parametrize("a", [-1.9, -1.0, 0.3, 0.73, 1.3, 1.9])
+def test_series_secants_lie_in_the_slope_sandwich(a):
+    # By the mean value theorem every secant of beta is a value of beta',
+    # so on an exact grid each must lie in [M(0), M(1)] for a > 0 and at
+    # or above M(1) for a < 0: the certificate's bound, checked on the
+    # paper's form of the series.
+    lin = make_linear(a, 1.0)
+    xs = [Fraction(i, 40) for i in range(1, 41)]
+    for n, k in ((4, 3), (8, 5), (12, 7), (30, 15), (20, 20)):
+        lower = monotonicity_certificate(
+            BidFunction.series(AuctionConfig(n, k), lin)).slope
+        uniform = Fraction(n - 1, n - k + 1)
+        assert lower == (uniform if a < 0 else _exact_slope(T, n, k))
+        betas = [Fraction(*_exact_series(n, k, lin, x)) for x in xs]
+        for x0, x1, b0, b1 in zip(xs, xs[1:], betas, betas[1:]):
+            secant = (b1 - b0) / (x1 - x0)
+            assert lower <= secant and (a < 0 or secant <= uniform), (n, k, x0)
 
 
 def test_monotonicity_reports_witness():

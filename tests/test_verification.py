@@ -26,7 +26,6 @@ from kthprice import (
     make_linear,
     make_triangle,
     make_uniform,
-    monotonicity_certificate,
     monte_carlo_expected_payment,
     omega,
     omega_bounds,
@@ -369,7 +368,6 @@ def _case(name, func, *args):
     _case("k", bid_from_psi_ladder, U, 5, np.float64(3)),
     _case("k", phi_ladder_check, U, 5, 3.0),
     _case("n", series_coefficients, 6.0, 4),
-    _case("grid_size", monotonicity_certificate, EQ43, 10.5),
     _case("l", catalan, Fraction(2)),
     _case("l", catalan_integral, 2.5),
     _case("l_max", catalan_recurrence_holds, 3.0),
