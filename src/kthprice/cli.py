@@ -30,7 +30,7 @@ from .distributions import (AuctionConfig, LinearDensityDistribution,
 from .equilibrium import (BidFunction, phi_ladder_check, psi_closed_form,
                           psi_ladder_oracle)
 from .quadrature import QuadratureError
-from .verification import (VerificationReport, best_response_profile,
+from .verification import (VerificationReport, _best_responses,
                            expected_payment_benchmark,
                            monte_carlo_expected_payment, expected_revenue,
                            revenue_equivalence_check)
@@ -249,8 +249,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         g = args.grid_size or 101
         z_grid = np.linspace(0.0, dist.omega, g)
         xs = [0.2 * dist.omega, 0.5 * dist.omega, 0.8 * dist.omega]
-        errs = [abs(best_response_profile(bid, dist, n, k, x, z_grid)[0] - x)
-                for x in xs]
+        errs = [abs(z_star - x) for x, (z_star, _) in
+                zip(xs, _best_responses(bid, dist, n, k, xs, z_grid))]
         reports.append(VerificationReport.from_errors(
             "best-response", n, k, dist, xs, errs, dist.omega / (g - 1)))
     if suite in ("oracle", "all") and k >= 3:

@@ -7,21 +7,47 @@ C_l = binom(2l, l)/(l+1) through the coefficients
 
 and their alternating sum
 
-    Omega(n, k) = sum_l (-1)**l * theta(n, k, l) / 2**(l+1),
+    Omega(n, k) = sum_l (-1)**l * theta(n, k, l) / 2**(l+1)
+                = binom(n - 3/2, k - 2) - binom(n - 2, k - 2),
 
 which is the slope premium of the equilibrium bid under a triangle
-value density. Positivity of Omega and the sandwich
+value density. The closed form: (-1)**l C_l / 4**l is the coefficient of
+t**l in 2 (sqrt(1+t) - 1) / t and binom(n-2, j) that of t**j in
+(1+t)**(n-2), so Omega is the coefficient of t**(k-2) in
+(1+t)**(n-3/2) - (1+t)**(n-2). The triangle bid's slope is therefore
 
-    binom(n-3, k-3)/2 <= Omega(n, k) <= 7*binom(n-3, k-3)/8   (n+4 > 2k)
+    1 + Omega / binom(n-2, k-2) = binom(n - 3/2, k - 2) / binom(n - 2, k - 2)
+                                = prod_{m=n-k+1}^{n-2} (1 + 1/(2m)).
 
-are exact rational statements, checked as integers over one
-denominator: theta * 2**l is an integer, and Omega is one integer over
-2**(2k-5), returned as a Fraction. The Jensen / Hagen-Rothe /
-shifted-Jensen convolution identities take real arguments; each side is
-summed exactly as an integer over one denominator from the binary values
-of the inputs, and its float is one correctly rounded int / int
-division. The only other floating point is the quadrature check of the
-integral representation
+Positivity: for 3 <= k <= n the product has k - 2 >= 1 factors, each
+above 1, so Omega > 0. Lower bound: a product of factors 1 + x_m with
+x_m >= 0 is at least 1 + sum x_m, and m <= n-2 gives
+sum 1/(2m) >= (k-2)/(2(n-2)), so
+
+    Omega(n, k) >= binom(n-2, k-2) (k-2) / (2(n-2)) = binom(n-3, k-3)/2,
+
+with equality exactly at k = 3 (one factor, m = n-2): Omega(n, 3) = 1/2.
+The upper bound
+
+    Omega(n, k) <= 7*binom(n-3, k-3)/8   on the wedge n + 4 > 2k
+
+is checked, not proved: omega_bounds_hold checks it exactly, pair by
+pair, in identity_sweep (`kthprice identities`, n <= 30 by default and
+in the acceptance tests) and `kthprice bounds`, and the tests check the
+product form on every wedge pair with n <= 200. All of these are exact
+rational statements, checked as integers over one denominator:
+theta * 2**l is an integer (a row of them per (n, k), with Catalan
+numbers from math.comb), and Omega is one integer over 2**(2k-5),
+summed by Horner in 4 and returned as a Fraction.
+
+The Jensen / Hagen-Rothe / shifted-Jensen convolution identities take
+real arguments; each side is summed exactly as an integer over one
+denominator from the binary values of the inputs, and its float is one
+correctly rounded int / int division. The O(s) sides are running
+products of the falling factorials' factors, summed Horner-fashion; the
+O(s**2) left sides multiply each term's factors out inline. The only
+other floating point is the quadrature check of the integral
+representation
 
     C_l = (2**(2l+1) / pi) * int_0^1 t**l * sqrt((1-t)/t) dt.
 """
@@ -96,9 +122,14 @@ def catalan_integral(l: int) -> float:
 def _over_one_denominator(*xs) -> tuple[int, list[int]]:
     """(D, [x*D for x in xs]): the exact values of xs as integers over
     D, the lcm of their denominators (a power of 2 for floats)."""
-    # numpy integers have no as_integer_ratio
-    ratios = [(int(x), 1) if isinstance(x, numbers.Integral)
-              else x.as_integer_ratio() for x in xs]
+    ratios = []
+    for x in xs:
+        if type(x) is float:  # the common cases skip the slower ABC check
+            ratios.append(x.as_integer_ratio())
+        elif type(x) is int or isinstance(x, numbers.Integral):
+            ratios.append((int(x), 1))  # numpy integers have no as_integer_ratio
+        else:
+            ratios.append(x.as_integer_ratio())
     den = math.lcm(*(q for _, q in ratios))
     return den, [p * (den // q) for p, q in ratios]
 
@@ -119,7 +150,43 @@ def _falling(x: int, j: int, d: int) -> int:
 # term becomes an integer over D**s s!. The one rounding is the final
 # int / int division, which is correctly rounded (the float nearest the
 # exact side), so the returned pair is within one ulp of the true
-# (equal) sides.
+# (equal) sides. Each side takes the steps iD, i < s, once.
+
+def _convolution_lhs(m: int, r: int, z: int, steps: list[int],
+                     hagen_rothe: bool) -> int:
+    """sum_l binom(s, l) lead_l (A-D) ... (A-(l-1)D) * B (B-D) ... (B-(s-l-1)D)
+    with A = M + Zl, B = R - Zl and steps = [iD for i < s]; lead_l is A
+    (Jensen: D**l l! binom(A/D, l)) or M (Hagen-Rothe: D**l l! m/(m+zl)
+    binom(A/D, l)), and the l = 0 term has no lead."""
+    s = len(steps)
+    total = 0
+    a, b = m, r
+    for l in range(s + 1):
+        term = math.comb(s, l)
+        if l:
+            term *= m if hagen_rothe else a
+        for step in steps[1:l]:
+            term *= a - step
+        for step in steps[:s - l]:
+            term *= b - step
+        total += term
+        a += z
+        b -= z
+    return total
+
+
+def _perm_sum(factors: list[int], w: int) -> int:
+    """sum_l perm(s, l) w**l prod(factors[:s-l]) for s = len(factors).
+
+    Horner-fashion: acc_j = prod(factors[:j]) + j w acc_{j-1}, acc_0 = 1,
+    ends at acc_s, the sum.
+    """
+    acc = prod = 1
+    for j, factor in enumerate(factors, 1):
+        prod *= factor
+        acc = prod + j * w * acc
+    return acc
+
 
 def jensen_sides(m: float, r: float, z: float, s: int) -> tuple[float, float]:
     """Both sides of Jensen's convolution identity.
@@ -128,10 +195,10 @@ def jensen_sides(m: float, r: float, z: float, s: int) -> tuple[float, float]:
     """
     s = _check_int("jensen_sides", "s", s, 0)
     d, (m, r, z) = _over_one_denominator(m, r, z)
-    lhs = sum(math.comb(s, l) * _falling(m + z * l, l, d)
-              * _falling(r - z * l, s - l, d) for l in range(s + 1))
-    rhs = sum(math.perm(s, l) * _falling(m + r - l * d, s - l, d) * z ** l
-              for l in range(s + 1))
+    steps = [i * d for i in range(s)]
+    lhs = _convolution_lhs(m, r, z, steps, hagen_rothe=False)
+    # falling(M+R-lD, s-l, D) is the suffix product of M+R-iD over l <= i < s
+    rhs = _perm_sum([m + r - step for step in reversed(steps)], z)
     scale = d ** s * math.factorial(s)
     return lhs / scale, rhs / scale
 
@@ -146,13 +213,11 @@ def hagen_rothe_sides(m: float, r: float, z: float, s: int) -> tuple[float, floa
     for l in range(s + 1):
         if m + z * l == 0:
             raise ValueError(f"hagen_rothe_sides: m + z*l vanishes at l={l}")
-    # D**l l! m/(m+z*l) binom(m+z*l, l) = M (M+Zl-D) ... (M+Zl-(l-1)D),
-    # and 1 at l = 0
-    lhs = sum(math.comb(s, l) * _falling(r - z * l, s - l, d)
-              * (m * _falling(m + z * l - d, l - 1, d) if l else 1)
-              for l in range(s + 1))
+    steps = [i * d for i in range(s)]
+    lhs = _convolution_lhs(m, r, z, steps, hagen_rothe=True)
+    rhs = math.prod([m + r - step for step in steps])
     scale = d ** s * math.factorial(s)
-    return lhs / scale, _falling(m + r, s, d) / scale
+    return lhs / scale, rhs / scale
 
 
 def shifted_jensen_sides(r: float, z: float, s: int) -> tuple[float, float]:
@@ -162,10 +227,11 @@ def shifted_jensen_sides(r: float, z: float, s: int) -> tuple[float, float]:
     """
     s = _check_int("shifted_jensen_sides", "s", s, 0)
     d, (r, z) = _over_one_denominator(r, z)
-    lhs = sum(math.perm(s, l) * _falling(r - l * d, s - l, d) * z ** l
-              for l in range(s + 1))
-    rhs = sum(math.perm(s, l) * _falling(r + d, s - l, d) * (z - d) ** l
-              for l in range(s + 1))
+    steps = [i * d for i in range(s)]
+    # falling(R-lD, s-l, D) is a suffix product, falling(R+D, s-l, D) a
+    # prefix product
+    lhs = _perm_sum([r - step for step in reversed(steps)], z)
+    rhs = _perm_sum([r + d - step for step in steps], z - d)
     scale = d ** s * math.factorial(s)
     return lhs / scale, rhs / scale
 
@@ -187,7 +253,30 @@ def theta_coeff(n: int, k: int, l: int) -> Fraction:
     return Fraction(_theta_num(n, k, l), 2 ** l)
 
 
-# The two theta checks compare the integers theta * 2**l, cross-multiplied.
+def _theta_row(n: int, k: int) -> list[int]:
+    """[theta(n, k, l) * 2**l for l = 0..k-3], unchecked.
+
+    The Catalan numbers come from math.comb, not from catalan() or the
+    recurrence the sweep checks.
+    """
+    return [math.comb(n - 2, k - 3 - l) * (math.comb(2 * l, l) // (l + 1))
+            for l in range(k - 2)]
+
+
+# The two theta checks compare the integers theta * 2**l, cross-multiplied,
+# in the rows for k and k + 1; identity_sweep builds those rows once for
+# both checks.
+
+def _theta_step_holds(row: list[int], next_row: list[int]) -> bool:
+    return all((l + 1) * next_row[l] == 2 * (2 * l - 1) * row[l - 1]
+               for l in range(1, len(next_row)))
+
+
+def _theta_index_holds(n: int, k: int, row: list[int],
+                       next_row: list[int]) -> bool:
+    return all((n - k + l + 1) * row[l] == (k - 2 - l) * next_row[l]
+               for l in range(k - 2))
+
 
 def theta_step_recurrence_holds(n: int, k: int) -> bool:
     """Check theta(n, k+1, l) == (2l-1)/(l+1) * theta(n, k, l-1) exactly.
@@ -195,29 +284,27 @@ def theta_step_recurrence_holds(n: int, k: int) -> bool:
     Verified for l = 1..k-2, the full range on which both sides exist.
     """
     n, k = _check_nk("theta_step_recurrence_holds", n, k, 3)
-    return all((l + 1) * _theta_num(n, k + 1, l)
-               == 2 * (2 * l - 1) * _theta_num(n, k, l - 1)
-               for l in range(1, k - 1))
+    return _theta_step_holds(_theta_row(n, k), _theta_row(n, k + 1))
 
 
 def theta_index_identity_holds(n: int, k: int) -> bool:
     """Check (n-k+l+1) * theta(n,k,l) == (k-2-l) * theta(n,k+1,l) exactly."""
     n, k = _check_nk("theta_index_identity_holds", n, k, 3)
-    return all((n - k + l + 1) * _theta_num(n, k, l)
-               == (k - 2 - l) * _theta_num(n, k + 1, l)
-               for l in range(k - 2))
+    return _theta_index_holds(n, k, _theta_row(n, k), _theta_row(n, k + 1))
 
 
 def omega(n: int, k: int) -> Fraction:
     """Alternating Catalan sum Omega(n, k), the triangle bid's slope premium.
 
     Omega(n, k) = sum_{l=0}^{k-3} (-1)**l * theta(n, k, l) / 2**(l+1),
-    summed as integers over the common denominator 2**(2k-5).
-    Strictly positive for all 3 <= k <= n.
+    summed by Horner in 4 as one integer over 2**(2k-5). Equal to
+    binom(n - 3/2, k - 2) - binom(n - 2, k - 2), strictly positive for
+    all 3 <= k <= n (see the module docstring).
     """
     n, k = _check_nk("omega", n, k, 3)
-    total = sum((-1) ** l * _theta_num(n, k, l) * 4 ** (k - 3 - l)
-                for l in range(k - 2))
+    total = 0
+    for l, coeff in enumerate(_theta_row(n, k)):
+        total = 4 * total + (-coeff if l % 2 else coeff)
     return Fraction(total, 2 ** (2 * k - 5))
 
 
@@ -274,9 +361,11 @@ def _random_cases(rng: np.random.Generator, avoid_poles: bool):
     """Endless (m, r, z, s) draws; with avoid_poles, skip those with
     |m + z*l| < 1e-3 for some l <= s, the Hagen-Rothe identity's poles."""
     while True:
-        m = float(5.0 * rng.random()) or 1.0  # (0, 5]
-        r = float(-3.0 + 13.0 * rng.random())
-        z = float(-2.0 + 4.0 * rng.random())
+        # one draw of three doubles is the same stream as three scalar draws
+        u_m, u_r, u_z = rng.random(3).tolist()
+        m = 5.0 * u_m or 1.0  # (0, 5]
+        r = -3.0 + 13.0 * u_r
+        z = -2.0 + 4.0 * u_z
         s = int(rng.integers(0, 13))
         if not (avoid_poles and any(abs(m + z * l) < 1e-3 for l in range(s + 1))):
             yield m, r, z, s
@@ -333,11 +422,14 @@ def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
                       f"lhs={lhs:.12g} rhs={rhs:.12g}")
         results.append(IdentityResult(name, bad is None, checked, detail))
 
+    def theta_recurrences_hold(n, k):
+        row, next_row = _theta_row(n, k), _theta_row(n, k + 1)
+        return (_theta_step_holds(row, next_row)
+                and _theta_index_holds(n, k, row, next_row))
+
     pairs = [(n, k) for n in range(3, nmax + 1) for k in range(3, n + 1)]
     for name, cases, holds in (
-            ("theta-recurrences", pairs,
-             lambda n, k: (theta_step_recurrence_holds(n, k)
-                           and theta_index_identity_holds(n, k))),
+            ("theta-recurrences", pairs, theta_recurrences_hold),
             ("omega-positive", pairs, lambda n, k: omega(n, k) > 0),
             ("omega-bounds", [(n, k) for n, k in pairs if omega_bounds(n, k)],
              lambda n, k: (omega_bounds_hold(n, k)

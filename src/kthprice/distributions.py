@@ -111,11 +111,20 @@ class LinearDensityDistribution:
         only at u = 0 in the triangle case, where x = 0 anyway.
         """
         u = np.asarray(u, dtype=float)
-        disc = self.b * self.b + 2.0 * self.a * u
-        denom = self.b + np.sqrt(np.maximum(disc, 0.0))
-        safe = np.where(denom > 0.0, denom, 1.0)
-        x = np.where(denom > 0.0, 2.0 * u / safe, 0.0)
-        out = np.clip(x, 0.0, self.omega)
+        # The float operations of denom = b + sqrt(max(b*b + 2a*u, 0)) and
+        # clip(where(denom > 0, 2u / denom, 0), 0, omega), in that order,
+        # in two buffers; out= keeps a 0-d input a 0-d array.
+        denom = np.multiply(2.0 * self.a, u, out=np.empty_like(u))
+        denom += self.b * self.b
+        np.maximum(denom, 0.0, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.b
+        zero = ~(denom > 0.0)
+        denom[zero] = 1.0
+        out = np.multiply(2.0, u, out=np.empty_like(u))
+        np.divide(out, denom, out=out)
+        out[zero] = 0.0
+        np.clip(out, 0.0, self.omega, out=out)
         return float(out) if out.ndim == 0 else out
 
     def exact_polynomials(self) -> tuple[Polynomial, Polynomial]:

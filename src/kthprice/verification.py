@@ -290,10 +290,12 @@ def monte_carlo_expected_payment(bid: BidFunction,
 
     def shard(rng, size):
         u = rng.random((size, n - 1))
-        win = dist.inverse_cdf(_order_statistic(u, n - 2)) < x
+        # winners picked by index: cheaper than a boolean mask on u
+        won = np.flatnonzero(dist.inverse_cdf(_order_statistic(u, n - 2)) < x)
         pay = np.zeros(size)
-        pay[win] = bid(dist.inverse_cdf(_order_statistic(u[win], pivot)))
-        return pay, int(np.count_nonzero(win))
+        pay[won] = bid(dist.inverse_cdf(
+            _order_statistic(u.take(won, axis=0), pivot)))
+        return pay, won.size
 
     result = _mc_accumulate(samples, seed, shard)
     if result.wins == 0:
@@ -336,10 +338,19 @@ def best_response_profile(bid: BidFunction, dist: LinearDensityDistribution,
     Returns (argmax z*, payoff array); at equilibrium z* == x up to the
     grid resolution.
     """
+    return _best_responses(bid, dist, n, k, [x], z_grid)[0]
+
+
+def _best_responses(bid: BidFunction, dist: LinearDensityDistribution,
+                    n: int, k: int, xs,
+                    z_grid) -> list[tuple[float, np.ndarray]]:
+    """best_response_profile for each value in xs, integrating the payments
+    m(z) on z_grid once for all of them."""
     n, k = _check_nk("best_response_profile", n, k, 2)
-    if not 0.0 < x <= dist.omega:
-        raise ValueError(f"best_response_profile: x must lie in (0, omega], "
-                         f"got x={x}")
+    for x in xs:
+        if not 0.0 < x <= dist.omega:
+            raise ValueError(f"best_response_profile: x must lie in "
+                             f"(0, omega], got x={x}")
     z_arr = np.asarray(z_grid, dtype=float)
     if z_arr.ndim != 1 or z_arr.size < 2:
         raise ValueError("best_response_profile: z_grid must be a 1-d grid")
@@ -349,6 +360,9 @@ def best_response_profile(bid: BidFunction, dist: LinearDensityDistribution,
         0.0 if z == 0.0 else expected_payment_quadrature(bid, dist, n, k, z)
         for z in z_arr
     ])
-    payoff = np.asarray(dist.cdf(z_arr)) ** (n - 1) * x - payments
-    z_star = float(z_arr[int(np.argmax(payoff))])
-    return z_star, payoff
+    win_prob = np.asarray(dist.cdf(z_arr)) ** (n - 1)
+    out = []
+    for x in xs:
+        payoff = win_prob * x - payments
+        out.append((float(z_arr[int(np.argmax(payoff))]), payoff))
+    return out

@@ -115,6 +115,26 @@ def test_verify_oracle_suite_empty_for_k2(capsys):
     assert code == EXIT_CONFIG and "no applicable check" in err
 
 
+def test_verify_best_response_integrates_each_payment_once(capsys,
+                                                           monkeypatch):
+    import kthprice.verification as ver
+    quadrature = ver.expected_payment_quadrature
+    deviations = []
+
+    def counted(bid, dist, n, k, z):
+        deviations.append(z)
+        return quadrature(bid, dist, n, k, z)
+
+    monkeypatch.setattr(ver, "expected_payment_quadrature", counted)
+    code, out, _ = run(capsys, "verify", "--suite", "best-response", "--n",
+                       "6", "--k", "4", "--dist", "triangle")
+    assert code == EXIT_OK
+    assert json.loads(out)["grid"] == [0.2, 0.5, 0.8]
+    # one payment per grid point z > 0 of the default 101, shared by the
+    # three values
+    assert len(deviations) == len(set(deviations)) == 101 - 1
+
+
 # ---------------------------------------------------------------------------
 # identities
 
@@ -147,6 +167,28 @@ def test_identities_reports_first_witness(monkeypatch, capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "FAIL omega-bounds witness n=20 k=10"
     assert all(line.startswith("ok ") for line in lines[:-1])
+
+
+def test_identities_reports_first_pair_of_a_corrupt_theta_entry(monkeypatch,
+                                                                capsys):
+    import kthprice.combinatorics as comb
+    row = comb._theta_row
+
+    def corrupt(n, k):
+        out = row(n, k)
+        if (n, k) == (9, 6):
+            out[2] += 1
+        return out
+
+    monkeypatch.setattr(comb, "_theta_row", corrupt)
+    code, out, _ = run(capsys, "identities", "--lmax", "2",
+                       "--integral-lmax", "0", "--random-trials", "1",
+                       "--nmax", "12")
+    assert code == EXIT_CHECK_FAILED
+    lines = out.strip().splitlines()
+    # the row of (9, 6) is read first as the k + 1 row of the pair (9, 5)
+    assert lines[5] == "FAIL theta-recurrences witness n=9 k=5"
+    assert all(line.startswith("ok ") for line in lines[:5])
 
 
 # ---------------------------------------------------------------------------

@@ -64,13 +64,33 @@ def test_hagen_rothe_rejects_vanishing_denominator():
         hagen_rothe_sides(2.0, 1.0, -1.0, 4)
 
 
-def test_identities_randomized():
-    rng = np.random.default_rng(97)
-    for _ in range(200):
+def scalar_draw_cases(rng, avoid_poles):
+    """_random_cases with one scalar generator call per number drawn."""
+    while True:
         m = float(5.0 * rng.random()) or 1.0
         r = float(-3.0 + 13.0 * rng.random())
         z = float(-2.0 + 4.0 * rng.random())
         s = int(rng.integers(0, 13))
+        if not (avoid_poles
+                and any(abs(m + z * l) < 1e-3 for l in range(s + 1))):
+            yield m, r, z, s
+
+
+@pytest.mark.parametrize("avoid_poles", [False, True])
+@pytest.mark.parametrize("seed", [97, 20250815])
+def test_random_cases_equal_scalar_draws(seed, avoid_poles):
+    got = list(islice(_random_cases(np.random.default_rng(seed),
+                                    avoid_poles), 3000))
+    want = list(islice(scalar_draw_cases(np.random.default_rng(seed),
+                                         avoid_poles), 3000))
+    assert got == want
+    assert all(list(map(type, case)) == [float, float, float, int]
+               for case in got)
+
+
+def test_identities_randomized():
+    rng = np.random.default_rng(97)
+    for m, r, z, s in islice(scalar_draw_cases(rng, avoid_poles=False), 200):
         lhs, rhs = jensen_sides(m, r, z, s)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)), (m, r, z, s)
         lhs, rhs = shifted_jensen_sides(r, z, s)
@@ -232,6 +252,28 @@ def test_omega_closed_form_by_an_independent_route():
         want = (_general_binom(Fraction(2 * n - 3, 2), k - 2)
                 - _general_binom(Fraction(n - 2), k - 2))
         assert omega(n, k) == want, (n, k)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"elapsed={elapsed:.2f}s >= 5s"
+
+
+def test_slope_sandwich_by_the_product_to_n_200():
+    # 1 + Omega / binom(n-2, k-2) = prod_{m=n-k+1}^{n-2} (1 + 1/(2m)) by the
+    # closed form above; with premium = (slope - 1)(n - 2), the bounds read
+    # (k-2)/2 <= premium (every k, equality at k = 3) and, on the wedge
+    # n + 4 > 2k, premium <= 7(k-2)/8, which is checked here, not proved
+    start = time.perf_counter()
+    wedge = 0
+    for n in range(3, 201):
+        slope = Fraction(1)
+        for k in range(3, n + 1):
+            slope *= 1 + Fraction(1, 2 * (n - k + 1))
+            premium = (slope - 1) * (n - 2)
+            assert premium >= Fraction(k - 2, 2), (n, k)
+            assert (premium == Fraction(k - 2, 2)) == (k == 3), (n, k)
+            if n + 4 > 2 * k:
+                wedge += 1
+                assert premium <= Fraction(7 * (k - 2), 8), (n, k)
+    assert wedge == 9900
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"elapsed={elapsed:.2f}s >= 5s"
 

@@ -87,3 +87,33 @@ def test_inverse_cdf_triangle_origin():
     t = make_triangle(1.0)
     assert t.inverse_cdf(0.0) == 0.0
     assert t.inverse_cdf(np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+
+
+def reference_inverse_cdf(dist, u):
+    """The inverse CDF as one expression, a temporary per step."""
+    u = np.asarray(u, dtype=float)
+    disc = dist.b * dist.b + 2.0 * dist.a * u
+    denom = dist.b + np.sqrt(np.maximum(disc, 0.0))
+    safe = np.where(denom > 0.0, denom, 1.0)
+    x = np.where(denom > 0.0, 2.0 * u / safe, 0.0)
+    out = np.clip(x, 0.0, dist.omega)
+    return float(out) if out.ndim == 0 else out
+
+
+@pytest.mark.parametrize("dist", [
+    make_uniform(1.0), make_uniform(2.5), make_triangle(1.0),
+    make_triangle(2.5), make_linear(0.73, 1.0), make_linear(2.0, 1.0),
+    make_linear(-0.9, 1.0), make_linear(-1.1, 1.3)], ids=repr)
+def test_inverse_cdf_bit_identical_to_one_expression(dist):
+    rng = np.random.default_rng(41)
+    edges = np.array([0.0, -0.0, 1.0, 5e-324, 1e-310, 0.5,
+                      np.nextafter(1.0, 0.0), np.nan])
+    for u in (edges, rng.random(10_000), rng.random((257, 7)),
+              rng.random((64, 5))[:, 2], [0.25, 0.75]):
+        got, want = dist.inverse_cdf(u), reference_inverse_cdf(dist, u)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    for u in (0.0, 1.0, 0.3, np.float64(0.7), 1):
+        got, want = dist.inverse_cdf(u), reference_inverse_cdf(dist, u)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
