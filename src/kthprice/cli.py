@@ -152,6 +152,9 @@ def _resolve(args: argparse.Namespace, options: tuple[Option, ...]) -> None:
 
 
 def _build_dist(args: argparse.Namespace) -> LinearDensityDistribution:
+    if args.dist != "linear" and args.a is not None:
+        raise ConfigError(f"--a applies to dist 'linear' only, "
+                          f"not {args.dist!r}")
     if args.dist == "uniform":
         return make_uniform(args.omega)
     if args.dist == "triangle":
@@ -238,6 +241,8 @@ VERIFY_OPTIONS = (
 
 def cmd_verify(args: argparse.Namespace) -> int:
     suite, n, k = args.suite, args.n, args.k
+    if suite in ("oracle", "ladder") and args.grid_size is not None:
+        raise ConfigError(f"suite {suite!r} takes no --grid-size")
     dist = _build_dist(args)
     bid = _pick_bid(args, dist)
 
@@ -285,14 +290,13 @@ IDENTITIES_OPTIONS = (
     Option("random-trials", int, 500, low=1, help="trials per random identity"),
     Option("seed", int, DEFAULT_SEED, low=0, help="seed of the random trials"),
     Option("nmax", int, 30, low=3, help="theta/omega sweeps up to this n"),
-    Option("tol", float, 1e-9, low=0.0, help="random trials' relative tolerance"),
 )
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
     results = combinatorics.identity_sweep(
         args.lmax, args.integral_lmax, args.random_trials, args.seed,
-        args.nmax, args.tol)
+        args.nmax)
     _write(f"{'ok' if r.passed else 'FAIL'} {r.name} {r.detail}"
            for r in results)
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
@@ -327,6 +331,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                    abs_error=error,
                    within_3se=bool(error <= 3.0 * result.standard_error))
     else:
+        if x is not None:
+            raise ConfigError("simulate revenue takes no --x")
         result = expected_revenue(bid, dist, n, k, args.samples, args.seed)
         doc.update(estimate=result.estimate,
                    standard_error=result.standard_error)
@@ -347,6 +353,8 @@ BOUNDS_OPTIONS = (
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     n, k, nmax = args.n, args.k, args.nmax
+    if nmax is not None and (n is not None or k is not None):
+        raise ConfigError("bounds takes either --nmax or --n and --k, not both")
     if nmax is not None:
         pairs = [(nn, kk) for nn in range(3, nmax + 1)
                  for kk in range(3, nn + 1)]

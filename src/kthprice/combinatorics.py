@@ -43,9 +43,10 @@ summed by Horner in 4 and returned as a Fraction.
 The Jensen / Hagen-Rothe / shifted-Jensen convolution identities take
 real arguments; each side is summed exactly as an integer over one
 denominator from the binary values of the inputs, and its float is one
-correctly rounded int / int division. The O(s) sides are running
-products of the falling factorials' factors, summed Horner-fashion; the
-O(s**2) left sides multiply each term's factors out inline. The only
+correctly rounded int / int division, so identity_sweep compares the two
+floats with ==. The O(s) sides are running products of the falling
+factorials' factors, summed Horner-fashion; the O(s**2) left sides
+multiply each term's factors out inline. The only
 other floating point is the quadrature check of the integral
 representation
 
@@ -149,8 +150,8 @@ def _falling(x: int, j: int, d: int) -> int:
 # one denominator D, binom(X/D, j) = falling(X, j) / (D**j j!), and every
 # term becomes an integer over D**s s!. The one rounding is the final
 # int / int division, which is correctly rounded (the float nearest the
-# exact side), so the returned pair is within one ulp of the true
-# (equal) sides. Each side takes the steps iD, i < s, once.
+# exact side), so equal sides give equal floats. Each side takes the
+# steps iD, i < s, once.
 
 def _convolution_lhs(m: int, r: int, z: int, steps: list[int],
                      hagen_rothe: bool) -> int:
@@ -236,11 +237,6 @@ def shifted_jensen_sides(r: float, z: float, s: int) -> tuple[float, float]:
     return lhs / scale, rhs / scale
 
 
-def _theta_num(n: int, k: int, l: int) -> int:
-    """theta(n, k, l) * 2**l = binom(n-2, k-3-l) * C_l, unchecked."""
-    return math.comb(n - 2, k - 3 - l) * catalan(l)
-
-
 def theta_coeff(n: int, k: int, l: int) -> Fraction:
     """theta(n, k, l) = binom(n-2, k-3-l) * C_l / 2**l, exact.
 
@@ -250,7 +246,7 @@ def theta_coeff(n: int, k: int, l: int) -> Fraction:
     l = _check_int("theta_coeff", "l", l)
     if not 0 <= l <= k - 3:
         raise ValueError("theta_coeff: index l must lie in 0..k-3")
-    return Fraction(_theta_num(n, k, l), 2 ** l)
+    return Fraction(math.comb(n - 2, k - 3 - l) * catalan(l), 2 ** l)
 
 
 def _theta_row(n: int, k: int) -> list[int]:
@@ -379,14 +375,15 @@ _RANDOM_SIDES = {
 
 
 def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
-                   nmax: int, tol: float) -> list[IdentityResult]:
+                   nmax: int) -> list[IdentityResult]:
     """Check every identity behind the bid series; one result per identity.
 
     catalan-recurrence exactly for l = 1..lmax; catalan-integral within
     1e-6 relative for l = 0..integral_lmax; jensen, hagen-rothe and
     shifted-jensen on `trials` checked random draws each, from one
-    generator seeded with `seed`, within tol * max(1, |rhs|);
-    theta-recurrences and omega-positive exactly for all
+    generator seeded with `seed`, passing iff lhs == rhs (each side is
+    the correctly rounded float of its exact value; a witness prints both
+    with repr); theta-recurrences and omega-positive exactly for all
     3 <= k <= n <= nmax; omega-bounds exactly on the wedge n + 4 > 2k,
     with Omega(n, 3) = 1/2. The library form of `kthprice identities`.
     """
@@ -396,8 +393,6 @@ def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
     trials = _check_int(func, "trials", trials, 1)
     seed = _check_int(func, "seed", seed, 0)
     nmax = _check_int(func, "nmax", nmax, 3)
-    if not tol > 0:
-        raise ValueError(f"identity_sweep: tol must be > 0, got {tol}")
     worst = max(abs(catalan_integral(l) - catalan(l)) / catalan(l)
                 for l in range(integral_lmax + 1))
     results = [
@@ -409,17 +404,17 @@ def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
 
     rng = np.random.default_rng(seed)
     for name, sides in _RANDOM_SIDES.items():
-        def close(*case, sides=sides):
+        def equal(*case, sides=sides):
             lhs, rhs = sides(*case)
-            return abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
+            return lhs == rhs
 
         draws = _random_cases(rng, avoid_poles=name == "hagen-rothe")
-        checked, bad = _first_witness(islice(draws, trials), close)
+        checked, bad = _first_witness(islice(draws, trials), equal)
         detail = f"(trials={trials}, seed={seed})"
         if bad is not None:
             (m, r, z, s), (lhs, rhs) = bad, sides(*bad)
             detail = (f"witness m={m:.12g} r={r:.12g} z={z:.12g} s={s} "
-                      f"lhs={lhs:.12g} rhs={rhs:.12g}")
+                      f"lhs={lhs!r} rhs={rhs!r}")
         results.append(IdentityResult(name, bad is None, checked, detail))
 
     def theta_recurrences_hold(n, k):

@@ -316,8 +316,7 @@ def psi_closed_form(dist: LinearDensityDistribution, n: int,
     a_big_g = [a_int * c for c in big_g] if a_int else []
     power = [1]  # (A G)**l
     acc = []
-    for l in range(k - 2):
-        coeff = combinatorics._theta_num(n, k, l)
+    for l, coeff in enumerate(combinatorics._theta_row(n, k)):
         acc = _iadd(_imul(acc, g2),
                     [(-coeff if l % 2 else coeff) * c for c in power])
         power = _imul(power, a_big_g)

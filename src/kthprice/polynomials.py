@@ -1,22 +1,22 @@
 """Univariate polynomials and rational functions over exact rationals.
 
 Just enough symbolic machinery for the differentiation ladders that
-verify bid functions. The ladders step over integer coefficient lists
-(ascending, no trailing zeros) times one Fraction scale, with the
-private helpers _imul, _ipow and _iadd, and build a RationalFunction,
-with its one gcd, only for a finished result. Polynomial holds Fraction
-coefficients and does arithmetic, derivative, antiderivative vanishing
-at zero, exact division and gcd. A RationalFunction is compared by
-integer cross-multiplication, evaluated, and differentiated or divided
-only as the quotient-rule reference the ladder step is tested against.
-Every coefficient is an int or a Fraction, so every identity checked
-here is a statement about integers, never about floats. Not a general
-CAS and not trying to be.
+verify bid functions. One set of dense kernels, _iadd, _imul and _ipow,
+serves int and Fraction coefficients alike. The ladders step with them
+over integer coefficient lists times one Fraction scale and build a
+RationalFunction, with its one gcd, only for a finished result.
+Polynomial holds Fraction coefficients; its +, * and ** are the same
+kernels, plus derivative, antiderivative vanishing at zero, exact
+division and gcd. A RationalFunction is compared by integer
+cross-multiplication, evaluated, and differentiated or divided only as
+the quotient-rule reference the ladder step is tested against. Every
+identity here is about integers, never floats. Not a general CAS.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 
@@ -79,13 +79,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return Polynomial(_iadd(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -108,27 +102,15 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self or not other:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial(_imul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
+        # _ipow never leaves its loop on a negative exponent
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        out, base = Polynomial([1]), self
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            base = base * base
-            exponent >>= 1
-        return out
+        return Polynomial(_ipow(self.coeffs, exponent))
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -150,17 +132,12 @@ class Polynomial:
                     rem[i - d + j] -= c * oc
         return Polynomial(quot), Polynomial(rem[:d])
 
+    # divmod() raises TypeError itself on an operand that it cannot take
     def __floordiv__(self, other):
-        result = divmod(self, other)
-        if result is NotImplemented:
-            return NotImplemented
-        return result[0]
+        return divmod(self, other)[0]
 
     def __mod__(self, other):
-        result = divmod(self, other)
-        if result is NotImplemented:
-            return NotImplemented
-        return result[1]
+        return divmod(self, other)[1]
 
     def monic(self) -> "Polynomial":
         if not self:
@@ -207,10 +184,11 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-# Integer coefficient lists, ascending by power, with no trailing zeros:
-# a product or power of such lists has none either, and a sum is trimmed.
+# Dense coefficient sequences, ascending by power, with no trailing zeros:
+# the ladders' int lists and Polynomial's Fraction tuples alike. A product
+# or power of such sequences has none either, and a sum is trimmed.
 
-def _imul(p: list[int], q: list[int]) -> list[int]:
+def _imul(p: Sequence, q: Sequence) -> list:
     if not p or not q:
         return []
     out = [0] * (len(p) + len(q) - 1)
@@ -221,7 +199,7 @@ def _imul(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def _ipow(p: list[int], exponent: int) -> list[int]:
+def _ipow(p: Sequence, exponent: int) -> list:
     out = [1]
     while exponent:
         if exponent & 1:
@@ -232,7 +210,7 @@ def _ipow(p: list[int], exponent: int) -> list[int]:
     return out
 
 
-def _iadd(p: list[int], q: list[int]) -> list[int]:
+def _iadd(p: Sequence, q: Sequence) -> list:
     if len(p) < len(q):
         p, q = q, p
     out = list(p)

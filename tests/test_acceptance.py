@@ -63,7 +63,7 @@ def sweep(trials=1, nmax=3):
     """identity_sweep by name; the parts a criterion does not judge run at minimal size."""
     return {r.name: r for r in identity_sweep(lmax=1, integral_lmax=0,
                                               trials=trials, seed=SEED,
-                                              nmax=nmax, tol=1e-9)}
+                                              nmax=nmax)}
 
 
 def test_criterion_02_randomized_identities():
@@ -74,7 +74,7 @@ def test_criterion_02_randomized_identities():
              for name in names)
     elapsed = time.perf_counter() - start
     report(2, "500 randomized trials per identity", ok and elapsed < 1.0,
-           f"tol=1e-9, cases={[results[n].cases for n in names]}, "
+           f"exact, cases={[results[n].cases for n in names]}, "
            f"elapsed={elapsed:.2f}s < 1s")
 
 

@@ -70,6 +70,20 @@ def test_bid_table_rejects_bad_shape(capsys):
     assert code == EXIT_CONFIG and "--a" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["bid-table", "--dist", "uniform", "--a", "3.0"], "--a"),
+    (["verify", "--suite", "re", "--dist", "triangle", "--a", "1.0"], "--a"),
+    (["simulate", "revenue", "--x", "0.5"], "--x"),
+    (["verify", "--suite", "oracle", "--grid-size", "5"], "--grid-size"),
+    (["bounds", "--nmax", "4", "--n", "9", "--k", "5"], "--nmax"),
+    (["bounds", "--nmax", "4", "--k", "3"], "--k"),
+])
+def test_options_the_mode_would_ignore_exit_2(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith("error: ") and named in err
+
+
 def test_bid_table_output_file_byte_identical(tmp_path, capsys):
     argv = ["bid-table", "--n", "7", "--k", "5", "--dist", "triangle",
             "--format", "json"]
@@ -154,6 +168,9 @@ def test_identities_quick_run_all_ok(capsys):
 def test_identities_rejects_bad_limits(capsys):
     code, _, err = run(capsys, "identities", "--nmax", "2")
     assert code == EXIT_CONFIG and "nmax" in err
+    # the random trials are judged by ==, with no tolerance to set
+    code, _, err = run(capsys, "identities", "--tol", "1e-9")
+    assert code == EXIT_CONFIG and "unrecognized arguments: --tol" in err
 
 
 def test_identities_reports_first_witness(monkeypatch, capsys):
@@ -301,9 +318,10 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys):
 
 def test_config_file_rejects_unknown_fields(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    for field in ("np", "fmt"):  # the field for --format is "format"
+    for command, field in (("bid-table", "np"), ("identities", "tol"),
+                           ("bid-table", "fmt")):  # --format's is "format"
         cfg.write_text(json.dumps({field: "json"}))
-        code, _, err = run(capsys, "bid-table", "--config", str(cfg))
+        code, _, err = run(capsys, command, "--config", str(cfg))
         assert code == EXIT_CONFIG and f"unknown config field {field!r}" in err
     cfg.write_text(json.dumps([1, 2]))
     code, _, err = run(capsys, "bid-table", "--config", str(cfg))
@@ -351,6 +369,10 @@ def test_help_returns_exit_0(capsys):
     ("verify-truthful",
      "verify --suite re --n 5 --k 3 --bid truthful --expect-fail"),
     ("identities", "identities --nmax 30"),
+    ("simulate-payment", "simulate payment --n 4 --k 3 --x 0.8 --dist "
+                         "triangle --samples 1000000"),
+    ("simulate-revenue",
+     "simulate revenue --n 3 --k 2 --samples 1000000 --seed 1"),
     ("bounds", "bounds --nmax 20"),
 ])
 def test_readme_line_matches_golden_bytes(capsys, name, line):

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from kthprice import (catalan, catalan_integral, catalan_recurrence_holds,
-                      hagen_rothe_sides, jensen_sides, omega, omega_bounds,
-                      omega_bounds_hold, shifted_jensen_sides, theta_coeff)
+                      hagen_rothe_sides, identity_sweep, jensen_sides, omega,
+                      omega_bounds, omega_bounds_hold, shifted_jensen_sides,
+                      theta_coeff)
 from kthprice.combinatorics import _random_cases
 
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -92,12 +93,34 @@ def test_identities_randomized():
     rng = np.random.default_rng(97)
     for m, r, z, s in islice(scalar_draw_cases(rng, avoid_poles=False), 200):
         lhs, rhs = jensen_sides(m, r, z, s)
-        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)), (m, r, z, s)
+        assert lhs == rhs, (m, r, z, s)
         lhs, rhs = shifted_jensen_sides(r, z, s)
-        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)), (r, z, s)
+        assert lhs == rhs, (r, z, s)
         if all(m + z * l != 0 for l in range(s + 1)):
             lhs, rhs = hagen_rothe_sides(m, r, z, s)
-            assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)), (m, r, z, s)
+            assert lhs == rhs, (m, r, z, s)
+
+
+def test_identity_sweep_fails_on_a_left_side_off_by_2_to_the_minus_40(
+        monkeypatch):
+    # far inside any tolerance of 1e-9, yet no longer the same float
+    import kthprice.combinatorics as comb
+    lhs = comb._convolution_lhs
+
+    def skewed(*args, **kwargs):
+        v = lhs(*args, **kwargs)
+        return v + v // 2 ** 40
+
+    monkeypatch.setattr(comb, "_convolution_lhs", skewed)
+    results = {r.name: r for r in identity_sweep(1, 0, 500, 20250815, 3)}
+    assert not results["jensen"].passed
+    assert not results["hagen-rothe"].passed
+    assert results["shifted-jensen"].passed  # sums no _convolution_lhs
+    # the witness prints both sides with repr, so they read unequal
+    witness = results["jensen"].detail.split()
+    assert witness[0] == "witness"
+    fields = dict(item.split("=") for item in witness[1:])
+    assert float(fields["lhs"]) != float(fields["rhs"])
 
 
 # Reference sides: each summed term by term in Fraction arithmetic over

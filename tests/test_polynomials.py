@@ -27,6 +27,12 @@ def test_arithmetic():
     assert (X + 2) ** 3 == X ** 3 + 6 * X ** 2 + 12 * X + 8
     assert 2 * X - X == X
     assert (X ** 2 - 1) - (X ** 2) == Polynomial([-1])
+    # the zero polynomial: 0**0 is 1, and nothing leaves a trailing zero
+    assert Polynomial() ** 0 == Polynomial([1])
+    for zero in (Polynomial() ** 2, 0 * X, X + (-X)):
+        assert zero.coeffs == ()
+    with pytest.raises(ValueError):
+        X ** -1
 
 
 def test_divmod_exact():

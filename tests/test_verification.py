@@ -213,7 +213,7 @@ def test_monte_carlo_validation():
         expected_revenue(eq, U, 4, 3, 100, -1)
     # the identity sweep's random trials are seeded the same way
     with pytest.raises(ValueError, match=r"sweep: seed must be >= 0, got -1"):
-        identity_sweep(1, 0, 1, -1, 3, 1e-9)
+        identity_sweep(1, 0, 1, -1, 3)
 
 
 def test_expected_revenue_anchors():
@@ -378,11 +378,11 @@ def _case(name, func, *args):
     _case("n", omega, 6.0, 4),
     _case("k", omega_bounds, 10, 3.0),
     _case("n", omega_bounds_hold, np.float64(10), 3),
-    _case("lmax", identity_sweep, 3.5, 0, 1, 1, 3, 1e-9),
-    _case("integral_lmax", identity_sweep, 1, 0.0, 1, 1, 3, 1e-9),
-    _case("trials", identity_sweep, 1, 0, 1.0, 1, 3, 1e-9),
-    _case("seed", identity_sweep, 1, 0, 1, 1.5, 3, 1e-9),
-    _case("nmax", identity_sweep, 1, 0, 1, 1, 3.0, 1e-9),
+    _case("lmax", identity_sweep, 3.5, 0, 1, 1, 3),
+    _case("integral_lmax", identity_sweep, 1, 0.0, 1, 1, 3),
+    _case("trials", identity_sweep, 1, 0, 1.0, 1, 3),
+    _case("seed", identity_sweep, 1, 0, 1, 1.5, 3),
+    _case("nmax", identity_sweep, 1, 0, 1, 1, 3.0),
 ])
 def test_integer_arguments_are_checked_by_name(name, call):
     with pytest.raises(ValueError, match=rf": {name} must be an integer"):
