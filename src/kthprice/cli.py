@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -229,27 +229,39 @@ VERIFY_OPTIONS = (
     Option("suite", str, "all",
            ("re", "best-response", "oracle", "ladder", "all")),
     *_dist_options(n=5, k=3),
-    BID_CHOICE,
+    replace(BID_CHOICE, default=None,
+            help="bid profile for re and best-response (default equilibrium)"),
     Option("grid-size", int, low=2,
            help="grid points (default 20 for re, 101 for best-response)"),
-    Option("tol", float, 1e-8, low=0.0, help="revenue-equivalence tolerance"),
+    Option("tol", float, low=0.0,
+           help="revenue-equivalence tolerance (default 1e-8)"),
     Option("expect-fail", bool, False,
            help="negative control: exit 0 iff checks fail"),
     OUTPUT,
 )
 
 
+# The suites that read each option left unset by default; any other
+# suite rejects it, since it would be ignored.
+VERIFY_SUITE_OPTIONS = {"bid": ("re", "best-response", "all"),
+                        "grid-size": ("re", "best-response", "all"),
+                        "tol": ("re", "all")}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     suite, n, k = args.suite, args.n, args.k
-    if suite in ("oracle", "ladder") and args.grid_size is not None:
-        raise ConfigError(f"suite {suite!r} takes no --grid-size")
+    for name, suites in VERIFY_SUITE_OPTIONS.items():
+        value = getattr(args, name.replace("-", "_"))
+        if suite not in suites and value is not None:
+            raise ConfigError(f"suite {suite!r} takes no --{name}")
     dist = _build_dist(args)
-    bid = _pick_bid(args, dist)
+    bid = _pick_bid(args, dist)  # bid None is the equilibrium bid
 
     reports = []
     if suite in ("re", "all"):
         reports.append(revenue_equivalence_check(
-            bid, dist, n, k, grid_size=args.grid_size or 20, tol=args.tol))
+            bid, dist, n, k, grid_size=args.grid_size or 20,
+            tol=1e-8 if args.tol is None else args.tol))
     if suite in ("best-response", "all"):
         g = args.grid_size or 101
         z_grid = np.linspace(0.0, dist.omega, g)

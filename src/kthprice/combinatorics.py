@@ -31,8 +31,8 @@ The upper bound
 
     Omega(n, k) <= 7*binom(n-3, k-3)/8   on the wedge n + 4 > 2k
 
-is checked, not proved: omega_bounds_hold checks it exactly, pair by
-pair, in identity_sweep (`kthprice identities`, n <= 30 by default and
+is checked, not proved: the test of omega_bounds_hold runs exactly, pair
+by pair, in identity_sweep (`kthprice identities`, n <= 30 by default and
 in the acceptance tests) and `kthprice bounds`, and the tests check the
 product form on every wedge pair with n <= 200. All of these are exact
 rational statements, checked as integers over one denominator:
@@ -260,8 +260,8 @@ def _theta_row(n: int, k: int) -> list[int]:
 
 
 # The two theta checks compare the integers theta * 2**l, cross-multiplied,
-# in the rows for k and k + 1; identity_sweep builds those rows once for
-# both checks.
+# in the rows for k and k + 1; identity_sweep builds each row once for
+# both checks and for both pairs that read it.
 
 def _theta_step_holds(row: list[int], next_row: list[int]) -> bool:
     return all((l + 1) * next_row[l] == 2 * (2 * l - 1) * row[l - 1]
@@ -417,18 +417,33 @@ def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
                       f"lhs={lhs!r} rhs={rhs!r}")
         results.append(IdentityResult(name, bad is None, checked, detail))
 
-    def theta_recurrences_hold(n, k):
-        row, next_row = _theta_row(n, k), _theta_row(n, k + 1)
+    def theta_cases():
+        # (n, k, row k, row k + 1): the k + 1 row is the next pair's row k
+        for n in range(3, nmax + 1):
+            row = _theta_row(n, 3)
+            for k in range(3, n + 1):
+                next_row = _theta_row(n, k + 1)
+                yield n, k, row, next_row
+                row = next_row
+
+    def theta_recurrences_hold(n, k, row, next_row):
         return (_theta_step_holds(row, next_row)
                 and _theta_index_holds(n, k, row, next_row))
 
     pairs = [(n, k) for n in range(3, nmax + 1) for k in range(3, n + 1)]
+    # each pair's Omega and bounds once, read by both omega checks
+    omegas = {pair: omega(*pair) for pair in pairs}
+    wedge = {pair: bounds for pair in pairs
+             if (bounds := omega_bounds(*pair)) is not None}
+
+    def bounds_hold(n, k):
+        (lower, upper), value = wedge[n, k], omegas[n, k]
+        return lower <= value <= upper and (k > 3 or value == Fraction(1, 2))
+
     for name, cases, holds in (
-            ("theta-recurrences", pairs, theta_recurrences_hold),
-            ("omega-positive", pairs, lambda n, k: omega(n, k) > 0),
-            ("omega-bounds", [(n, k) for n, k in pairs if omega_bounds(n, k)],
-             lambda n, k: (omega_bounds_hold(n, k)
-                           and (k > 3 or omega(n, k) == Fraction(1, 2))))):
+            ("theta-recurrences", theta_cases(), theta_recurrences_hold),
+            ("omega-positive", pairs, lambda n, k: omegas[n, k] > 0),
+            ("omega-bounds", list(wedge), bounds_hold)):
         checked, bad = _first_witness(cases, holds)
         detail = (f"(nmax={nmax})" if bad is None
                   else f"witness n={bad[0]} k={bad[1]}")

@@ -7,11 +7,12 @@ bid formulas they test:
   int_0^x y g(y) dy with g = (n-1) F**(n-2) f, which is (n-1) psi_0(x):
   the exact antiderivative the symbolic ladder starts from, held as
   integers over one denominator and evaluated in integers at the exact
-  binary value p / 2**e of x; the one rounding is the final correctly
-  rounded division;
+  binary value p / 2**e of x, with shifts for the powers of 2**e; the
+  one rounding is the final correctly rounded division;
 * expected_payment_quadrature: the k-th price payment formula
   (n-1) binom(n-2,k-2) int_0^x beta(y) (F(x)-F(y))**(k-2) F(y)**(n-k) f(y) dy
-  under the candidate bid, by adaptive Gauss-Legendre quadrature;
+  under the candidate bid, by adaptive Gauss-Legendre quadrature (the
+  integrand is pointwise, so the first two rules share one call);
 * monte_carlo_expected_payment: simulated auctions, sharded so the
   result is a pure function of (seed, shard layout) and therefore
   byte-reproducible no matter how the shards are scheduled.
@@ -122,11 +123,13 @@ def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
     """Revenue-equivalence target m(x) = int_0^x y (n-1) F**(n-2) f dy.
 
     m = (n-1) psi_0, and psi_0, integers N[i] over one denominator D, is
-    evaluated by Horner in integers at the exact value x = p / q (q is a
-    power of 2 for a float):
-    m(x) = (n-1) sum_i N[i] p**i q**(d-i) / (D q**d).
-    The only rounding is that final int / int division, which is
-    correctly rounded: the result is the float nearest the exact m(x).
+    evaluated in integers at the exact value x = p / q:
+    m(x) = (n-1) p**n sum_{i>=n} N[i] p**(i-n) q**(d-i) / (D q**d),
+    since N[i] = 0 for i < n. The sum runs by Horner with q = odd 2**e
+    split: powers of 2**e are shifts, and odd is 1 unless x is a
+    Fraction (q is a power of 2 for a float or an int). The only
+    rounding is that final int / int division, which is correctly
+    rounded: the result is the float nearest the exact m(x).
     """
     n = _check_int("expected_payment_benchmark", "n", n, 2)
     if not 0.0 <= x <= dist.omega:
@@ -136,11 +139,16 @@ def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
         x = int(x)  # numpy integers have no as_integer_ratio
     nums, den = _psi_0(dist, n)
     p, q = x.as_integer_ratio()
-    acc, q_pow = nums[-1], 1
-    for c in reversed(nums[:-1]):
-        q_pow *= q
-        acc = acc * p + c * q_pow
-    return (n - 1) * acc / (den * q_pow)
+    e = (q & -q).bit_length() - 1  # q = odd 2**e; odd is 1 unless a Fraction
+    odd = q >> e
+    # N[i] = 0 for i < n: Horner runs over N[n..d], times p**n at the end
+    acc, odd_pow, shift = nums[-1], 1, 0
+    for c in reversed(nums[n:-1]):
+        odd_pow *= odd
+        shift += e
+        acc = acc * p + (c * odd_pow << shift)
+    d = len(nums) - 1
+    return (n - 1) * acc * p ** n / ((den * odd_pow * odd ** n) << (e * d))
 
 
 def expected_payment_quadrature(bid: BidFunction,

@@ -75,6 +75,12 @@ def test_bid_table_rejects_bad_shape(capsys):
     (["verify", "--suite", "re", "--dist", "triangle", "--a", "1.0"], "--a"),
     (["simulate", "revenue", "--x", "0.5"], "--x"),
     (["verify", "--suite", "oracle", "--grid-size", "5"], "--grid-size"),
+    (["verify", "--suite", "oracle", "--n", "5", "--k", "4", "--bid",
+      "truthful"], "--bid"),
+    (["verify", "--suite", "ladder", "--n", "5", "--k", "4", "--tol", "0.5"],
+     "--tol"),
+    (["verify", "--suite", "best-response", "--n", "5", "--k", "4", "--tol",
+      "0.5"], "--tol"),
     (["bounds", "--nmax", "4", "--n", "9", "--k", "5"], "--nmax"),
     (["bounds", "--nmax", "4", "--k", "3"], "--k"),
 ])
@@ -175,9 +181,11 @@ def test_identities_rejects_bad_limits(capsys):
 
 def test_identities_reports_first_witness(monkeypatch, capsys):
     import kthprice.combinatorics as comb
-    holds = comb.omega_bounds_hold
-    monkeypatch.setattr(comb, "omega_bounds_hold",
-                        lambda n, k: (n, k) != (20, 10) and holds(n, k))
+    bounds = comb.omega_bounds
+    # an empty interval at (20, 10): Omega(20, 10) > 0 falls outside it
+    monkeypatch.setattr(comb, "omega_bounds",
+                        lambda n, k: (0, 0) if (n, k) == (20, 10)
+                        else bounds(n, k))
     code, out, _ = run(capsys, "identities", "--lmax", "2",
                        "--integral-lmax", "0", "--random-trials", "1")
     assert code == EXIT_CHECK_FAILED
@@ -206,6 +214,30 @@ def test_identities_reports_first_pair_of_a_corrupt_theta_entry(monkeypatch,
     # the row of (9, 6) is read first as the k + 1 row of the pair (9, 5)
     assert lines[5] == "FAIL theta-recurrences witness n=9 k=5"
     assert all(line.startswith("ok ") for line in lines[:5])
+
+
+def test_identities_computes_each_pair_once(capsys, monkeypatch):
+    import kthprice.combinatorics as comb
+    calls = {"omega": 0, "omega_bounds": 0, "_theta_row": 0}
+
+    def counted(name):
+        fn = getattr(comb, name)
+
+        def wrapper(n, k):
+            calls[name] += 1
+            return fn(n, k)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(comb, name, counted(name))
+    code, out, _ = run(capsys, "identities", "--lmax", "2",
+                       "--integral-lmax", "0", "--random-trials", "1",
+                       "--nmax", "30")
+    assert code == EXIT_OK and out.endswith("ok omega-bounds (nmax=30)\n")
+    pairs = 28 * 29 // 2  # 3 <= k <= n <= 30
+    assert calls["omega"] == calls["omega_bounds"] == pairs == 406
+    # omega's own row per pair, and the rows k = 3..n+1 once per n
+    assert calls["_theta_row"] == pairs + (pairs + 28) == 840
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,10 @@ def _fraction_antiderivative(dist, n):
     ids=["uniform", "triangle", "a-full-mantissa", "a-negative", "omega-2.5",
          "omega-0.3"])
 def test_benchmark_bit_identical_to_fraction_horner(dist):
+    # non-dyadic x (q with an odd factor) and an int check the 2-adic split
     xs = (0.0, dist.omega, 5e-324, dist.omega / 3, 0.5 * dist.omega,
-          0.77 * dist.omega)
+          0.77 * dist.omega, Fraction(1, 3) * Fraction(dist.omega),
+          Fraction(2, 7)) + ((1,) if dist.omega >= 1 else ())
     for n in (2, 3, 7, 19, 40, 60):
         reference = _fraction_antiderivative(dist, n)
         for x in xs:
