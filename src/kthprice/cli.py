@@ -11,11 +11,16 @@ the defaults: default < config file < flag, all checked alike.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 invalid
 configuration, 3 quadrature non-convergence.
+
+main(argv) returns the exit code rather than exiting, so it can be called
+repeatedly in one process; the argument parser is built on the first
+call and reused after it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -409,7 +414,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call. parse_args
+    returns a fresh Namespace each time, so the parser keeps no state
+    between calls of main."""
     parser = argparse.ArgumentParser(
         prog="kthprice",
         description="Equilibrium bids for k-th price auctions: tables, "

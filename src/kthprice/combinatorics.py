@@ -31,10 +31,20 @@ The upper bound
 
     Omega(n, k) <= 7*binom(n-3, k-3)/8   on the wedge n + 4 > 2k
 
-is checked, not proved: the test of omega_bounds_hold runs exactly, pair
-by pair, in identity_sweep (`kthprice identities`, n <= 30 by default and
-in the acceptance tests) and `kthprice bounds`, and the tests check the
-product form on every wedge pair with n <= 200. All of these are exact
+is proved. Divided by binom(n-2, k-2) it reads P - 1 <= 7t/8, with
+t = (k-2)/(n-2) and P the product above. For k < n, log(1 + y) <= y and
+sum_{m=a+1}^{b} 1/m <= ln(b/a) give P <= sqrt((n-2)/(n-k)) =
+(1-t)**(-1/2). Next, h(t) = (1 + 7t/8)**2 (1-t) - 1 =
+t (3/4 - 63t/64 - 49t**2/64); the bracket decreases in t and
+h(15/28) = 45/28672 > 0, so (1-t)**(-1/2) <= 1 + 7t/8 on (0, 15/28].
+On the wedge t <= (n-1)/(2(n-2)) <= 15/28 once n >= 16, which proves
+the bound for every n >= 16. The pairs below n = 16 are finitely many:
+the square-root step is too weak only at (5, 4), (7, 5), (9, 6),
+(11, 7), (13, 8) and (15, 9), and k = n is on the wedge only at n = 3.
+The tests check each step in exact arithmetic and the product form on
+every wedge pair with n <= 200, which covers them. omega_bounds_hold
+also checks the bound pair by pair in identity_sweep
+(`kthprice identities`) and `kthprice bounds`. All of these are exact
 rational statements, checked as integers over one denominator:
 theta * 2**l is an integer (a row of them per (n, k), with Catalan
 numbers from math.comb), and Omega is one integer over 2**(2k-5),

@@ -1,6 +1,9 @@
 """CLI contract: exit codes, deterministic output, config merging."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,9 +14,13 @@ from kthprice.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    build_parser,
     main,
 )
 from kthprice.quadrature import QuadratureError
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "benchmarks" / "golden"
 
 
 def run(capsys, *argv):
@@ -394,7 +401,7 @@ def test_help_returns_exit_0(capsys):
 # ---------------------------------------------------------------------------
 # README command lines, byte for byte
 
-@pytest.mark.parametrize("name, line", [
+README_LINES = [
     ("bid-table-triangle", "bid-table --n 5 --k 4 --dist triangle"),
     ("bid-table-json", "bid-table --n 6 --k 3 --format json"),
     ("verify-all", "verify --suite all --n 6 --k 4 --dist triangle"),
@@ -406,9 +413,60 @@ def test_help_returns_exit_0(capsys):
     ("simulate-revenue",
      "simulate revenue --n 3 --k 2 --samples 1000000 --seed 1"),
     ("bounds", "bounds --nmax 20"),
-])
+]
+
+
+@pytest.mark.parametrize("name, line", README_LINES)
 def test_readme_line_matches_golden_bytes(capsys, name, line):
-    golden = Path(__file__).resolve().parents[1] / "benchmarks" / "golden"
     code, out, _ = run(capsys, *line.split())
     assert code == EXIT_OK
-    assert out.encode() == (golden / f"{name}.out").read_bytes()
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_calls_in_one_process_carry_no_state(tmp_path, capsys):
+    # An exit-2 call, a --config call and --help between two runs of every
+    # README line must leave the shared parser as it found it.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 6, "grid-size": 4, "format": "json"}))
+    between = [(["bid-table", "--a", "1.0"], EXIT_CONFIG),
+               (["bid-table", "--config", str(cfg)], EXIT_OK),
+               (["--help"], EXIT_OK)]
+
+    def readme_run():
+        return [run(capsys, *line.split())[:2] for _, line in README_LINES]
+
+    first = readme_run()
+    for argv, want in between:
+        assert run(capsys, *argv)[0] == want, argv
+    assert readme_run() == first
+    assert [code for code, _ in first] == [EXIT_OK] * len(README_LINES)
+
+
+# ---------------------------------------------------------------------------
+# the entry point, one process per call
+
+def run_module(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "kthprice", *argv],
+                          capture_output=True, cwd=ROOT, env=env, timeout=120)
+
+
+def test_python_m_kthprice_prints_golden_bounds():
+    proc = run_module("bounds", "--nmax", "20")
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / "bounds.out").read_bytes()
+
+
+def test_python_m_kthprice_exits_2_on_config_error():
+    proc = run_module("bounds")
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == b"" and b"error:" in proc.stderr

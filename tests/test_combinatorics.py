@@ -281,11 +281,10 @@ def test_omega_closed_form_by_an_independent_route():
 
 def test_slope_sandwich_by_the_product_to_n_200():
     # 1 + Omega / binom(n-2, k-2) = prod_{m=n-k+1}^{n-2} (1 + 1/(2m)) by the
-    # closed form above; with premium = (slope - 1)(n - 2), the bounds read
-    # (k-2)/2 <= premium (every k, equality at k = 3) and, on the wedge
-    # n + 4 > 2k, premium <= 7(k-2)/8, which is checked here, not proved
+    # closed form above; with premium = (slope - 1)(n - 2), the lower bound
+    # reads (k-2)/2 <= premium (every k, equality at k = 3); the upper bound
+    # is proved step by step in the tests below
     start = time.perf_counter()
-    wedge = 0
     for n in range(3, 201):
         slope = Fraction(1)
         for k in range(3, n + 1):
@@ -293,10 +292,72 @@ def test_slope_sandwich_by_the_product_to_n_200():
             premium = (slope - 1) * (n - 2)
             assert premium >= Fraction(k - 2, 2), (n, k)
             assert (premium == Fraction(k - 2, 2)) == (k == 3), (n, k)
-            if n + 4 > 2 * k:
-                wedge += 1
-                assert premium <= Fraction(7 * (k - 2), 8), (n, k)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"elapsed={elapsed:.2f}s >= 5s"
+
+
+# The upper bound Omega <= c binom(n-3, k-3) on the wedge n + 4 > 2k, with
+# c = 7/8, divided by binom(n-2, k-2): P - 1 <= c t, where t = (k-2)/(n-2)
+# and P = prod_{m=n-k+1}^{n-2} (1 + 1/(2m)) is the triangle slope. The
+# proof: P <= (1-t)**(-1/2) for k < n; h(t) = (1 + c t)**2 (1-t) - 1 >= 0
+# on (0, 15/28], so (1-t)**(-1/2) <= 1 + c t there; and t <= 15/28 on the
+# wedge once n >= 16. Each test takes c as a parameter, so a smaller c
+# (0.82, below the supremum 2(sqrt 2 - 1) of (P - 1)/t) fails both.
+T_MAX = Fraction(15, 28)
+
+
+def _h(c, t):
+    return (1 + c * t) ** 2 * (1 - t) - 1
+
+
+def _h_over_t(c, t):
+    return (2 * c - 1) + (c * c - 2 * c) * t - c * c * t * t
+
+
+@pytest.mark.parametrize("c", [Fraction(7, 8)])
+def test_omega_upper_bound_polynomial_step(c):
+    # h(t) = t * _h_over_t(c, t) as cubics: equal at four points, so equal
+    for t in (Fraction(0), Fraction(1), Fraction(2), T_MAX):
+        assert _h(c, t) == t * _h_over_t(c, t), t
+    # its derivative (c**2 - 2c) - 2 c**2 t is negative for t >= 0 when
+    # 0 < c < 2, so h(t)/t decreases there and is least on [0, 15/28] at
+    # 15/28; positive there, h > 0 on (0, 15/28]
+    assert 0 < c < 2 and c * c - 2 * c < 0
+    assert _h_over_t(c, T_MAX) > 0
+    if c == Fraction(7, 8):  # h(t)/t = 3/4 - 63t/64 - 49t**2/64
+        assert _h(c, T_MAX) == Fraction(45, 28672)
+
+
+@pytest.mark.parametrize("c", [Fraction(7, 8)])
+def test_omega_upper_bound_wedge_steps_to_n_200(c):
+    # On the wedge k - 2 <= (n-1)/2, so t <= (n-1)/(2(n-2)) = 1/2 +
+    # 1/(2(n-2)), which decreases in n and is 15/28 at n = 16.
+    assert Fraction(16 - 1, 2 * (16 - 2)) == T_MAX
+    start = time.perf_counter()
+    wedge, sqrt_too_weak = 0, []
+    for n in range(3, 201):
+        slope = Fraction(1)  # P, built up over k
+        for k in range(3, n + 1):
+            slope *= 1 + Fraction(1, 2 * (n - k + 1))
+            if not n + 4 > 2 * k:
+                continue
+            wedge += 1
+            assert omega_bounds(n, k)[1] == c * math.comb(n - 3, k - 3)
+            t = Fraction(k - 2, n - 2)
+            if k < n:  # the square-root step, P**2 (1-t) <= 1
+                assert slope * slope * (1 - t) <= 1, (n, k)
+            if n >= 16:
+                assert t <= T_MAX, (n, k)
+                assert _h(c, t) >= 0, (n, k)
+            elif k < n and _h(c, t) < 0:
+                sqrt_too_weak.append((n, k))
+            assert slope - 1 <= c * t, (n, k)  # the bound itself
     assert wedge == 9900
+    # the pairs below n = 16 that the exact check, not the proof, covers
+    # (with k = n, on the wedge only at n = 3)
+    if c == Fraction(7, 8):
+        assert sqrt_too_weak == [(5, 4), (7, 5), (9, 6), (11, 7), (13, 8),
+                                 (15, 9)]
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"elapsed={elapsed:.2f}s >= 5s"
 

@@ -157,6 +157,22 @@ def test_revenue_equivalence_at_benchmark_sizes():
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.xfail(strict=True, reason="known defect past n = 60: the "
+                   "quadrature's stop test is absolute below 1, so the 16- "
+                   "and 32-node rules agree on payments far below 1 whatever "
+                   "their relative error")
+@pytest.mark.parametrize("n, k, dist", [
+    (150, 75, U),  # max error 2.4e-7 against tol 1e-8; the bid is linear
+    (100, 50, T),  # max error 8.3e-7
+], ids=["uniform-150-75", "triangle-100-50"])
+def test_revenue_equivalence_passes_equilibrium_bids_past_n_60(n, k, dist):
+    # The tested domain of revenue_equivalence_check is n <= 60; these
+    # equilibrium bids are correct and should pass once it is mended.
+    bid = BidFunction.equilibrium(AuctionConfig(n, k), dist)
+    report = revenue_equivalence_check(bid, dist, n, k)
+    assert report.passed, report.max_error
+
+
 def test_report_to_dict_schema():
     rep = VerificationReport.from_errors(
         "demo", 4, 3, U, (0.5, 1.0), (1e-12, 2e-12), 1e-8)
