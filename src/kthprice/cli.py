@@ -237,7 +237,8 @@ VERIFY_OPTIONS = (
     replace(BID_CHOICE, default=None,
             help="bid profile for re and best-response (default equilibrium)"),
     Option("grid-size", int, low=2,
-           help="grid points (default 20 for re, 101 for best-response)"),
+           help="grid points (default 20 for re, 101 for best-response, "
+                "which needs at least 3)"),
     Option("tol", float, low=0.0,
            help="revenue-equivalence tolerance (default 1e-8)"),
     Option("expect-fail", bool, False,
@@ -259,6 +260,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         value = getattr(args, name.replace("-", "_"))
         if suite not in suites and value is not None:
             raise ConfigError(f"suite {suite!r} takes no --{name}")
+    g = args.grid_size or 101
+    if suite in ("best-response", "all") and g < 3:
+        # the tolerance omega/(g-1) = omega would pass any bid
+        raise ConfigError("best-response needs --grid-size >= 3")
     dist = _build_dist(args)
     bid = _pick_bid(args, dist)  # bid None is the equilibrium bid
 
@@ -268,7 +273,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             bid, dist, n, k, grid_size=args.grid_size or 20,
             tol=1e-8 if args.tol is None else args.tol))
     if suite in ("best-response", "all"):
-        g = args.grid_size or 101
         z_grid = np.linspace(0.0, dist.omega, g)
         xs = [0.2 * dist.omega, 0.5 * dist.omega, 0.8 * dist.omega]
         errs = [abs(z_star - x) for x, (z_star, _) in

@@ -9,6 +9,12 @@ later doubling is one more call. For the smooth integrands used in
 this package (bid integrands, trig-substituted Catalan integrands)
 Gauss rules converge geometrically, so the estimate is conservative for
 the finer rule.
+
+The upper limit may also be a 1-d array, one row per limit: one
+integrand call per round serves every row, and each row keeps its own
+stop test and its own 1-d dot product (a 2-d matmul may sum in another
+order), so it gets the scalar call's float. Callers pass at most
+BLOCK_ROWS rows per call: 4 MB per array at MAX_NODES.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 TOL = 1e-10
 START_NODES = 16
 MAX_NODES = 4096
+BLOCK_ROWS = 128
 
 
 class QuadratureError(RuntimeError):
@@ -47,41 +54,63 @@ def _first_rules(nodes: int):
     return np.concatenate((x_lo, x_hi)), w_lo, w_hi
 
 
-def integrate(f, a: float, b: float) -> float:
-    """Integrate a vectorized callable f over [a, b].
+def integrate(f, a: float, b):
+    """Integrate a vectorized callable f over [a, b], or over [a, b[i]]
+    for each entry of a 1-d array b, returning an ndarray.
 
-    f must accept an ndarray of abscissae and return an ndarray of the
-    same shape, and it must be pointwise: each output entry depends only
-    on the abscissa at the same position. The first two rules share one
-    call of f, on their abscissae concatenated, and each later doubling
-    makes one call. Raises QuadratureError when the doubling loop runs
-    out of nodes; the exception carries the last estimate and its error.
+    f takes one ndarray of abscissae and returns values of its shape,
+    each depending only on its own abscissa and row. For an array b the
+    abscissae have shape (len(b), nodes), rows in b's order, every row in
+    every round, so f may hold per-row data as a column. A row is fixed
+    in the round where it converges; b[i] == a gives 0.0. The first two
+    rules share one call of f; each later doubling makes one call.
+    QuadratureError, raised when the doubling runs out of nodes, carries
+    the last estimate and error of the first such row in b's order.
     """
-    if a == b:
+    rows = not isinstance(b, float) and np.ndim(b) > 0
+    if rows:
+        b = np.asarray(b, dtype=float)
+        if b.ndim > 1:
+            raise ValueError("integrate: b must be a scalar or a 1-d array")
+    elif a == b:
         return 0.0
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    halves, open_rows = [half], [0]
+    if rows:
+        halves, half, mid = half.tolist(), half[:, None], mid[:, None]
+        open_rows = np.flatnonzero(b != a).tolist()
+    prev, cur = [0.0] * len(halves), [0.0] * len(halves)
+    if not open_rows:
+        return np.array(cur)
 
-    def estimate(nodes: int) -> float:
-        x, w = _rule(nodes)
-        return half * float(np.dot(w, f(mid + half * x)))
-
-    x, w_lo, w_hi = _first_rules(START_NODES)
+    # a scalar b's abscissae stay 1-d: its one row is f's whole result
+    x, w_lo, w = _first_rules(START_NODES)
     y = f(mid + half * x)
-    prev = half * float(np.dot(w_lo, y[:w_lo.size]))
-    cur = half * float(np.dot(w_hi, y[w_lo.size:]))
+    y = y if rows else (y,)
+    for i in open_rows:
+        cur[i] = halves[i] * float(w_lo.dot(y[i][:w_lo.size]))
+    part = slice(w_lo.size, None)  # the second rule's abscissae
     nodes = 2 * START_NODES
     while True:
-        err = abs(cur - prev)
-        if err <= TOL * max(1.0, abs(cur)):
-            return cur
+        still_open = []
+        for i in open_rows:
+            prev[i], cur[i] = cur[i], halves[i] * float(w.dot(y[i][part]))
+            if not abs(cur[i] - prev[i]) <= TOL * max(1.0, abs(cur[i])):
+                still_open.append(i)
+        open_rows = still_open
+        if not open_rows:
+            return np.array(cur) if rows else cur[0]
         if 2 * nodes > MAX_NODES:
             break
         nodes *= 2
-        prev, cur = cur, estimate(nodes)
+        x, w = _rule(nodes)
+        y, part = f(mid + half * x), slice(None)
+        y = y if rows else (y,)
+    i = open_rows[0]
+    err = abs(cur[i] - prev[i])
     raise QuadratureError(
         f"quadrature did not converge within {MAX_NODES} nodes "
         f"(last error estimate {err:.3e}, tol {TOL:.3e})",
-        estimate=cur,
+        estimate=cur[i],
         error_estimate=err,
     )

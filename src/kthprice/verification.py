@@ -12,7 +12,8 @@ bid formulas they test:
 * expected_payment_quadrature: the k-th price payment formula
   (n-1) binom(n-2,k-2) int_0^x beta(y) (F(x)-F(y))**(k-2) F(y)**(n-k) f(y) dy
   under the candidate bid, by adaptive Gauss-Legendre quadrature (the
-  integrand is pointwise, so the first two rules share one call);
+  integrand is pointwise, so the first two rules share one call), and
+  for an array of x on blocks of limits with F(x) as a column;
 * monte_carlo_expected_payment: simulated auctions, sharded so the
   result is a pure function of (seed, shard layout) and therefore
   byte-reproducible no matter how the shards are scheduled.
@@ -34,7 +35,7 @@ import numpy as np
 
 from .distributions import LinearDensityDistribution, _check_int, _check_nk
 from .equilibrium import BidFunction, _psi_0
-from .quadrature import integrate
+from .quadrature import BLOCK_ROWS, integrate
 
 __all__ = [
     "SHARD_SIZE",
@@ -153,17 +154,25 @@ def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
 
 def expected_payment_quadrature(bid: BidFunction,
                                 dist: LinearDensityDistribution,
-                                n: int, k: int, x: float) -> float:
+                                n: int, k: int, x):
     """Expected payment of a value-x bidder under an arbitrary bid profile.
 
     m(x) = (n-1) binom(n-2, k-2) *
            int_0^x bid(y) (F(x)-F(y))**(k-2) F(y)**(n-k) f(y) dy
+
+    For a 1-d array x, an ndarray of the scalar calls' floats, integrated
+    BLOCK_ROWS values per integrate call.
     """
     n, k = _check_nk("expected_payment_quadrature", n, k, 2)
-    if not 0.0 < x <= dist.omega:
+    rows = not isinstance(x, float) and np.ndim(x) > 0
+    if rows:
+        x = np.asarray(x, dtype=float)
+        outside = x[~((0.0 < x) & (x <= dist.omega))]
+    else:
+        outside = [] if 0.0 < x <= dist.omega else [x]
+    if len(outside):
         raise ValueError(f"expected_payment_quadrature: x must lie in "
-                         f"(0, omega], got x={x}")
-    fx = dist.cdf(x)
+                         f"(0, omega], got x={outside[0]}")
     const = (n - 1) * math.comb(n - 2, k - 2)
 
     def integrand(y):
@@ -171,7 +180,15 @@ def expected_payment_quadrature(bid: BidFunction,
         return (bid(y) * (fx - big_f) ** (k - 2)
                 * big_f ** (n - k) * dist.pdf(y))
 
-    return const * integrate(integrand, 0.0, x)
+    if not rows:
+        fx = dist.cdf(x)
+        return const * integrate(integrand, 0.0, x)
+    out = np.empty(x.size)
+    for start in range(0, x.size, BLOCK_ROWS):
+        xs = x[start:start + BLOCK_ROWS]
+        fx = dist.cdf(xs)[:, None]  # one row of abscissae per limit
+        out[start:start + BLOCK_ROWS] = const * integrate(integrand, 0.0, xs)
+    return out
 
 
 def revenue_equivalence_check(bid: BidFunction,
@@ -347,7 +364,8 @@ def best_response_profile(bid: BidFunction, dist: LinearDensityDistribution,
     """Interim payoff pi(z) = F(z)**(n-1) x - m(z) over deviation values z.
 
     The bidder pretends their value is z while it is really x; only
-    deviations inside [0, omega] are scanned (higher bids are dominated).
+    deviations inside [0, omega] are scanned (higher bids are dominated),
+    and a grid point outside it, NaN included, raises ValueError.
     Returns (argmax z*, payoff array); at equilibrium z* == x up to the
     grid resolution.
     """
@@ -367,12 +385,13 @@ def _best_responses(bid: BidFunction, dist: LinearDensityDistribution,
     z_arr = np.asarray(z_grid, dtype=float)
     if z_arr.ndim != 1 or z_arr.size < 2:
         raise ValueError("best_response_profile: z_grid must be a 1-d grid")
-    if np.any(z_arr < 0.0) or np.any(z_arr > dist.omega):
-        raise ValueError("best_response_profile: z_grid must lie in [0, omega]")
-    payments = np.array([
-        0.0 if z == 0.0 else expected_payment_quadrature(bid, dist, n, k, z)
-        for z in z_arr
-    ])
+    if not np.all((0.0 <= z_arr) & (z_arr <= dist.omega)):
+        raise ValueError("best_response_profile: z_grid must be finite and "
+                         "lie in [0, omega]")
+    payments = np.zeros(z_arr.size)
+    inside = z_arr > 0.0
+    payments[inside] = expected_payment_quadrature(bid, dist, n, k,
+                                                   z_arr[inside])
     win_prob = np.asarray(dist.cdf(z_arr)) ** (n - 1)
     out = []
     for x in xs:

@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from kthprice import AuctionConfig, BidFunction
 from kthprice.cli import (
     DEFAULT_SEED,
     EXIT_CHECK_FAILED,
@@ -146,10 +149,10 @@ def test_verify_best_response_integrates_each_payment_once(capsys,
                                                            monkeypatch):
     import kthprice.verification as ver
     quadrature = ver.expected_payment_quadrature
-    deviations = []
+    uppers = []
 
     def counted(bid, dist, n, k, z):
-        deviations.append(z)
+        uppers.append(np.array(z))
         return quadrature(bid, dist, n, k, z)
 
     monkeypatch.setattr(ver, "expected_payment_quadrature", counted)
@@ -157,9 +160,50 @@ def test_verify_best_response_integrates_each_payment_once(capsys,
                        "6", "--k", "4", "--dist", "triangle")
     assert code == EXIT_OK
     assert json.loads(out)["grid"] == [0.2, 0.5, 0.8]
-    # one payment per grid point z > 0 of the default 101, shared by the
-    # three values
-    assert len(deviations) == len(set(deviations)) == 101 - 1
+    # one call for every grid point z > 0 of the default 101, shared by
+    # the three values
+    assert len(uppers) == 1
+    assert uppers[0].tolist() == np.linspace(0.0, 1.0, 101)[1:].tolist()
+    assert len(set(uppers[0].tolist())) == 101 - 1
+
+
+@pytest.mark.parametrize("suite", ["best-response", "all"])
+def test_verify_best_response_needs_three_points(capsys, suite):
+    # at 2 points the tolerance omega/(g-1) = omega passes any bid
+    code, out, err = run(capsys, "verify", "--suite", suite,
+                         "--grid-size", "2")
+    assert code == EXIT_CONFIG and out == ""
+    assert "best-response needs --grid-size >= 3" in err
+    # the revenue-equivalence suite alone still takes 2 points
+    code, _, _ = run(capsys, "verify", "--suite", "re", "--grid-size", "2")
+    assert code == EXIT_OK
+
+
+def test_verify_best_response_on_three_points_can_fail(capsys, monkeypatch):
+    import kthprice.cli as cli
+    code, out, _ = run(capsys, "verify", "--suite", "best-response",
+                       "--grid-size", "3")
+    assert code == EXIT_OK and json.loads(out)["tolerance"] == 0.5
+    # a zero bid costs nothing, so every payoff peaks at z = omega:
+    # |z* - 0.2| = 0.8 > omega/2
+    monkeypatch.setattr(cli, "_pick_bid", lambda args, dist: BidFunction(
+        AuctionConfig(args.n, args.k), dist, Fraction(0)))
+    code, out, _ = run(capsys, "verify", "--suite", "best-response",
+                       "--grid-size", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert json.loads(out)["errors"] == [0.8, 0.5, 0.2]
+
+
+def test_verify_best_response_nonconvergence_exits_3(capsys, monkeypatch):
+    import kthprice.quadrature as quadrature
+    # only the 16- and 32-node rules, which never agree to 1e-300
+    monkeypatch.setattr(quadrature, "TOL", 1e-300)
+    monkeypatch.setattr(quadrature, "MAX_NODES", 32)
+    code, out, err = run(capsys, "verify", "--suite", "best-response",
+                         "--dist", "linear", "--a", "0.73", "--n", "6",
+                         "--k", "4")
+    assert code == EXIT_NUMERICAL and out == ""
+    assert "did not converge within 32 nodes" in err
 
 
 # ---------------------------------------------------------------------------

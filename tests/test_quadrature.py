@@ -40,33 +40,33 @@ def test_nonconvergence_raises_with_estimate(monkeypatch):
 
 
 def _counted(f):
-    """f plus the list of the abscissa counts it was called with."""
-    sizes = []
+    """f plus the list of the abscissa shapes it was called with."""
+    shapes = []
 
     def wrapper(y):
-        sizes.append(y.size)
+        shapes.append(y.shape)
         return f(y)
-    return wrapper, sizes
+    return wrapper, shapes
 
 
 def test_first_two_rules_share_one_call():
-    f, sizes = _counted(np.sin)
+    f, shapes = _counted(np.sin)
     assert integrate(f, 0.0, math.pi) == pytest.approx(2.0, abs=1e-12)
-    assert sizes == [16 + 32]
+    assert shapes == [(16 + 32,)]
 
 
 def test_each_later_doubling_is_one_call():
     # y**60 is exact under 32 nodes (degree <= 63); 16 miss it by ~1e-9
-    f, sizes = _counted(lambda y: y ** 60)
+    f, shapes = _counted(lambda y: y ** 60)
     assert integrate(f, 0.0, 1.0) == pytest.approx(1 / 61, abs=1e-15)
-    assert sizes == [16 + 32, 64]
+    assert shapes == [(16 + 32,), (64,)]
 
 
 def test_joined_rule_follows_start_nodes(monkeypatch):
     monkeypatch.setattr(quadrature, "START_NODES", 8)
-    f, sizes = _counted(np.cos)
+    f, shapes = _counted(np.cos)
     assert integrate(f, 0.0, 1.0) == pytest.approx(math.sin(1.0), abs=1e-12)
-    assert sizes == [8 + 16]
+    assert shapes == [(8 + 16,)]
 
 
 def _two_call_integrate(f, a, b):
@@ -121,3 +121,58 @@ def test_catalan_integral_equals_two_call_loop(monkeypatch):
     got = [catalan_integral(l) for l in range(41)]
     monkeypatch.setattr(combinatorics, "integrate", _two_call_integrate)
     assert got == [catalan_integral(l) for l in range(41)]
+
+
+# Upper limits as an array: one row per limit. With TOL at 1e-13, y**20
+# settles at 32 nodes, y**60 at 64 and y**200 at 128; rows 3 and 5 have
+# b == a.
+_POWERS = np.array([20.0, 60.0, 200.0, 60.0, 20.0, 200.0])
+_UPPER = np.array([1.0, 0.9, 1.0, 0.1, 0.7, 0.1])
+
+
+def test_array_rows_equal_scalar_calls(monkeypatch):
+    monkeypatch.setattr(quadrature, "TOL", 1e-13)
+    f, shapes = _counted(lambda y: np.power(y, _POWERS[:, None]))
+    got = integrate(f, 0.1, _UPPER)
+    assert isinstance(got, np.ndarray) and got.shape == _UPPER.shape
+    # every row in every round, rows in b's order
+    assert shapes == [(6, 48), (6, 64), (6, 128)]
+    settled = []
+    for p, b, value in zip(_POWERS, _UPPER, got):
+        g, row_shapes = _counted(lambda y: np.power(y, p[None]))
+        assert value == integrate(g, 0.1, b), (p, b)
+        settled.append(row_shapes)
+    assert got[3] == got[5] == 0.0
+    assert settled == [[(48,)], [(48,), (64,)], [(48,), (64,), (128,)],
+                       [], [(48,)], []]
+
+
+def test_array_of_equal_limits_calls_nothing():
+    f, shapes = _counted(np.sin)
+    assert integrate(f, 0.5, np.array([0.5, 0.5])).tolist() == [0.0, 0.0]
+    assert integrate(f, 0.5, np.array([])).shape == (0,)
+    assert shapes == []
+
+
+def test_upper_limits_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="1-d"):
+        integrate(np.sin, 0.0, np.ones((2, 2)))
+
+
+def test_array_nonconvergence_raises_for_first_failing_row(monkeypatch):
+    monkeypatch.setattr(quadrature, "TOL", 1e-14)
+    monkeypatch.setattr(quadrature, "START_NODES", 4)
+    monkeypatch.setattr(quadrature, "MAX_NODES", 16)
+    # y**-0.5 (rows 1 and 3) is too slow for these rules, y**3 is exact
+    powers = np.array([3.0, -0.5, 3.0, -0.5])
+    upper = np.array([1.0, 1.0, 0.5, 0.5])
+    with pytest.raises(QuadratureError) as exc:
+        integrate(lambda y: np.power(y, powers[:, None]), 1e-12, upper)
+    with pytest.raises(QuadratureError) as row:
+        integrate(lambda y: np.power(y, powers[1:2]), 1e-12, 1.0)
+    assert str(exc.value) == str(row.value)
+    assert exc.value.estimate == row.value.estimate
+    assert exc.value.error_estimate == row.value.error_estimate
+    with pytest.raises(QuadratureError) as last:
+        integrate(lambda y: np.power(y, powers[3:]), 1e-12, 0.5)
+    assert last.value.estimate != row.value.estimate

@@ -350,6 +350,98 @@ def test_best_response_validation():
         best_response_profile(eq, U, 3, 1, 0.5, [0.0, 0.0])
 
 
+def test_best_response_rejects_non_finite_grid():
+    eq = BidFunction.equilibrium(AuctionConfig(4, 3), U)
+    for bad in (np.nan, np.inf, -np.inf):
+        grid = np.array([0.0, 0.5, bad, 1.0])
+        with pytest.raises(ValueError, match="best_response_profile: z_grid"):
+            best_response_profile(eq, U, 4, 3, 0.5, grid)
+
+
+# Payments on whole arrays of upper limits: (n, k) up to 60, and three
+# densities, one with a full-mantissa slope.
+_ARRAY_POINTS = ((4, 2), (5, 3), (6, 4), (10, 3), (12, 8), (20, 10), (30, 20),
+                 (45, 30), (60, 50))
+_ARRAY_DISTS = pytest.mark.parametrize(
+    "dist", [U, T, make_linear(A_FULL, 1.0)],
+    ids=["uniform", "triangle", "a-0.73"])
+
+
+def _bids(dist, n, k):
+    cfg = AuctionConfig(n, k)
+    bids = [BidFunction.equilibrium(cfg, dist),
+            BidFunction.second_price(cfg, dist)]
+    return bids + [BidFunction.series(cfg, dist)] if k >= 3 else bids
+
+
+@_ARRAY_DISTS
+def test_payment_array_equals_point_calls(dist, monkeypatch):
+    # blocks of 16 rows: 41 points make two whole blocks and a partial one
+    monkeypatch.setattr(verification, "BLOCK_ROWS", 16)
+    xs = dist.omega * np.arange(1, 42) / 41
+    for n, k in _ARRAY_POINTS:
+        for bid in _bids(dist, n, k):
+            got = expected_payment_quadrature(bid, dist, n, k, xs)
+            want = [expected_payment_quadrature(bid, dist, n, k, float(x))
+                    for x in xs]
+            assert got.tolist() == want, (n, k, bid.slope)
+
+
+def test_payment_array_spans_blocks_of_block_rows():
+    assert verification.BLOCK_ROWS == 128
+    bid = BidFunction.series(AuctionConfig(8, 5), T)
+    xs = np.linspace(0.0, 1.0, 301)[1:]
+    assert expected_payment_quadrature(bid, T, 8, 5, xs).tolist() == [
+        expected_payment_quadrature(bid, T, 8, 5, x) for x in xs.tolist()]
+
+
+def test_payment_array_validation():
+    with pytest.raises(ValueError, match=r"\(0, omega\], got x=nan"):
+        expected_payment_quadrature(EQ43, U, 4, 3, np.array([0.5, np.nan]))
+    with pytest.raises(ValueError, match=r"got x=0\.0"):
+        expected_payment_quadrature(EQ43, U, 4, 3, np.array([0.5, 0.0, 2.0]))
+    assert expected_payment_quadrature(EQ43, U, 4, 3, np.array([])).size == 0
+
+
+def _best_response_reference(bid, dist, n, k, x, z_grid):
+    """best_response_profile with one scalar payment per grid point."""
+    payments = np.array([0.0 if z == 0.0 else
+                         expected_payment_quadrature(bid, dist, n, k, z)
+                         for z in z_grid.tolist()])
+    payoff = np.asarray(dist.cdf(z_grid)) ** (n - 1) * x - payments
+    return float(z_grid[int(np.argmax(payoff))]), payoff
+
+
+@_ARRAY_DISTS
+def test_best_response_equals_point_reference(dist):
+    # unsorted, with a repeated point and a second zero
+    grid = np.concatenate((np.linspace(0.0, dist.omega, 101),
+                           [0.0, 0.37, 0.37 * dist.omega]))
+    for n, k in ((5, 3), (12, 8), (60, 50)):
+        for bid in _bids(dist, n, k):
+            for x in (0.2, 0.5, 0.8):
+                got = best_response_profile(bid, dist, n, k, x, grid)
+                want = _best_response_reference(bid, dist, n, k, x, grid)
+                assert got[0] == want[0]
+                assert got[1].tolist() == want[1].tolist()
+
+
+def test_best_response_memory_is_bounded_by_blocks():
+    import tracemalloc
+    eq = BidFunction.equilibrium(AuctionConfig(6, 4), U)
+    grid = np.linspace(0.0, 1.0, 20_001)
+    tracemalloc.start()
+    try:
+        z_star, _ = best_response_profile(eq, U, 6, 4, 0.5, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z_star == 0.5
+    # ~1.5 MB, most of it the grid-long arrays; one block for the whole
+    # grid peaks at ~34 MB
+    assert peak < 4_000_000
+
+
 EQ43 = BidFunction.equilibrium(AuctionConfig(4, 3), U)
 GRID = np.linspace(0.0, 1.0, 11)
 
