@@ -56,7 +56,8 @@ class ConfigError(ValueError):
 class Option:
     """The flag --name and config field name. low bounds int values from
     below inclusively, float values exclusively (all are positivity); a
-    bool option is a flag without a value that sets True."""
+    float value must be finite; a bool option is a flag without a value
+    that sets True."""
 
     name: str
     type: type
@@ -72,10 +73,12 @@ class Option:
         if type(value) is not self.type:  # bool is not accepted as an int
             raise ConfigError(f"{self.name} must be {self.type.__name__}, "
                               f"got {value!r}")
+        if self.type is float and not math.isfinite(value):
+            raise ConfigError(f"{self.name} must be finite, got {value!r}")
         if self.choices and value not in self.choices:
             raise ConfigError(f"{self.name} must be one of "
                               f"{', '.join(self.choices)}, got {value!r}")
-        exclusive = self.type is float  # "not >" also rejects NaN
+        exclusive = self.type is float
         if self.low is not None and (
                 not value > self.low if exclusive else value < self.low):
             raise ConfigError(f"{self.name} must be {'>' if exclusive else '>='} "
@@ -328,7 +331,7 @@ def cmd_identities(args: argparse.Namespace) -> int:
 
 SIMULATE_OPTIONS = _dist_options(n=3, k=2) + (
     Option("x", float, help="bidder value (mode=payment)"),
-    Option("samples", int, 100_000, low=1, help="Monte Carlo samples"),
+    Option("samples", int, 100_000, low=2, help="Monte Carlo samples"),
     Option("seed", int, DEFAULT_SEED, low=0, help="Monte Carlo seed"),
     BID_CHOICE,
     OUTPUT,

@@ -14,11 +14,8 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-
-from .polynomials import Polynomial
 
 __all__ = [
     "NORMALIZATION_TOL",
@@ -126,11 +123,6 @@ class LinearDensityDistribution:
         out[zero] = 0.0
         np.clip(out, 0.0, self.omega, out=out)
         return float(out) if out.ndim == 0 else out
-
-    def exact_polynomials(self) -> tuple[Polynomial, Polynomial]:
-        """(F, f) as polynomials over the exact binary values of a and b."""
-        a, b = Fraction(self.a), Fraction(self.b)
-        return Polynomial([0, b, a / 2]), Polynomial([b, a])
 
 
 def make_uniform(omega: float) -> LinearDensityDistribution:

@@ -58,8 +58,7 @@ import numpy as np
 from . import combinatorics
 from .distributions import (AuctionConfig, LinearDensityDistribution,
                             _check_nk, make_triangle, make_uniform)
-from .polynomials import (Polynomial, RationalFunction, _cleared, _iadd, _imul,
-                          _ipow)
+from .polynomials import Polynomial, RationalFunction, _iadd, _imul, _ipow
 
 __all__ = [
     "BidFunction",
@@ -345,50 +344,43 @@ def bid_from_psi_ladder(dist: LinearDensityDistribution, n: int,
 
 
 def phi_ladder_check(dist: LinearDensityDistribution, n: int, k: int) -> bool:
-    """Exact check of the expected-payment ladder against the bid.
+    """Exact revenue-equivalence check of the linear equilibrium bid.
 
-    Starting from gamma_l(x) = int_0^x beta_k(y) F(y)**(n-k+l) f(y) dy and
+    Against beta_k, a bidder with value x pays (n-1) binom(n-2, k-2) Phi_2,
+    Phi_2(x) = int_0^x beta_k(y) (F(x) - F(y))**(k-2) F(y)**(n-k) f(y) dy,
+    and (n-1) psi_0(x) at second price. Checks binom(n-2, k-2) Phi_2 ==
+    psi_0 as polynomials, which any other slope fails. With beta_k =
+    slope x, G = 2D F, g = D f, L = lcm(1..2n-1) and the integer lists
+    I_l = L int_0^x y G**(n-k+l) g dy,
 
-        Phi_t = sum_{l=0}^{k-t} (-1)**l binom(k-t, l) F**(k-t-l) gamma_l,
+        Phi_2 = slope / ((2D)**(n-2) D L)
+                * sum_{l=0}^{k-2} (-1)**l binom(k-2, l) G**(k-2-l) I_l,
 
-    verifies (i) Phi_t' = (k-t) Phi_{t+1} f as polynomial identities for
-    t = 2..k-1, and (ii) that applying the divide-by-f derivative ladder
-    k-1 times to Phi_2 lands exactly on (k-2)! beta_k F**(n-k); with the
-    ladder at scale * N / g**j, (ii) is the polynomial identity
-    scale * N = (k-2)! beta_k F**(n-k) g**j. Requires a uniform or
-    triangle distribution so every gamma_l is a polynomial.
+    compared with psi_0 = N / den by one integer cross-multiplication.
+    Requires a uniform or triangle distribution, where beta_k is linear.
     """
     n, k = _check_nk("phi_ladder_check", n, k, 3)
     slope = _exact_slope(dist, n, k)
     if slope is None:
         raise ValueError("phi_ladder_check: distribution must be uniform or "
                          "triangle so the payment integrals stay polynomial")
-    big_f, f = dist.exact_polynomials()
-    beta = Polynomial([0, slope])
-    gammas = [(beta * big_f ** (n - k + l) * f).antiderivative()
-              for l in range(k - 1)]
-
-    def phi(t: int) -> Polynomial:
-        out = Polynomial()
-        for l in range(k - t + 1):
-            term = math.comb(k - t, l) * big_f ** (k - t - l) * gammas[l]
-            out = out - term if l % 2 else out + term
-        return out
-
-    phis = {t: phi(t) for t in range(2, k + 1)}
-    for t in range(2, k):
-        if phis[t].derivative() != (k - t) * phis[t + 1] * f:
-            return False
-
-    phi_2, lcm = _cleared(phis[2].coeffs)
     density = _int_density(dist)
-    num, scale, j = _ladder(phi_2, Fraction(1, lcm), 0, density, k - 1)
     big_g, g = _int_polynomials(density)
-    # (k-2)! beta_k F**(n-k) g**j, with beta_k = slope x and F = G / (2D)
-    want = [0] + _imul(_ipow(big_g, n - k), _ipow(g, j))
-    want_scale = math.factorial(k - 2) * slope / (2 * density[2]) ** (n - k)
-    return (Polynomial(scale * c for c in num)
-            == Polynomial(want_scale * c for c in want))
+    span = math.lcm(*range(1, 2 * n))
+    total = []
+    for l in range(k - 1):
+        integrand = [0] + _imul(_ipow(big_g, n - k + l), g)  # y G**(n-k+l) g
+        integral = [0] + [c * (span // (i + 1))
+                          for i, c in enumerate(integrand)]
+        coeff = -math.comb(k - 2, l) if l % 2 else math.comb(k - 2, l)
+        total = _iadd(total, [coeff * c for c in
+                              _imul(_ipow(big_g, k - 2 - l), integral)])
+    nums, den = _psi_0(dist, n)
+    # binom * slope * total / ((2D)**(n-2) D L) == nums / den
+    left = math.comb(n - 2, k - 2) * slope.numerator * den
+    right = (slope.denominator * (2 * density[2]) ** (n - 2) * density[2]
+             * span)
+    return [left * c for c in total] == [right * c for c in nums]
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,9 @@ def expected_payment_quadrature(bid: BidFunction,
     """
     n, k = _check_nk("expected_payment_quadrature", n, k, 2)
     rows = not isinstance(x, float) and np.ndim(x) > 0
+    if rows and np.ndim(x) > 1:
+        raise ValueError(f"expected_payment_quadrature: x must be a scalar "
+                         f"or a 1-d array, got {np.ndim(x)} dimensions")
     if rows:
         x = np.asarray(x, dtype=float)
         outside = x[~((0.0 < x) & (x <= dist.omega))]
@@ -209,8 +212,9 @@ def revenue_equivalence_check(bid: BidFunction,
     n, k = _check_nk("revenue_equivalence_check", n, k, 2)
     grid_size = _check_int("revenue_equivalence_check", "grid_size",
                            grid_size, 2)
-    if not tol > 0.0:
-        raise ValueError("revenue_equivalence_check: tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"revenue_equivalence_check: tol must be positive "
+                         f"and finite, got {tol!r}")
     grid = [dist.omega * i / grid_size for i in range(1, grid_size + 1)]
     errors = [
         abs(expected_payment_quadrature(bid, dist, n, k, x)
@@ -277,12 +281,8 @@ def _mc_accumulate(samples: int, seed: int, payoff_for_shard) -> MonteCarloResul
         total_sq += float((pay * pay).sum())
         wins += shard_wins
     mean = total / samples
-    if samples > 1:
-        var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-        se = math.sqrt(var / samples)
-    else:
-        se = 0.0
-    return MonteCarloResult(mean, se, samples, seed, wins)
+    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+    return MonteCarloResult(mean, math.sqrt(var / samples), samples, seed, wins)
 
 
 def monte_carlo_expected_payment(bid: BidFunction,
@@ -312,7 +312,7 @@ def monte_carlo_expected_payment(bid: BidFunction,
     """
     func = "monte_carlo_expected_payment"
     n, k = _check_nk(func, n, k, 2)
-    samples = _check_int(func, "samples", samples, 1)
+    samples = _check_int(func, "samples", samples, 2)
     seed = _check_int(func, "seed", seed, 0)
     if not 0.0 < x <= dist.omega:
         raise ValueError(f"{func}: x must lie in (0, omega], got x={x}")
@@ -348,7 +348,7 @@ def expected_revenue(bid: BidFunction, dist: LinearDensityDistribution,
     equal to the expected second-highest value.
     """
     n, k = _check_nk("expected_revenue", n, k, 2)
-    samples = _check_int("expected_revenue", "samples", samples, 1)
+    samples = _check_int("expected_revenue", "samples", samples, 2)
     seed = _check_int("expected_revenue", "seed", seed, 0)
     pivot = n - k
 

@@ -106,11 +106,12 @@ def test_criterion_04_psi_oracle_equivalence():
 
 def test_criterion_05_phi_ladder():
     start = time.perf_counter()
-    ok = all(phi_ladder_check(dist, n, k)
-             for dist in (UNIFORM, TRIANGLE)
-             for n in range(3, 8) for k in range(3, n + 1))
+    ok = all(phi_ladder_check(make(omega), n, k)
+             for make in (make_uniform, make_triangle) for omega in (1.0, 2.5)
+             for n in range(3, 21) for k in range(3, n + 1))
     elapsed = time.perf_counter() - start
-    report(5, "payment ladder exact, uniform + triangle, n <= 7",
+    report(5, "payment == benchmark exactly, uniform + triangle, "
+              "omega 1 and 2.5, n <= 20",
            ok and elapsed < 10.0, f"elapsed={elapsed:.2f}s < 10s")
 
 

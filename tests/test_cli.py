@@ -100,6 +100,23 @@ def test_options_the_mode_would_ignore_exit_2(capsys, argv, named):
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "--suite", "re", "--n", "5", "--k", "3", "--bid", "truthful",
+      "--tol", "inf"], "tol must be finite, got inf"),
+    (["verify", "--suite", "re", "--tol", "nan"], "tol must be finite, got nan"),
+    (["verify", "--omega", "inf"], "omega must be finite, got inf"),
+    (["bid-table", "--dist", "linear", "--a=-inf"],
+     "a must be finite, got -inf"),
+    (["simulate", "payment", "--x", "inf"], "x must be finite, got inf"),
+    (["simulate", "revenue", "--n", "3", "--k", "2", "--samples", "1"],
+     "samples must be >= 2, got 1"),
+])
+def test_non_finite_floats_and_one_sample_exit_2(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG and out == ""
+    assert err == f"error: {named}\n"
+
+
 def test_bid_table_output_file_byte_identical(tmp_path, capsys):
     argv = ["bid-table", "--n", "7", "--k", "5", "--dist", "triangle",
             "--format", "json"]
@@ -129,6 +146,22 @@ def test_verify_truthful_fails_then_expect_fail_inverts(capsys):
     code, out, _ = run(capsys, *base)
     assert code == EXIT_CHECK_FAILED
     assert json.loads(out)["pass"] is False
+    code, _, _ = run(capsys, *base, "--expect-fail")
+    assert code == EXIT_OK
+
+
+def test_verify_ladder_fails_a_wrong_slope(capsys, monkeypatch):
+    import kthprice.equilibrium as eq
+    exact = eq._exact_slope
+    monkeypatch.setattr(eq, "_exact_slope",
+                        lambda dist, n, k: exact(dist, n, k) + 1)
+    base = ["verify", "--suite", "ladder", "--n", "6", "--k", "4",
+            "--dist", "triangle"]
+    code, out, _ = run(capsys, *base)
+    assert code == EXIT_CHECK_FAILED
+    doc = json.loads(out)
+    assert doc["check"] == "phi-ladder" and doc["max_error"] == 1.0
+    assert doc["pass"] is False
     code, _, _ = run(capsys, *base, "--expect-fail")
     assert code == EXIT_OK
 
@@ -382,6 +415,7 @@ def test_config_file_merging_flags_win(tmp_path, capsys):
      "false"),
     (["simulate", "revenue"], "dist", "gauss"),
     (["verify"], "grid-size", 1),
+    (["verify", "--suite", "re"], "tol", float("inf")),
 ])
 def test_config_file_values_checked_like_flags(tmp_path, capsys, argv, field,
                                                value):

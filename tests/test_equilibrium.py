@@ -270,6 +270,12 @@ def test_psi_ladder_general_k3_form():
 # The Fraction ladders the integer ones replaced, kept as the reference
 # they must equal field by field.
 
+def _fraction_density(dist):
+    """(F, f) as Polynomials over the exact binary values of a and b."""
+    a, b = Fraction(dist.a), Fraction(dist.b)
+    return Polynomial([0, b, a / 2]), Polynomial([b, a])
+
+
 def _fraction_ladder(num, j, f, steps):
     # (N / f**j)' / f = (N' f - j a N) / f**(j+2), f' = a constant
     a = f.derivative()(0)
@@ -280,7 +286,7 @@ def _fraction_ladder(num, j, f, steps):
 
 
 def _fraction_psi(dist, n, k):
-    big_f, f = dist.exact_polynomials()
+    big_f, f = _fraction_density(dist)
     psi_0 = (X * big_f ** (n - 2) * f).antiderivative()
     num, j = _fraction_ladder(psi_0, 0, f, k - 1)
     oracle = RationalFunction(num, f ** j)
@@ -290,7 +296,7 @@ def _fraction_psi(dist, n, k):
 
 
 def _fraction_closed_form(dist, n, k):
-    big_f, f = dist.exact_polynomials()
+    big_f, f = _fraction_density(dist)
     a = Fraction(dist.a)
     f2 = f * f
     a_big_f = a * big_f
@@ -341,7 +347,7 @@ def test_ladder_step_matches_quotient_rule(dist, j):
     assert power == j + 2 and new_scale == scale * density[2]
     g = Polynomial(g)
     psi = RationalFunction(Polynomial(num) * scale, g ** j)
-    _, f = dist.exact_polynomials()
+    _, f = _fraction_density(dist)
     assert RationalFunction(Polynomial(stepped) * new_scale, g ** power) == \
         psi.derivative() / RationalFunction(f)
 
@@ -385,6 +391,26 @@ def test_phi_ladder_spot_checks():
         phi_ladder_check(make_linear(1.0, 1.0), 5, 4)
     with pytest.raises(ValueError):
         phi_ladder_check(make_uniform(1.0), 5, 2)
+
+
+WRONG_SLOPES = {
+    "plus-one": lambda dist, n, k: _exact_slope(dist, n, k) + 1,
+    "truthful": lambda dist, n, k: Fraction(1),
+    "relative-2**-60": lambda dist, n, k: (_exact_slope(dist, n, k)
+                                           * (1 + Fraction(1, 2 ** 60))),
+    "k-minus-1": lambda dist, n, k: _exact_slope(dist, n, k - 1),
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_SLOPES.values(), ids=WRONG_SLOPES.keys())
+def test_phi_ladder_check_fails_every_wrong_slope(wrong, monkeypatch):
+    import kthprice.equilibrium as eq
+    monkeypatch.setattr(eq, "_exact_slope", wrong)
+    results = [phi_ladder_check(mk(w), n, k)
+               for mk in (make_uniform, make_triangle)
+               for w in (1.0, 0.7, 2.5)
+               for n in range(3, 13) for k in range(3, n + 1)]
+    assert len(results) == 330 and not any(results)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Payment cross-checks: benchmark vs quadrature vs simulation."""
 
 import json
+import math
 import time
 from dataclasses import asdict
 from fractions import Fraction
@@ -40,7 +41,8 @@ from kthprice import (
     theta_index_identity_holds,
     theta_step_recurrence_holds,
 )
-from kthprice import verification
+from kthprice import equilibrium, verification
+from kthprice.equilibrium import _exact_slope
 from kthprice.polynomials import Polynomial
 
 U = make_uniform(1.0)
@@ -60,11 +62,50 @@ def test_benchmark_frozen_values():
         expected_payment_benchmark(U, 3, 1.5)
 
 
+def _fraction_density(dist):
+    """(F, f) as Polynomials over the exact binary values of a and b."""
+    a, b = Fraction(dist.a), Fraction(dist.b)
+    return Polynomial([0, b, a / 2]), Polynomial([b, a])
+
+
 def _fraction_antiderivative(dist, n):
     """int_0^x y (n-1) F**(n-2) f dy as a Polynomial over Fraction."""
-    big_f, f = dist.exact_polynomials()
+    big_f, f = _fraction_density(dist)
     y = Polynomial.variable()
     return ((n - 1) * y * big_f ** (n - 2) * f).antiderivative()
+
+
+def _fraction_payment(dist, n, k, slope, x):
+    """(n-1) binom(n-2, k-2) int_0^x slope y (F(x) - F(y))**(k-2)
+    F(y)**(n-k) f(y) dy at one rational x, exactly: the integrand is a
+    polynomial in y once F(x) is a number."""
+    big_f, f = _fraction_density(dist)
+    y = Polynomial.variable()
+    integrand = (slope * y * (big_f(x) - big_f) ** (k - 2)
+                 * big_f ** (n - k) * f)
+    return (n - 1) * math.comb(n - 2, k - 2) * integrand.antiderivative()(x)
+
+
+@pytest.mark.parametrize("dist", [U, T, make_uniform(0.7), make_triangle(2.5)],
+                         ids=["uniform", "triangle", "uniform-0.7",
+                              "triangle-2.5"])
+def test_phi_ladder_check_matches_fraction_payment(dist, monkeypatch):
+    # Both payments are polynomials of degree <= 2n-1 in x, so agreement
+    # at 2n points is agreement as polynomials.
+    for n in range(3, 10):
+        benchmark = _fraction_antiderivative(dist, n)
+        xs = [Fraction(dist.omega) * i / (2 * n) for i in range(1, 2 * n + 1)]
+        for k in range(3, n + 1):
+            right = _exact_slope(dist, n, k)
+            for slope in (right, right + 1, Fraction(1),
+                          right * (1 + Fraction(1, 2 ** 60)),
+                          _exact_slope(dist, n, k - 1)):
+                monkeypatch.setattr(equilibrium, "_exact_slope",
+                                    lambda *_: slope)
+                equal = all(_fraction_payment(dist, n, k, slope, x)
+                            == benchmark(x) for x in xs)
+                assert equal == (slope == right), (n, k, slope)
+                assert phi_ladder_check(dist, n, k) == equal, (n, k, slope)
 
 
 @pytest.mark.parametrize("dist", [
@@ -130,8 +171,8 @@ def test_revenue_equivalence_pass_and_fail():
 
     with pytest.raises(ValueError):
         revenue_equivalence_check(eq, U, 4, 3, grid_size=1)
-    for tol in (0.0, float("nan")):
-        with pytest.raises(ValueError):
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
             revenue_equivalence_check(eq, U, 4, 3, tol=tol)
 
 
@@ -229,6 +270,13 @@ def test_monte_carlo_validation():
         monte_carlo_expected_payment(eq, U, 4, 3, 0.5, 100, -1)
     with pytest.raises(ValueError, match=r"revenue: seed must be >= 0, got -1"):
         expected_revenue(eq, U, 4, 3, 100, -1)
+    # one draw has no standard error
+    with pytest.raises(ValueError, match=r"payment: samples must be >= 2"):
+        monte_carlo_expected_payment(eq, U, 4, 3, 0.5, 1, 1)
+    with pytest.raises(ValueError, match=r"revenue: samples must be >= 2"):
+        expected_revenue(eq, U, 4, 3, 1, 1)
+    two = expected_revenue(eq, U, 4, 3, 2, 1)
+    assert two.samples == 2 and two.standard_error > 0.0
     # the identity sweep's random trials are seeded the same way
     with pytest.raises(ValueError, match=r"sweep: seed must be >= 0, got -1"):
         identity_sweep(1, 0, 1, -1, 3)
@@ -401,6 +449,9 @@ def test_payment_array_validation():
     with pytest.raises(ValueError, match=r"got x=0\.0"):
         expected_payment_quadrature(EQ43, U, 4, 3, np.array([0.5, 0.0, 2.0]))
     assert expected_payment_quadrature(EQ43, U, 4, 3, np.array([])).size == 0
+    with pytest.raises(ValueError, match=r"^expected_payment_quadrature: x "
+                                         r"must be a scalar or a 1-d array"):
+        expected_payment_quadrature(EQ43, U, 4, 3, np.full((2, 2), 0.5))
 
 
 def _best_response_reference(bid, dist, n, k, x, z_grid):
