@@ -1,17 +1,18 @@
 """Linear-density value distributions and the auction configuration.
 
 Values are drawn i.i.d. from F(x) = a*x**2/2 + b*x on [0, omega], with
-density f(x) = a*x + b. Constructors reject unnormalised parameters
-(F(omega) must be 1) instead of silently rescaling. Positivity of f is
-required on (0, omega] only, so the triangle case b = 0, f(0) = 0 is
-legal. inverse_cdf inverts the quadratic CDF in closed form; the Monte
-Carlo routes use it to map uniforms to values. _check_int and _check_nk,
-beside AuctionConfig, check the integer and (n, k) arguments of every
-module.
+density f(x) = a*x + b. Constructors reject non-finite parameters,
+naming the field, and unnormalised ones (F(omega) must be 1) instead of
+silently rescaling. Positivity of f is required on (0, omega] only, so
+the triangle case b = 0, f(0) = 0 is legal. inverse_cdf inverts the
+quadratic CDF in closed form; the Monte Carlo routes use it to map
+uniforms to values. _check_int and _check_nk, beside AuctionConfig,
+check the integer and (n, k) arguments of every module.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -74,6 +75,10 @@ class LinearDensityDistribution:
     omega: float
 
     def __post_init__(self):
+        for name in ("omega", "a", "b"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.omega > 0.0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.b < 0.0:

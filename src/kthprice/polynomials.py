@@ -7,10 +7,13 @@ over integer coefficient lists times one Fraction scale and build a
 RationalFunction, with its one gcd, only for a finished result.
 Polynomial holds Fraction coefficients; its +, * and ** are the same
 kernels, plus derivative, antiderivative vanishing at zero, exact
-division and gcd. A RationalFunction is compared by integer
-cross-multiplication, evaluated, and differentiated or divided only as
-the quotient-rule reference the ladder step is tested against. Every
-identity here is about integers, never floats. Not a general CAS.
+division and gcd. A RationalFunction takes its one gcd from the
+Euclidean polynomial_gcd over the rationals and cancels it by exact
+division of integer coefficient lists; it keeps the reduced integer
+pair, is compared by integer cross-multiplication of those pairs,
+evaluated, and differentiated or divided only as the quotient-rule
+reference the ladder step is tested against. Every identity here is
+about integers, never floats. Not a general CAS.
 """
 
 from __future__ import annotations
@@ -228,6 +231,21 @@ def _cleared(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (lcm // c.denominator) for c in coeffs], lcm
 
 
+def _iexquo(p: Sequence[int], g: Sequence[int]) -> list[int]:
+    """p / g for integer lists where g divides p with no remainder."""
+    rem = list(p)
+    d = len(g) - 1
+    lead = g[-1]
+    quot = [0] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i] // lead
+        quot[i - d] = c
+        if c:
+            for j, gc in enumerate(g):
+                rem[i - d + j] -= c * gc
+    return quot
+
+
 def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic gcd by the Euclidean algorithm over the rationals."""
     while q:
@@ -236,9 +254,14 @@ def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 class RationalFunction:
-    """Quotient of polynomials, stored with gcd cancelled and monic denominator."""
+    """Quotient of polynomials, stored with gcd cancelled and monic denominator.
 
-    __slots__ = ("num", "den")
+    The one gcd comes from polynomial_gcd; it is cancelled by exact
+    division of integer coefficient lists, and the reduced integer pair is
+    kept for ==.
+    """
+
+    __slots__ = ("num", "den", "_ints")
 
     def __init__(self, num, den=1):
         num, den = Polynomial._coerce(num), Polynomial._coerce(den)
@@ -247,16 +270,19 @@ class RationalFunction:
         if not den:
             raise ZeroDivisionError("denominator is identically zero")
         g = polynomial_gcd(num, den)
+        ints, _ = _cleared(num.coeffs + den.coeffs)
+        split = len(num.coeffs)
+        p, q = ints[:split], ints[split:]
         if g.degree > 0:
-            num //= g
-            den //= g
-        lead = den.leading_coefficient
-        if lead != 1:
-            inv = Fraction(1) / lead
-            num *= inv
-            den *= inv
-        self.num = num
-        self.den = den
+            # A monic polynomial cleared by the lcm of its denominators is
+            # primitive with a positive leading coefficient, so by Gauss's
+            # lemma it divides p and q exactly in integers.
+            gi, _ = _cleared(g.coeffs)
+            p, q = _iexquo(p, gi), _iexquo(q, gi)
+        lead = q[-1]
+        self.num = Polynomial([Fraction(c, lead) for c in p])
+        self.den = Polynomial([Fraction(c, lead) for c in q])
+        self._ints = p, q
 
     @staticmethod
     def _coerce(other):
@@ -270,16 +296,10 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # cross-multiplied: p1/q1 == p2/q2  iff  p1*q2 == p2*q1, in integers
-        # once each side's num and den are cleared by one lcm
-        p1, q1 = self._as_integers()
-        p2, q2 = other._as_integers()
+        # cross-multiplied in integers: p1/q1 == p2/q2  iff  p1*q2 == p2*q1
+        p1, q1 = self._ints
+        p2, q2 = other._ints
         return _imul(p1, q2) == _imul(p2, q1)
-
-    def _as_integers(self) -> tuple[list[int], list[int]]:
-        ints, _ = _cleared(self.num.coeffs + self.den.coeffs)
-        split = len(self.num.coeffs)
-        return ints[:split], ints[split:]
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -37,6 +37,28 @@ def test_constructor_rejects_bad_parameters():
         make_uniform(-1.0)
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: make_uniform(INF), "omega"),
+    (lambda: make_triangle(INF), "omega"),
+    (lambda: make_linear(0.5, INF), "omega"),
+    (lambda: make_linear(NAN, 1.0), "a"),
+    (lambda: make_linear(INF, 1.0), "a"),
+    (lambda: LinearDensityDistribution(0.0, NAN, 1.0), "b"),
+    (lambda: LinearDensityDistribution(0.0, 1.0, NAN), "omega"),
+    (lambda: LinearDensityDistribution(-INF, 1.0, 1.0), "a"),
+], ids=["uniform-inf", "triangle-inf", "linear-omega-inf", "linear-a-nan",
+        "linear-a-inf", "b-nan", "omega-nan", "a-minus-inf"])
+def test_non_finite_parameter_is_named(make, field):
+    # checked before the sign and mass checks, which would blame another
+    # quantity: make_uniform(inf) has b = 1/inf = 0, make_linear(0.5, inf)
+    # has b = nan
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+        make()
+
+
 def test_auction_config_validation():
     AuctionConfig(5, 3)
     AuctionConfig(np.int64(6), np.int32(4))

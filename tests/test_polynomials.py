@@ -1,5 +1,6 @@
 """Exact polynomial / rational function arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,47 @@ def test_rational_function_normalisation():
         r / RationalFunction(Polynomial(), X)
 
 
+def fraction_reference(num, den):
+    """The cancellation in Fraction arithmetic: long division by the monic
+    gcd, then both parts scaled by 1 / the leading denominator coefficient."""
+    num, den = Polynomial._coerce(num), Polynomial._coerce(den)
+    g = polynomial_gcd(num, den)
+    if g.degree > 0:
+        num //= g
+        den //= g
+    inv = Fraction(1) / den.leading_coefficient
+    return (num * inv).coeffs, (den * inv).coeffs
+
+
+def random_poly(rng, degree):
+    return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                       for _ in range(degree)] + [rng.choice([-3, -1, 1, 2])])
+
+
+def cancellation_cases():
+    rng = random.Random(19)
+    for _ in range(40):  # planted common factors
+        common = random_poly(rng, rng.randint(1, 4))
+        yield (random_poly(rng, rng.randint(0, 4)) * common,
+               random_poly(rng, rng.randint(0, 4)) * common)
+    yield Polynomial(), (X + 1) * (X - Fraction(1, 3))   # zero numerator
+    yield Polynomial(), Polynomial([-7])
+    yield (X + Fraction(2, 3)) ** 2, Fraction(-5, 4)     # constant denominator
+    yield X ** 3 - 1, -(X - 1) * (X + 5)                 # negative leading den
+    yield 3 * X + 2, Polynomial([4, 0, -6])
+    yield Polynomial([0.1, 0.5, 0.3]), Polynomial([0.7, 0.25])   # floats
+    yield (Polynomial([0.73, 1.0]) * (X - 0.1),
+           (X - 0.1) * Polynomial([Fraction(1, 3), Fraction(5, 7), 1.5]))
+    yield Fraction(3, 8), Fraction(-9, 10)
+
+
+@pytest.mark.parametrize("num, den", list(cancellation_cases()))
+def test_integer_cancellation_matches_fraction_reference(num, den):
+    r = RationalFunction(num, den)
+    assert (r.num.coeffs, r.den.coeffs) == fraction_reference(num, den)
+    assert all(type(c) is Fraction for c in r.num.coeffs + r.den.coeffs)
+
+
 def test_rational_function_equality_cross_multiplied():
     a = RationalFunction(X ** 2 - 1, X - 1)
     b = RationalFunction(X + 1)
@@ -87,6 +129,27 @@ def test_rational_function_equality_cross_multiplied():
     assert a != RationalFunction(X + 2)
     assert a != RationalFunction(X + 1, X)
     assert RationalFunction(2 * X, 2) == X
+    # differently scaled inputs: == reads each side's reduced integer pair
+    half = RationalFunction(Fraction(1, 2) * X + Fraction(1, 2),
+                            Fraction(3, 2) * X ** 2)
+    for equal in (RationalFunction(6 * X + 6, 18 * X ** 2),
+                  RationalFunction(-(X + 1) * (X - 7), -3 * X ** 2 * (X - 7)),
+                  RationalFunction(0.25 * X + 0.25, 0.75 * X ** 2)):
+        assert half == equal and equal == half
+    for unequal in (RationalFunction(6 * X + 6, 17 * X ** 2),
+                    RationalFunction(-(X + 1), 3 * X ** 2),
+                    RationalFunction(X + 1, 3 * X ** 2 + X)):
+        assert half != unequal and unequal != half
+    # against a Polynomial and a scalar, on either side
+    third = RationalFunction(X ** 2 - 1, 3 * X - 3)
+    assert third == Fraction(1, 3) * X + Fraction(1, 3)
+    assert Fraction(1, 3) * (X + 1) == third
+    assert third != X + 1
+    assert RationalFunction(5 * X - 5, 2 * X - 2) == 2.5
+    assert 2.5 == RationalFunction(5 * X - 5, 2 * X - 2)
+    assert RationalFunction(5 * X - 5, 2 * X - 2) != 2
+    assert RationalFunction(Polynomial(), X ** 2 + 3) == 0
+    assert RationalFunction(X, 1) != "x"
 
 
 def test_rational_function_derivative_quotient_rule():
