@@ -10,7 +10,7 @@ gives the flags, the --config file fields (same names, same types) and
 the defaults: default < config file < flag, all checked alike.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 invalid
-configuration, 3 quadrature non-convergence.
+configuration, 3 numerical failure: non-convergence or float overflow.
 
 main(argv) returns the exit code rather than exiting, so it can be called
 repeatedly in one process; the argument parser is built on the first
@@ -35,7 +35,7 @@ from .distributions import (AuctionConfig, LinearDensityDistribution,
 from .equilibrium import (BidFunction, phi_ladder_check, psi_closed_form,
                           psi_ladder_oracle)
 from .quadrature import QuadratureError
-from .verification import (VerificationReport, _best_responses,
+from .verification import (VerificationReport, best_response_profile,
                            expected_payment_benchmark,
                            monte_carlo_expected_payment, expected_revenue,
                            revenue_equivalence_check)
@@ -277,9 +277,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             tol=1e-8 if args.tol is None else args.tol))
     if suite in ("best-response", "all"):
         z_grid = np.linspace(0.0, dist.omega, g)
-        xs = [0.2 * dist.omega, 0.5 * dist.omega, 0.8 * dist.omega]
-        errs = [abs(z_star - x) for x, (z_star, _) in
-                zip(xs, _best_responses(bid, dist, n, k, xs, z_grid))]
+        xs = np.array([0.2, 0.5, 0.8]) * dist.omega
+        z_star, _ = best_response_profile(bid, dist, n, k, xs, z_grid)
+        errs = np.abs(z_star - xs)
         reports.append(VerificationReport.from_errors(
             "best-response", n, k, dist, xs, errs, dist.omega / (g - 1)))
     if suite in ("oracle", "all") and k >= 3:
@@ -457,6 +457,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OverflowError as exc:
+        print(f"error: float overflow: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         # ConfigError, and library precondition violations, which are

@@ -52,7 +52,8 @@ summed by Horner in 4 and returned as a Fraction.
 
 The Jensen / Hagen-Rothe / shifted-Jensen convolution identities take
 real arguments; each side is summed exactly as an integer over one
-denominator from the binary values of the inputs, and its float is one
+denominator from the binary values of the inputs (brought there by
+polynomials._over_one_denominator), and its float is one
 correctly rounded int / int division, so identity_sweep compares the two
 floats with ==. The O(s) sides are running products of the falling
 factorials' factors, summed Horner-fashion; the O(s**2) left sides
@@ -66,7 +67,6 @@ representation
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -74,6 +74,7 @@ from itertools import islice
 import numpy as np
 
 from .distributions import _check_int, _check_nk
+from .polynomials import _over_one_denominator
 from .quadrature import integrate
 
 __all__ = [
@@ -128,21 +129,6 @@ def catalan_integral(l: int) -> float:
         return s ** (2 * l) * c * c
 
     return scale * integrate(integrand, 0.0, math.pi / 2.0)
-
-
-def _over_one_denominator(*xs) -> tuple[int, list[int]]:
-    """(D, [x*D for x in xs]): the exact values of xs as integers over
-    D, the lcm of their denominators (a power of 2 for floats)."""
-    ratios = []
-    for x in xs:
-        if type(x) is float:  # the common cases skip the slower ABC check
-            ratios.append(x.as_integer_ratio())
-        elif type(x) is int or isinstance(x, numbers.Integral):
-            ratios.append((int(x), 1))  # numpy integers have no as_integer_ratio
-        else:
-            ratios.append(x.as_integer_ratio())
-    den = math.lcm(*(q for _, q in ratios))
-    return den, [p * (den // q) for p, q in ratios]
 
 
 def _falling(x: int, j: int, d: int) -> int:

@@ -44,6 +44,9 @@ f = g/D for the integer polynomial g = B + A x. So each value is carried
 as an integer coefficient list, one Fraction scale and a power of g; a
 step and the closed form are integer polynomial arithmetic only, and
 each public result becomes one RationalFunction (one gcd) at the end.
+a and b come to integers by polynomials._over_one_denominator, and one
+integer kernel, _payment_integral = S int_0^x y G**m g dy with G = 2D F,
+builds psi_0 (m = n-2) and every term of phi_ladder_check.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ import numpy as np
 from . import combinatorics
 from .distributions import (AuctionConfig, LinearDensityDistribution,
                             _check_nk, make_triangle, make_uniform)
-from .polynomials import Polynomial, RationalFunction, _iadd, _imul, _ipow
+from .polynomials import (Polynomial, RationalFunction, _iadd, _imul, _ipow,
+                          _over_one_denominator)
 
 __all__ = [
     "BidFunction",
@@ -206,10 +210,8 @@ class BidFunction:
 
 def _int_density(dist: LinearDensityDistribution) -> tuple[int, int, int]:
     """(A, B, D): a = A/D and b = B/D exactly."""
-    (a_num, a_den), (b_num, b_den) = (dist.a.as_integer_ratio(),
-                                      dist.b.as_integer_ratio())
-    d = math.lcm(a_den, b_den)
-    return a_num * (d // a_den), b_num * (d // b_den), d
+    d, (a_int, b_int) = _over_one_denominator(dist.a, dist.b)
+    return a_int, b_int, d
 
 
 def _int_polynomials(
@@ -221,30 +223,29 @@ def _int_polynomials(
     return [0, 2 * b_int, a_int], [b_int, a_int]
 
 
+def _payment_integral(big_g: list, g: list, m: int, span: int) -> list[int]:
+    """span * int_0^x y G**m g dy as an integer list; span must be a
+    multiple of every power of x that the integral has, m+2..2m+3."""
+    integrand = _imul(_ipow(big_g, m), g)  # coefficients of y**(i+1)
+    return [0, 0] + [c * (span // (i + 2)) for i, c in enumerate(integrand)]
+
+
 @lru_cache(maxsize=None)
 def _psi_0(dist: LinearDensityDistribution,
            n: int) -> tuple[tuple[int, ...], int]:
     """(N, L): psi_0 = int_0^x y F**(n-2) f dy = sum_i N[i] x**i / L exactly.
 
-    In closed form: the integrand is
-    x**(n-1) (2B + Ax)**(n-2) (B + Ax) / (2**(n-2) D**(n-1)). The binomial
-    expansion gives its coefficients c_j of x**(n-1+j), and the
-    integral's, c_j / (n+j), share the denominator lcm(n..2n-1). L is the
-    least common denominator, as for reduced fractions.
+    With F = G / (2D) and f = g / D, psi_0 = I / ((2D)**(n-2) D S) for the
+    payment integral I = S int_0^x y G**(n-2) g dy, whose powers of x run
+    from n to 2n-1, so S = lcm(n..2n-1). L is the least common
+    denominator, as for reduced fractions.
     """
-    a_int, b_int, d = _int_density(dist)
-    # (2B + Ax)**(n-2) = sum_j e[j] x**j, then times (B + Ax)
-    e = [math.comb(n - 2, j) * a_int ** j * (2 * b_int) ** (n - 2 - j)
-         for j in range(n - 1)] + [0]
-    c = [b_int * e[j] + (a_int * e[j - 1] if j else 0) for j in range(n)]
+    density = _int_density(dist)
     span = math.lcm(*range(n, 2 * n))
-    nums = [0] * n + [c[j] * (span // (n + j)) for j in range(n)]
-    den = 2 ** (n - 2) * d ** (n - 1) * span
-    g = math.gcd(den, *nums)
-    nums = [v // g for v in nums]
-    while nums[-1] == 0:  # a = 0 leaves the top coefficients zero
-        nums.pop()
-    return tuple(nums), den // g
+    nums = _payment_integral(*_int_polynomials(density), n - 2, span)
+    den = 2 ** (n - 2) * density[2] ** (n - 1) * span
+    common = math.gcd(den, *nums)
+    return tuple(v // common for v in nums), den // common
 
 
 def _ladder(num, scale: Fraction, j: int, density: tuple[int, int, int],
@@ -351,12 +352,13 @@ def phi_ladder_check(dist: LinearDensityDistribution, n: int, k: int) -> bool:
     and (n-1) psi_0(x) at second price. Checks binom(n-2, k-2) Phi_2 ==
     psi_0 as polynomials, which any other slope fails. With beta_k =
     slope x, G = 2D F, g = D f, L = lcm(1..2n-1) and the integer lists
-    I_l = L int_0^x y G**(n-k+l) g dy,
+    I_m = L int_0^x y G**m g dy (_payment_integral),
 
         Phi_2 = slope / ((2D)**(n-2) D L)
-                * sum_{l=0}^{k-2} (-1)**l binom(k-2, l) G**(k-2-l) I_l,
+                * sum_{l=0}^{k-2} (-1)**l binom(k-2, l) G**(k-2-l) I_{n-k+l},
 
-    compared with psi_0 = N / den by one integer cross-multiplication.
+    and psi_0 = I_{n-2} / ((2D)**(n-2) D L), the last term's integral: the
+    check is one equation between integer lists, over no denominator.
     Requires a uniform or triangle distribution, where beta_k is linear.
     """
     n, k = _check_nk("phi_ladder_check", n, k, 3)
@@ -364,23 +366,16 @@ def phi_ladder_check(dist: LinearDensityDistribution, n: int, k: int) -> bool:
     if slope is None:
         raise ValueError("phi_ladder_check: distribution must be uniform or "
                          "triangle so the payment integrals stay polynomial")
-    density = _int_density(dist)
-    big_g, g = _int_polynomials(density)
+    big_g, g = _int_polynomials(_int_density(dist))
     span = math.lcm(*range(1, 2 * n))
     total = []
     for l in range(k - 1):
-        integrand = [0] + _imul(_ipow(big_g, n - k + l), g)  # y G**(n-k+l) g
-        integral = [0] + [c * (span // (i + 1))
-                          for i, c in enumerate(integrand)]
         coeff = -math.comb(k - 2, l) if l % 2 else math.comb(k - 2, l)
+        integral = _payment_integral(big_g, g, n - k + l, span)
         total = _iadd(total, [coeff * c for c in
                               _imul(_ipow(big_g, k - 2 - l), integral)])
-    nums, den = _psi_0(dist, n)
-    # binom * slope * total / ((2D)**(n-2) D L) == nums / den
-    left = math.comb(n - 2, k - 2) * slope.numerator * den
-    right = (slope.denominator * (2 * density[2]) ** (n - 2) * density[2]
-             * span)
-    return [left * c for c in total] == [right * c for c in nums]
+    left, right = math.comb(n - 2, k - 2) * slope.numerator, slope.denominator
+    return [left * c for c in total] == [right * c for c in integral]
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,29 @@
 """Univariate polynomials and rational functions over exact rationals.
 
 Just enough symbolic machinery for the differentiation ladders that
-verify bid functions. One set of dense kernels, _iadd, _imul and _ipow,
-serves int and Fraction coefficients alike. The ladders step with them
-over integer coefficient lists times one Fraction scale and build a
+verify bid functions, and the package's one home for each exact-integer
+job: the dense kernels _iadd, _imul and _ipow and the long division
+_idivmod serve int and Fraction coefficients alike, and
+_over_one_denominator brings ints, floats, Fractions and numpy numbers
+to integers over one denominator. The ladders step with the kernels over
+integer coefficient lists times one Fraction scale and build a
 RationalFunction, with its one gcd, only for a finished result.
-Polynomial holds Fraction coefficients; its +, * and ** are the same
-kernels, plus derivative, antiderivative vanishing at zero, exact
-division and gcd. A RationalFunction takes its one gcd from the
-Euclidean polynomial_gcd over the rationals and cancels it by exact
-division of integer coefficient lists; it keeps the reduced integer
-pair, is compared by integer cross-multiplication of those pairs,
-evaluated, and differentiated or divided only as the quotient-rule
-reference the ladder step is tested against. Every identity here is
-about integers, never floats. Not a general CAS.
+Polynomial holds Fraction coefficients; its +, *, ** and divmod are the
+kernels, plus derivative, antiderivative vanishing at zero and gcd. A
+RationalFunction takes its one gcd from the Euclidean polynomial_gcd
+over the rationals and cancels it by _idivmod on integer coefficient
+lists; it keeps the reduced integer pair, is compared by integer
+cross-multiplication of those pairs, evaluated, and differentiated or
+divided only as the quotient-rule reference the ladder step is tested
+against. Every identity here is about integers, never floats. Not a
+general CAS.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -61,11 +66,10 @@ class Polynomial:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, float, Fraction)):
-            return self.coeffs == Polynomial([other]).coeffs
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -121,19 +125,8 @@ class Polynomial:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.leading_coefficient
-        if len(rem) <= d:
-            return Polynomial(), Polynomial(rem)
-        quot = [Fraction(0)] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] / lead
-            quot[i - d] = c
-            if c:
-                for j, oc in enumerate(other.coeffs):
-                    rem[i - d + j] -= c * oc
-        return Polynomial(quot), Polynomial(rem[:d])
+        quot, rem = _idivmod(self.coeffs, other.coeffs, operator.truediv)
+        return Polynomial(quot), Polynomial(rem)
 
     # divmod() raises TypeError itself on an operand that it cannot take
     def __floordiv__(self, other):
@@ -224,26 +217,33 @@ def _iadd(p: Sequence, q: Sequence) -> list:
     return out
 
 
-def _cleared(coeffs) -> tuple[list[int], int]:
-    """Fractions as integers over one denominator: (coeffs * L, L), with
-    L the lcm of their denominators."""
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (lcm // c.denominator) for c in coeffs], lcm
-
-
-def _iexquo(p: Sequence[int], g: Sequence[int]) -> list[int]:
-    """p / g for integer lists where g divides p with no remainder."""
+def _idivmod(p: Sequence, q: Sequence, div) -> tuple[list, list]:
+    """(quotient, remainder) of p by q by long division, each quotient
+    coefficient div(remainder lead, q's lead): / over Fractions, // for
+    integer lists that q divides exactly."""
     rem = list(p)
-    d = len(g) - 1
-    lead = g[-1]
-    quot = [0] * (len(rem) - d)
+    d = len(q) - 1
+    lead = q[-1]
+    quot = [0] * max(len(rem) - d, 0)
     for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i] // lead
+        c = div(rem[i], lead)
         quot[i - d] = c
         if c:
-            for j, gc in enumerate(g):
-                rem[i - d + j] -= c * gc
-    return quot
+            for j, qc in enumerate(q):
+                rem[i - d + j] -= c * qc
+    return quot, rem[:d]
+
+
+def _over_one_denominator(*xs) -> tuple[int, list[int]]:
+    """(D, [x * D for x in xs]): ints, floats, Fractions and numpy numbers
+    as exact integers over D, the lcm of their denominators."""
+    try:  # the fast path: no per-value type check
+        ratios = [x.as_integer_ratio() for x in xs]
+    except AttributeError:  # numpy integers have no as_integer_ratio
+        ratios = [(int(x), 1) if isinstance(x, numbers.Integral)
+                  else x.as_integer_ratio() for x in xs]
+    den = math.lcm(*[q for _, q in ratios])
+    return den, [p * (den // q) for p, q in ratios]
 
 
 def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -257,8 +257,8 @@ class RationalFunction:
     """Quotient of polynomials, stored with gcd cancelled and monic denominator.
 
     The one gcd comes from polynomial_gcd; it is cancelled by exact
-    division of integer coefficient lists, and the reduced integer pair is
-    kept for ==.
+    division (_idivmod with //) of integer coefficient lists, and the
+    reduced integer pair is kept for ==.
     """
 
     __slots__ = ("num", "den", "_ints")
@@ -270,15 +270,15 @@ class RationalFunction:
         if not den:
             raise ZeroDivisionError("denominator is identically zero")
         g = polynomial_gcd(num, den)
-        ints, _ = _cleared(num.coeffs + den.coeffs)
+        _, ints = _over_one_denominator(*num.coeffs, *den.coeffs)
         split = len(num.coeffs)
         p, q = ints[:split], ints[split:]
         if g.degree > 0:
             # A monic polynomial cleared by the lcm of its denominators is
             # primitive with a positive leading coefficient, so by Gauss's
             # lemma it divides p and q exactly in integers.
-            gi, _ = _cleared(g.coeffs)
-            p, q = _iexquo(p, gi), _iexquo(q, gi)
+            _, gi = _over_one_denominator(*g.coeffs)
+            p, q = (_idivmod(v, gi, operator.floordiv)[0] for v in (p, q))
         lead = q[-1]
         self.num = Polynomial([Fraction(c, lead) for c in p])
         self.den = Polynomial([Fraction(c, lead) for c in q])

@@ -5,10 +5,11 @@ bid formulas they test:
 
 * expected_payment_benchmark: the revenue-equivalence target
   int_0^x y g(y) dy with g = (n-1) F**(n-2) f, which is (n-1) psi_0(x):
-  the exact antiderivative the symbolic ladder starts from, held as
-  integers over one denominator and evaluated in integers at the exact
-  binary value p / 2**e of x, with shifts for the powers of 2**e; the
-  one rounding is the final correctly rounded division;
+  the exact antiderivative the symbolic ladder starts from
+  (equilibrium._psi_0), held as integers over one denominator and
+  evaluated in integers at the exact value p / q of x (from
+  polynomials._over_one_denominator), with shifts for the powers of 2 in
+  q; the one rounding is the final correctly rounded division;
 * expected_payment_quadrature: the k-th price payment formula
   (n-1) binom(n-2,k-2) int_0^x beta(y) (F(x)-F(y))**(k-2) F(y)**(n-k) f(y) dy
   under the candidate bid, by adaptive Gauss-Legendre quadrature (the
@@ -21,13 +22,13 @@ bid formulas they test:
 A bid passes revenue_equivalence_check when routes one and two agree on
 a grid; truthful bidding with k >= 3 is the canonical negative control.
 best_response_profile scans the interim payoff G(z) x - m(z) over
-deviations z in [0, omega]; at equilibrium the argmax sits at z = x.
+deviations z in [0, omega], for one value x or an array of them sharing
+the payments m(z); at equilibrium the argmax sits at z = x.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ import numpy as np
 
 from .distributions import LinearDensityDistribution, _check_int, _check_nk
 from .equilibrium import BidFunction, _psi_0
+from .polynomials import _over_one_denominator
 from .quadrature import BLOCK_ROWS, integrate
 
 __all__ = [
@@ -136,10 +138,8 @@ def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
     if not 0.0 <= x <= dist.omega:
         raise ValueError(f"expected_payment_benchmark: x must lie in "
                          f"[0, omega], got x={x}")
-    if isinstance(x, numbers.Integral):
-        x = int(x)  # numpy integers have no as_integer_ratio
     nums, den = _psi_0(dist, n)
-    p, q = x.as_integer_ratio()
+    q, (p,) = _over_one_denominator(x)
     e = (q & -q).bit_length() - 1  # q = odd 2**e; odd is 1 unless a Fraction
     odd = q >> e
     # N[i] = 0 for i < n: Horner runs over N[n..d], times p**n at the end
@@ -360,28 +360,26 @@ def expected_revenue(bid: BidFunction, dist: LinearDensityDistribution,
 
 
 def best_response_profile(bid: BidFunction, dist: LinearDensityDistribution,
-                          n: int, k: int, x: float, z_grid):
+                          n: int, k: int, x, z_grid):
     """Interim payoff pi(z) = F(z)**(n-1) x - m(z) over deviation values z.
 
     The bidder pretends their value is z while it is really x; only
     deviations inside [0, omega] are scanned (higher bids are dominated),
     and a grid point outside it, NaN included, raises ValueError.
     Returns (argmax z*, payoff array); at equilibrium z* == x up to the
-    grid resolution.
+    grid resolution. For a 1-d array x, returns the array of z* and one
+    payoff row per value, bit for bit the scalar calls, integrating the
+    payments m(z) on z_grid once for all of them.
     """
-    return _best_responses(bid, dist, n, k, [x], z_grid)[0]
-
-
-def _best_responses(bid: BidFunction, dist: LinearDensityDistribution,
-                    n: int, k: int, xs,
-                    z_grid) -> list[tuple[float, np.ndarray]]:
-    """best_response_profile for each value in xs, integrating the payments
-    m(z) on z_grid once for all of them."""
     n, k = _check_nk("best_response_profile", n, k, 2)
-    for x in xs:
-        if not 0.0 < x <= dist.omega:
-            raise ValueError(f"best_response_profile: x must lie in "
-                             f"(0, omega], got x={x}")
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"best_response_profile: x must be a scalar or a "
+                         f"1-d array, got {xs.ndim} dimensions")
+    outside = xs[~((0.0 < xs) & (xs <= dist.omega))]
+    if outside.size:
+        raise ValueError(f"best_response_profile: x must lie in "
+                         f"(0, omega], got x={outside[0]}")
     z_arr = np.asarray(z_grid, dtype=float)
     if z_arr.ndim != 1 or z_arr.size < 2:
         raise ValueError("best_response_profile: z_grid must be a 1-d grid")
@@ -393,8 +391,6 @@ def _best_responses(bid: BidFunction, dist: LinearDensityDistribution,
     payments[inside] = expected_payment_quadrature(bid, dist, n, k,
                                                    z_arr[inside])
     win_prob = np.asarray(dist.cdf(z_arr)) ** (n - 1)
-    out = []
-    for x in xs:
-        payoff = win_prob * x - payments
-        out.append((float(z_arr[int(np.argmax(payoff))]), payoff))
-    return out
+    payoff = win_prob * xs[..., None] - payments  # one row per value
+    z_star = z_arr[np.argmax(payoff, axis=-1)]
+    return (z_star, payoff) if xs.ndim else (float(z_star), payoff)

@@ -456,6 +456,19 @@ def test_quadrature_failure_maps_to_exit_3(monkeypatch, capsys):
     assert code == EXIT_NUMERICAL and "converge" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # 2.0 ** (2l + 2) passes the float range in catalan_integral
+    ["identities", "--integral-lmax", "511"],
+    # (n-1) binom(n-2, k-2) passes the float range for n >= 1022
+    ["verify", "--suite", "re", "--n", "1100", "--k", "550"],
+    ["verify", "--suite", "best-response", "--n", "1100", "--k", "550"],
+], ids=["identities", "verify-re", "verify-best-response"])
+def test_float_overflow_maps_to_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_NUMERICAL and out == ""
+    assert err.startswith("error: float overflow: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bid-table", "--n", "abc"], "invalid int value: 'abc'"),
     (["bid-table", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),

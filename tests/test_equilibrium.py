@@ -24,7 +24,7 @@ from kthprice import (
 )
 from kthprice.equilibrium import (_exact_slope, _int_density, _int_polynomials,
                                   _ladder, _u_coefficients)
-from kthprice.polynomials import _cleared
+from kthprice.polynomials import _over_one_denominator
 import functools
 import math
 import sys
@@ -113,7 +113,8 @@ def test_series_slope_sum_is_exact_on_triangle():
 @functools.lru_cache(maxsize=None)
 def _paper_coefficients(n, k):
     """series_coefficients(n, k) as (integers over one denominator, it)."""
-    return _cleared(series_coefficients(n, k))
+    den, cs = _over_one_denominator(*series_coefficients(n, k))
+    return cs, den
 
 
 def _exact_series(n, k, dist, x):

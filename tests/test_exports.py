@@ -1,9 +1,13 @@
 """The public name lists: every exported name exists, listed once."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import kthprice
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_module_all_resolves():
@@ -20,3 +24,23 @@ def test_every_module_all_resolves():
 
 def test_package_all_is_sorted():
     assert kthprice.__all__ == sorted(set(kthprice.__all__))
+
+
+def _private_imports(path: Path) -> list[str]:
+    """The private names that path imports from a kthprice module: relative
+    imports (the CLI's) and absolute ones from kthprice (the demos')."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "kthprice"):
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+    return found
+
+
+def test_cli_and_demos_import_no_private_name():
+    paths = [ROOT / "src" / "kthprice" / "cli.py",
+             *sorted((ROOT / "demos").glob("*.py"))]
+    assert len(paths) > 1
+    for path in paths:
+        assert _private_imports(path) == [], path.name

@@ -1,11 +1,14 @@
 """Exact polynomial / rational function arithmetic."""
 
+import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kthprice import Polynomial, RationalFunction, polynomial_gcd
+from kthprice.polynomials import _idivmod, _over_one_denominator
 
 X = Polynomial.variable()
 
@@ -43,8 +46,32 @@ def test_divmod_exact():
     assert q * den + r == num
     assert r.degree < den.degree
     assert (X ** 4 - 1) % (X ** 2 + 1) == Polynomial()
+    assert divmod(X, X ** 2 + 1) == (Polynomial(), X)
     with pytest.raises(ZeroDivisionError):
         divmod(X, Polynomial())
+    # the same kernel with // on integer lists: 3x^2 + 5x - 2 = (x + 2)(3x - 1)
+    assert _idivmod([-2, 5, 3], [2, 1], operator.floordiv) == ([-1, 3], [0])
+
+
+@pytest.mark.parametrize("x, den, num", [
+    (3, 1, 3),
+    (-0.75, 4, -3),
+    (5e-324, 2 ** 1074, 1),  # the least subnormal
+    (Fraction(1, 3), 3, 1),
+    (np.int64(-7), 1, -7),
+    (np.int32(5), 1, 5),
+    (np.float64(0.1), 2 ** 55, 3602879701896397),  # binary value of 0.1
+])
+def test_over_one_denominator_of_each_type(x, den, num):
+    got = _over_one_denominator(x)
+    assert got == (den, [num]) and type(got[1][0]) is int
+
+
+def test_over_one_denominator_takes_the_lcm():
+    assert _over_one_denominator(3, 0.75, Fraction(1, 3), np.int64(2),
+                                 np.int32(-1), np.float64(0.5)) == \
+        (12, [36, 9, 4, 24, -12, 6])
+    assert _over_one_denominator() == (1, [])
 
 
 def test_gcd_monic():

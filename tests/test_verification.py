@@ -108,11 +108,24 @@ def test_phi_ladder_check_matches_fraction_payment(dist, monkeypatch):
                 assert phi_ladder_check(dist, n, k) == equal, (n, k, slope)
 
 
-@pytest.mark.parametrize("dist", [
+_SIX_DISTS = pytest.mark.parametrize("dist", [
     U, T, make_linear(A_FULL, 1.0), make_linear(-1.3, 1.0),
     make_triangle(2.5), make_uniform(0.3)],
     ids=["uniform", "triangle", "a-full-mantissa", "a-negative", "omega-2.5",
          "omega-0.3"])
+
+
+@_SIX_DISTS
+def test_psi_0_equals_fraction_antiderivative(dist):
+    # coefficient for coefficient, and reduced: (N, L) share no factor
+    for n in range(2, 41):
+        nums, den = equilibrium._psi_0(dist, n)
+        assert math.gcd(den, *nums) == 1
+        psi = Polynomial([Fraction((n - 1) * c, den) for c in nums])
+        assert psi.coeffs == _fraction_antiderivative(dist, n).coeffs, n
+
+
+@_SIX_DISTS
 def test_benchmark_bit_identical_to_fraction_horner(dist):
     # non-dyadic x (q with an odd factor) and an int check the 2-adic split
     xs = (0.0, dist.omega, 5e-324, dist.omega / 3, 0.5 * dist.omega,
@@ -393,6 +406,13 @@ def test_best_response_validation():
         best_response_profile(eq, U, 4, 3, 0.5, np.array([0.5]))
     with pytest.raises(ValueError):
         best_response_profile(eq, U, 4, 3, 0.5, np.linspace(0, 2, 11))
+    # an array of values is checked value by value, and must be 1-d
+    for xs in (np.array([0.5, 1.5]), np.array([0.5, np.nan])):
+        with pytest.raises(ValueError, match=r"x must lie in \(0, omega\]"):
+            best_response_profile(eq, U, 4, 3, xs, np.linspace(0, 1, 11))
+    with pytest.raises(ValueError, match="scalar or a 1-d array"):
+        best_response_profile(eq, U, 4, 3, np.full((2, 2), 0.5),
+                              np.linspace(0, 1, 11))
     # (n, k) is checked at entry, also when no z > 0 needs a payment
     with pytest.raises(ValueError, match=r"need 2 <= k <= n, got n=3, k=1"):
         best_response_profile(eq, U, 3, 1, 0.5, [0.0, 0.0])
@@ -468,13 +488,20 @@ def test_best_response_equals_point_reference(dist):
     # unsorted, with a repeated point and a second zero
     grid = np.concatenate((np.linspace(0.0, dist.omega, 101),
                            [0.0, 0.37, 0.37 * dist.omega]))
+    xs = (0.2, 0.5, 0.8)
     for n, k in ((5, 3), (12, 8), (60, 50)):
         for bid in _bids(dist, n, k):
-            for x in (0.2, 0.5, 0.8):
+            wants = [_best_response_reference(bid, dist, n, k, x, grid)
+                     for x in xs]
+            for x, want in zip(xs, wants):
                 got = best_response_profile(bid, dist, n, k, x, grid)
-                want = _best_response_reference(bid, dist, n, k, x, grid)
                 assert got[0] == want[0]
                 assert got[1].tolist() == want[1].tolist()
+            # an array of values: the z* array and one payoff row per value
+            z_stars, payoffs = best_response_profile(bid, dist, n, k,
+                                                     np.array(xs), grid)
+            assert z_stars.tolist() == [want[0] for want in wants]
+            assert payoffs.tolist() == [want[1].tolist() for want in wants]
 
 
 def test_best_response_memory_is_bounded_by_blocks():
