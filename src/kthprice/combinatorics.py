@@ -42,24 +42,26 @@ the bound for every n >= 16. The pairs below n = 16 are finitely many:
 the square-root step is too weak only at (5, 4), (7, 5), (9, 6),
 (11, 7), (13, 8) and (15, 9), and k = n is on the wedge only at n = 3.
 The tests check each step in exact arithmetic and the product form on
-every wedge pair with n <= 200, which covers them. omega_bounds_hold
-also checks the bound pair by pair in identity_sweep
-(`kthprice identities`) and `kthprice bounds`. All of these are exact
-rational statements, checked as integers over one denominator:
-theta * 2**l is an integer (a row of them per (n, k), with Catalan
-numbers from math.comb), and Omega is one integer over 2**(2k-5),
-summed by Horner in 4 and returned as a Fraction.
+every wedge pair with n <= 200, which covers them. omega_bounds_hold,
+`kthprice bounds` and identity_sweep also check the bound pair by pair.
+All of these are exact rational statements, checked as integers over
+one denominator: theta * 2**l is an integer (a row of them per (n, k),
+with Catalan numbers from math.comb), and Omega is one integer over
+2**(2k-5), summed from the row by Horner in 4; identity_sweep reads each
+row for both theta checks and Omega, and cross-multiplies the bounds.
 
 The Jensen / Hagen-Rothe / shifted-Jensen convolution identities take
 real arguments; each side is summed exactly as an integer over one
 denominator from the binary values of the inputs (brought there by
 polynomials._over_one_denominator), and its float is one
 correctly rounded int / int division, so identity_sweep compares the two
-floats with ==. The O(s) sides are running products of the falling
-factorials' factors, summed Horner-fashion; the O(s**2) left sides
-multiply each term's factors out inline. The only
-other floating point is the quadrature check of the integral
-representation
+floats with ==, calling the integer cores the public *_sides wrap. The
+falling factorials' factors come by running subtraction (x -= D); the
+O(s) sides are running products of them, summed Horner-fashion, and the
+O(s**2) left sides multiply each term's factors out inline. The random
+cases are drawn in blocks of raw PCG64 words (_block_cases), the stream
+of one scalar draw per number. The only other floating point is the
+quadrature check of the integral representation
 
     C_l = (2**(2l+1) / pi) * int_0^1 t**l * sqrt((1-t)/t) dt.
 """
@@ -67,6 +69,7 @@ representation
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -121,6 +124,9 @@ def catalan_integral(l: int) -> float:
     (2**(2l+2)/pi) * sin(u)**(2l) * cos(u)**2 on [0, pi/2].
     """
     l = _check_int("catalan_integral", "l", l, 0)
+    if l > 510:
+        raise OverflowError(f"catalan_integral: 2**(2l+2) leaves the float "
+                            f"range; need l <= 510, got l={l}")
     scale = 2.0 ** (2 * l + 2) / math.pi
 
     def integrand(u):
@@ -146,91 +152,97 @@ def _falling(x: int, j: int, d: int) -> int:
 # one denominator D, binom(X/D, j) = falling(X, j) / (D**j j!), and every
 # term becomes an integer over D**s s!. The one rounding is the final
 # int / int division, which is correctly rounded (the float nearest the
-# exact side), so equal sides give equal floats. Each side takes the
-# steps iD, i < s, once.
+# exact side), so equal sides give equal floats. Each falling factorial's
+# factors are formed by running subtraction, x -= D. identity_sweep calls
+# the integer cores below directly; the public *_sides check s and wrap them.
 
-def _convolution_lhs(m: int, r: int, z: int, steps: list[int],
+def _convolution_lhs(m: int, r: int, z: int, d: int, s: int,
                      hagen_rothe: bool) -> int:
     """sum_l binom(s, l) lead_l (A-D) ... (A-(l-1)D) * B (B-D) ... (B-(s-l-1)D)
-    with A = M + Zl, B = R - Zl and steps = [iD for i < s]; lead_l is A
-    (Jensen: D**l l! binom(A/D, l)) or M (Hagen-Rothe: D**l l! m/(m+zl)
-    binom(A/D, l)), and the l = 0 term has no lead."""
-    s = len(steps)
+    with A = M + Zl and B = R - Zl; lead_l is A (Jensen: D**l l!
+    binom(A/D, l)) or M (Hagen-Rothe: D**l l! m/(m+zl) binom(A/D, l)), and
+    the l = 0 term has no lead."""
     total = 0
     a, b = m, r
     for l in range(s + 1):
         term = math.comb(s, l)
         if l:
             term *= m if hagen_rothe else a
-        for step in steps[1:l]:
-            term *= a - step
-        for step in steps[:s - l]:
-            term *= b - step
+            x = a
+            for _ in range(l - 1):
+                x -= d
+                term *= x
+        x = b
+        for _ in range(s - l):
+            term *= x
+            x -= d
         total += term
         a += z
         b -= z
     return total
 
 
-def _perm_sum(factors: list[int], w: int) -> int:
-    """sum_l perm(s, l) w**l prod(factors[:s-l]) for s = len(factors).
+def _perm_sum(x: int, dx: int, s: int, w: int) -> int:
+    """sum_l perm(s, l) w**l prod(factors[:s-l]), factors x, x+dx, x+2dx, ...
 
     Horner-fashion: acc_j = prod(factors[:j]) + j w acc_{j-1}, acc_0 = 1,
     ends at acc_s, the sum.
     """
     acc = prod = 1
-    for j, factor in enumerate(factors, 1):
-        prod *= factor
+    for j in range(1, s + 1):
+        prod *= x
         acc = prod + j * w * acc
+        x += dx
     return acc
 
 
-def jensen_sides(m: float, r: float, z: float, s: int) -> tuple[float, float]:
-    """Both sides of Jensen's convolution identity.
-
-    sum_l binom(m+z*l, l) binom(r-z*l, s-l) == sum_l binom(m+r-l, s-l) z**l
-    """
-    s = _check_int("jensen_sides", "s", s, 0)
+def _jensen(m, r, z, s: int) -> tuple[float, float]:
     d, (m, r, z) = _over_one_denominator(m, r, z)
-    steps = [i * d for i in range(s)]
-    lhs = _convolution_lhs(m, r, z, steps, hagen_rothe=False)
+    lhs = _convolution_lhs(m, r, z, d, s, False)
     # falling(M+R-lD, s-l, D) is the suffix product of M+R-iD over l <= i < s
-    rhs = _perm_sum([m + r - step for step in reversed(steps)], z)
+    rhs = _perm_sum(m + r - (s - 1) * d, d, s, z)
     scale = d ** s * math.factorial(s)
     return lhs / scale, rhs / scale
+
+
+def _hagen_rothe(m, r, z, s: int) -> tuple[float, float]:
+    d, (m, r, z) = _over_one_denominator(m, r, z)
+    # the one l with M + Zl = 0, if any (every l when M = Z = 0)
+    pole = 0 if m == 0 else -m // z if z and m % z == 0 else -1
+    if 0 <= pole <= s:
+        raise ValueError(f"hagen_rothe_sides: m + z*l vanishes at l={pole}")
+    lhs = _convolution_lhs(m, r, z, d, s, True)
+    rhs = _falling(m + r, s, d)
+    scale = d ** s * math.factorial(s)
+    return lhs / scale, rhs / scale
+
+
+def _shifted_jensen(r, z, s: int) -> tuple[float, float]:
+    d, (r, z) = _over_one_denominator(r, z)
+    # falling(R-lD, s-l, D) is a suffix product, falling(R+D, s-l, D) a
+    # prefix product
+    lhs = _perm_sum(r - (s - 1) * d, d, s, z)
+    rhs = _perm_sum(r + d, -d, s, z - d)
+    scale = d ** s * math.factorial(s)
+    return lhs / scale, rhs / scale
+
+
+def jensen_sides(m: float, r: float, z: float, s: int) -> tuple[float, float]:
+    """Both sides of Jensen's convolution identity,
+    sum_l binom(m+z*l, l) binom(r-z*l, s-l) == sum_l binom(m+r-l, s-l) z**l."""
+    return _jensen(m, r, z, _check_int("jensen_sides", "s", s, 0))
 
 
 def hagen_rothe_sides(m: float, r: float, z: float, s: int) -> tuple[float, float]:
-    """Both sides of the Hagen-Rothe convolution identity.
-
-    sum_l m/(m+z*l) binom(m+z*l, l) binom(r-z*l, s-l) == binom(m+r, s)
-    """
-    s = _check_int("hagen_rothe_sides", "s", s, 0)
-    d, (m, r, z) = _over_one_denominator(m, r, z)
-    for l in range(s + 1):
-        if m + z * l == 0:
-            raise ValueError(f"hagen_rothe_sides: m + z*l vanishes at l={l}")
-    steps = [i * d for i in range(s)]
-    lhs = _convolution_lhs(m, r, z, steps, hagen_rothe=True)
-    rhs = math.prod([m + r - step for step in steps])
-    scale = d ** s * math.factorial(s)
-    return lhs / scale, rhs / scale
+    """Both sides of the Hagen-Rothe convolution identity,
+    sum_l m/(m+z*l) binom(m+z*l, l) binom(r-z*l, s-l) == binom(m+r, s)."""
+    return _hagen_rothe(m, r, z, _check_int("hagen_rothe_sides", "s", s, 0))
 
 
 def shifted_jensen_sides(r: float, z: float, s: int) -> tuple[float, float]:
-    """Both sides of the shifted variant used to telescope the bid series.
-
-    sum_l binom(r-l, s-l) z**l == sum_l binom(r+1, s-l) (z-1)**l
-    """
-    s = _check_int("shifted_jensen_sides", "s", s, 0)
-    d, (r, z) = _over_one_denominator(r, z)
-    steps = [i * d for i in range(s)]
-    # falling(R-lD, s-l, D) is a suffix product, falling(R+D, s-l, D) a
-    # prefix product
-    lhs = _perm_sum([r - step for step in reversed(steps)], z)
-    rhs = _perm_sum([r + d - step for step in steps], z - d)
-    scale = d ** s * math.factorial(s)
-    return lhs / scale, rhs / scale
+    """Both sides of the shifted variant used to telescope the bid series,
+    sum_l binom(r-l, s-l) z**l == sum_l binom(r+1, s-l) (z-1)**l."""
+    return _shifted_jensen(r, z, _check_int("shifted_jensen_sides", "s", s, 0))
 
 
 def theta_coeff(n: int, k: int, l: int) -> Fraction:
@@ -285,6 +297,14 @@ def theta_index_identity_holds(n: int, k: int) -> bool:
     return _theta_index_holds(n, k, _theta_row(n, k), _theta_row(n, k + 1))
 
 
+def _omega_numerator(row: list[int]) -> int:
+    """Omega(n, k) * 2**(2k-5) from the theta row of (n, k), by Horner in 4."""
+    total = 0
+    for l, coeff in enumerate(row):
+        total = 4 * total + (-coeff if l % 2 else coeff)
+    return total
+
+
 def omega(n: int, k: int) -> Fraction:
     """Alternating Catalan sum Omega(n, k), the triangle bid's slope premium.
 
@@ -294,10 +314,7 @@ def omega(n: int, k: int) -> Fraction:
     all 3 <= k <= n (see the module docstring).
     """
     n, k = _check_nk("omega", n, k, 3)
-    total = 0
-    for l, coeff in enumerate(_theta_row(n, k)):
-        total = 4 * total + (-coeff if l % 2 else coeff)
-    return Fraction(total, 2 ** (2 * k - 5))
+    return Fraction(_omega_numerator(_theta_row(n, k)), 2 ** (2 * k - 5))
 
 
 def omega_bounds(n: int, k: int) -> tuple[Fraction, Fraction] | None:
@@ -340,15 +357,6 @@ class IdentityResult:
     detail: str
 
 
-def _first_witness(cases, holds):
-    """(cases checked, first case where holds(*case) is false, or None)."""
-    checked = 0
-    for checked, case in enumerate(cases, 1):
-        if not holds(*case):
-            return checked, case
-    return checked, None
-
-
 def _random_cases(rng: np.random.Generator, avoid_poles: bool):
     """Endless (m, r, z, s) draws; with avoid_poles, skip those with
     |m + z*l| < 1e-3 for some l <= s, the Hagen-Rothe identity's poles."""
@@ -363,11 +371,68 @@ def _random_cases(rng: np.random.Generator, avoid_poles: bool):
             yield m, r, z, s
 
 
-_RANDOM_SIDES = {
-    "jensen": lambda m, r, z, s: jensen_sides(m, r, z, s),
-    "hagen-rothe": lambda m, r, z, s: hagen_rothe_sides(m, r, z, s),
-    "shifted-jensen": lambda m, r, z, s: shifted_jensen_sides(r, z, s),
-}
+# _block_cases draws the same cases from raw PCG64 words, a block at a
+# time, converted in numpy as Generator.random does ((w >> 11) * 2**-53)
+# and as Generator.integers(0, 13) does: 32-bit Lemire multiply on
+# next_uint32, which takes a fresh word's low half and buffers its high
+# half for the next call, so two cases use 7 words. A low product word
+# below _REDRAW = (2**32 - 13) % 13 would be redrawn (p = 9/2**32).
+_BLOCK = 4096
+_REDRAW = 9
+
+
+def _block_cases(rng: np.random.Generator, avoid_poles: bool, count: int):
+    """The first `count` cases of _random_cases(rng, avoid_poles); closed
+    early (contextlib.closing), it leaves rng right after the last case
+    yielded. Falls back to _random_cases off PCG64, and from a block that
+    needs a Lemire redraw on."""
+    bg = rng.bit_generator
+    while count and type(bg) is np.random.PCG64:
+        raw = min(count, _BLOCK)
+        saved = bg.state
+        # a buffered half stands where a pair's second case finds it, in
+        # the high half of a first, virtual case's integer word
+        odd = saved["has_uint32"]
+        pairs = (odd + raw + 1) // 2
+        words = np.zeros((pairs, 7), np.uint64)
+        words[0, 3] = saved["uinteger"] << 32
+        words.ravel()[4 * odd:] = bg.random_raw(7 * pairs - 4 * odd)
+        ints = words[:, 3]
+        doubles = words[:, [0, 1, 2, 4, 5, 6]].reshape(-1, 3)[odd:odd + raw]
+        scaled = np.column_stack([ints & 0xFFFFFFFF, ints >> 32]).ravel()[
+            odd:odd + raw] * 13
+        if ((scaled & 0xFFFFFFFF) < _REDRAW).any():
+            bg.state = saved
+            break
+        s = scaled >> 32
+        # 5u, 13u - 3 and 4u - 2 round as -3 + 13u and -2 + 4u do
+        m, r, z = ((doubles >> 11) * 2.0 ** -53 * (5.0, 13.0, 4.0)
+                   - (0.0, 3.0, 2.0)).T
+        m[m == 0.0] = 1.0
+        l = np.arange(13 if avoid_poles else 0)  # the l that can be poles
+        near = (np.abs(m[:, None] + z[:, None] * l) < 1e-3) & (l <= s[:, None])
+        keep = np.flatnonzero(~near.any(axis=1))
+        cases = zip(m[keep].tolist(), r[keep].tolist(), z[keep].tolist(),
+                    s[keep].tolist())
+        last = raw  # raw cases read: through the last case yielded, if any
+        try:
+            for case, last in zip(cases, (keep + 1).tolist()):
+                yield case
+            count -= len(keep)
+        finally:
+            j = odd + last  # cases read, the virtual one included
+            bg.state = saved
+            bg.advance(3 * j + (j + 1) // 2 - 4 * odd)
+            bg.state = {**bg.state, "has_uint32": j % 2,
+                        "uinteger": int(ints[(j - 1) // 2] >> 32)}
+    yield from islice(_random_cases(rng, avoid_poles), count)
+
+
+def _omega_within(num: int, k: int, lower, upper) -> bool:
+    """lower <= num / 2**(2k-5) <= upper, and = 1/2 at k = 3, in integers."""
+    (a, b), (c, d) = lower.as_integer_ratio(), upper.as_integer_ratio()
+    e = 2 * k - 5
+    return a << e <= num * b and num * d <= c << e and (k > 3 or num == 1)
 
 
 def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
@@ -399,49 +464,44 @@ def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
     ]
 
     rng = np.random.default_rng(seed)
-    for name, sides in _RANDOM_SIDES.items():
-        def equal(*case, sides=sides):
-            lhs, rhs = sides(*case)
-            return lhs == rhs
+    for name, sides, skip in (("jensen", _jensen, 0),
+                              ("hagen-rothe", _hagen_rothe, 0),
+                              ("shifted-jensen", _shifted_jensen, 1)):
+        passed, detail = True, f"(trials={trials}, seed={seed})"
+        with closing(_block_cases(rng, sides is _hagen_rothe, trials)) as draws:
+            for checked, case in enumerate(draws, 1):
+                lhs, rhs = sides(*case[skip:])
+                if lhs != rhs:
+                    m, r, z, s = case
+                    passed, detail = False, (
+                        f"witness m={m:.12g} r={r:.12g} z={z:.12g} s={s} "
+                        f"lhs={lhs!r} rhs={rhs!r}")
+                    break
+        results.append(IdentityResult(name, passed, checked, detail))
 
-        draws = _random_cases(rng, avoid_poles=name == "hagen-rothe")
-        checked, bad = _first_witness(islice(draws, trials), equal)
-        detail = f"(trials={trials}, seed={seed})"
-        if bad is not None:
-            (m, r, z, s), (lhs, rhs) = bad, sides(*bad)
-            detail = (f"witness m={m:.12g} r={r:.12g} z={z:.12g} s={s} "
-                      f"lhs={lhs!r} rhs={rhs!r}")
-        results.append(IdentityResult(name, bad is None, checked, detail))
-
-    def theta_cases():
-        # (n, k, row k, row k + 1): the k + 1 row is the next pair's row k
-        for n in range(3, nmax + 1):
-            row = _theta_row(n, 3)
-            for k in range(3, n + 1):
-                next_row = _theta_row(n, k + 1)
-                yield n, k, row, next_row
-                row = next_row
-
-    def theta_recurrences_hold(n, k, row, next_row):
-        return (_theta_step_holds(row, next_row)
-                and _theta_index_holds(n, k, row, next_row))
-
-    pairs = [(n, k) for n in range(3, nmax + 1) for k in range(3, n + 1)]
-    # each pair's Omega and bounds once, read by both omega checks
-    omegas = {pair: omega(*pair) for pair in pairs}
-    wedge = {pair: bounds for pair in pairs
-             if (bounds := omega_bounds(*pair)) is not None}
-
-    def bounds_hold(n, k):
-        (lower, upper), value = wedge[n, k], omegas[n, k]
-        return lower <= value <= upper and (k > 3 or value == Fraction(1, 2))
-
-    for name, cases, holds in (
-            ("theta-recurrences", theta_cases(), theta_recurrences_hold),
-            ("omega-positive", pairs, lambda n, k: omegas[n, k] > 0),
-            ("omega-bounds", list(wedge), bounds_hold)):
-        checked, bad = _first_witness(cases, holds)
-        detail = (f"(nmax={nmax})" if bad is None
-                  else f"witness n={bad[0]} k={bad[1]}")
-        results.append(IdentityResult(name, bad is None, checked, detail))
+    # One walk over the pairs: the theta row of (n, k + 1) is built once,
+    # for both theta checks of (n, k) and the Omega numerator of (n, k + 1);
+    # each check keeps its cases and a verdict per case.
+    pairs, wedge, theta, positive, bounded = [], [], [], [], []
+    for n in range(3, nmax + 1):
+        row = _theta_row(n, 3)
+        for k in range(3, n + 1):
+            next_row = _theta_row(n, k + 1)
+            total = _omega_numerator(row)
+            pairs.append((n, k))
+            theta.append(_theta_step_holds(row, next_row)
+                         and _theta_index_holds(n, k, row, next_row))
+            positive.append(total > 0)
+            if (bounds := omega_bounds(n, k)) is not None:
+                wedge.append((n, k))
+                bounded.append(_omega_within(total, k, *bounds))
+            row = next_row
+    for name, cases, holds in (("theta-recurrences", pairs, theta),
+                               ("omega-positive", pairs, positive),
+                               ("omega-bounds", wedge, bounded)):
+        passed = all(holds)
+        checked = len(holds) if passed else holds.index(False) + 1
+        detail = (f"(nmax={nmax})" if passed
+                  else "witness n={} k={}".format(*cases[checked - 1]))
+        results.append(IdentityResult(name, passed, checked, detail))
     return results

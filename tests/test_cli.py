@@ -319,9 +319,11 @@ def test_identities_computes_each_pair_once(capsys, monkeypatch):
                        "--nmax", "30")
     assert code == EXIT_OK and out.endswith("ok omega-bounds (nmax=30)\n")
     pairs = 28 * 29 // 2  # 3 <= k <= n <= 30
-    assert calls["omega"] == calls["omega_bounds"] == pairs == 406
-    # omega's own row per pair, and the rows k = 3..n+1 once per n
-    assert calls["_theta_row"] == pairs + (pairs + 28) == 840
+    assert calls["omega_bounds"] == pairs == 406
+    # Omega comes from the theta row of its pair, not from omega()
+    assert calls["omega"] == 0
+    # the rows k = 3..n+1 once per n
+    assert calls["_theta_row"] == pairs + 28 == 434
 
 
 # ---------------------------------------------------------------------------

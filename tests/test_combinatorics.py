@@ -2,6 +2,7 @@
 
 import math
 import time
+from contextlib import closing
 from fractions import Fraction
 from itertools import islice
 
@@ -12,7 +13,8 @@ from kthprice import (catalan, catalan_integral, catalan_recurrence_holds,
                       hagen_rothe_sides, identity_sweep, jensen_sides, omega,
                       omega_bounds, omega_bounds_hold, shifted_jensen_sides,
                       theta_coeff)
-from kthprice.combinatorics import _random_cases
+import kthprice.combinatorics as comb
+from kthprice.combinatorics import _block_cases, _random_cases
 
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -39,6 +41,13 @@ def test_catalan_integral_matches_exact():
 
 def test_catalan_integral_tiny_tolerance_example():
     assert abs(catalan_integral(0) - 1.0) <= 1e-8
+
+
+def test_catalan_integral_names_its_float_range():
+    assert abs(catalan_integral(510) - catalan(510)) / catalan(510) <= 1e-6
+    with pytest.raises(OverflowError,
+                       match=r"catalan_integral: .*need l <= 510, got l=511"):
+        catalan_integral(511)
 
 
 def test_identity_trivial_and_frozen_cases():
@@ -77,9 +86,22 @@ def scalar_draw_cases(rng, avoid_poles):
             yield m, r, z, s
 
 
+def block_draw_cases(rng, avoid_poles, count):
+    with closing(_block_cases(rng, avoid_poles, count)) as draws:
+        return list(draws)
+
+
+def assert_same_stream(rng, scalar_rng):
+    """The next double and integer agree, and a PCG64's whole state."""
+    if isinstance(rng.bit_generator, np.random.PCG64):
+        assert rng.bit_generator.state == scalar_rng.bit_generator.state
+    assert rng.random() == scalar_rng.random()
+    assert rng.integers(0, 13) == scalar_rng.integers(0, 13)
+
+
 @pytest.mark.parametrize("avoid_poles", [False, True])
 @pytest.mark.parametrize("seed", [97, 20250815])
-def test_random_cases_equal_scalar_draws(seed, avoid_poles):
+def test_random_cases_equal_scalar_draws(seed, avoid_poles, monkeypatch):
     got = list(islice(_random_cases(np.random.default_rng(seed),
                                     avoid_poles), 3000))
     want = list(islice(scalar_draw_cases(np.random.default_rng(seed),
@@ -87,6 +109,56 @@ def test_random_cases_equal_scalar_draws(seed, avoid_poles):
     assert got == want
     assert all(list(map(type, case)) == [float, float, float, int]
                for case in got)
+    # block draws, from a fresh generator and from one holding a buffered
+    # half of a word (one odd integers call), then the stream after them
+    for odd in (0, 1):
+        rng, scalar_rng = (np.random.default_rng(seed) for _ in range(2))
+        if odd:
+            rng.integers(0, 13), scalar_rng.integers(0, 13)
+        assert rng.bit_generator.state["has_uint32"] == odd
+        want = list(islice(scalar_draw_cases(scalar_rng, avoid_poles), 3000))
+        got = block_draw_cases(rng, avoid_poles, 3000)
+        assert got == want
+        assert all(list(map(type, case)) == [float, float, float, int]
+                   for case in got)
+        assert_same_stream(rng, scalar_rng)
+    # closed after any case, the generator stands where the scalar draws
+    # stop, across the 4096-case block boundary too
+    for count in (1, 2, 3, 4095, 4096, 4097, 5000):
+        rng, scalar_rng = (np.random.default_rng(seed) for _ in range(2))
+        with closing(_block_cases(rng, avoid_poles, 6000)) as draws:
+            got = list(islice(draws, count))
+        assert got == list(islice(scalar_draw_cases(scalar_rng, avoid_poles),
+                                  count))
+        assert_same_stream(rng, scalar_rng)
+    # a block that would need a Lemire redraw falls back to scalar draws
+    monkeypatch.setattr(comb, "_REDRAW", 2 ** 32)
+    rng, scalar_rng = (np.random.default_rng(seed) for _ in range(2))
+    assert block_draw_cases(rng, avoid_poles, 300) == \
+        list(islice(scalar_draw_cases(scalar_rng, avoid_poles), 300))
+    assert_same_stream(rng, scalar_rng)
+    # so does a generator that is not PCG64
+    rng, scalar_rng = (np.random.Generator(np.random.MT19937(seed))
+                       for _ in range(2))
+    assert block_draw_cases(rng, avoid_poles, 300) == \
+        list(islice(scalar_draw_cases(scalar_rng, avoid_poles), 300))
+    assert_same_stream(rng, scalar_rng)
+
+
+def test_block_draws_turn_a_zero_double_into_m_1():
+    # a PCG64 state whose next word is 0: XSL-RR outputs hi ^ lo, rotated,
+    # of the stepped state S' = S * mult + inc, so take S' = (x << 64) | x
+    mult, inc, x = 0x2360ED051FC65DA44385DF649FCCF645, 12345, 0xABCDEF
+    state = ((x << 64 | x) - inc) * pow(mult, -1, 2 ** 128) % 2 ** 128
+    rngs = [np.random.default_rng(0) for _ in range(3)]
+    for rng in rngs:
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+    assert rngs[0].random() == 0.0
+    got = block_draw_cases(rngs[1], False, 5)
+    assert got[0][0] == 1.0
+    assert got == list(islice(scalar_draw_cases(rngs[2], False), 5))
 
 
 def test_identities_randomized():
@@ -121,6 +193,12 @@ def test_identity_sweep_fails_on_a_left_side_off_by_2_to_the_minus_40(
     assert witness[0] == "witness"
     fields = dict(item.split("=") for item in witness[1:])
     assert float(fields["lhs"]) != float(fields["rhs"])
+    # the witness cases themselves; hagen-rothe draws from just after
+    # jensen's witness
+    assert results["jensen"].detail.startswith(
+        "witness m=4.64371465219 r=4.18314318813 z=-1.50083710129 s=9 ")
+    assert results["hagen-rothe"].detail.startswith(
+        "witness m=4.66142432938 r=2.97916130079 z=-0.0649036625542 s=2 ")
 
 
 # Reference sides: each summed term by term in Fraction arithmetic over
@@ -223,6 +301,52 @@ def test_theta_and_omega_equal_term_by_term_fraction_sums():
                 term = theta / 2 ** (l + 1)
                 total += -term if l % 2 else term
             assert omega(n, k) == total, (n, k)
+
+
+@pytest.mark.parametrize("check", ["_theta_step_holds", "_theta_index_holds"])
+def test_identity_sweep_reads_both_theta_checks(monkeypatch, check):
+    # fail each check alone at the pair (7, 4), the 12th in the walk
+    holds = getattr(comb, check)
+    rows = comb._theta_row(7, 4), comb._theta_row(7, 5)
+    monkeypatch.setattr(comb, check,
+                        lambda *args: args[-2:] != rows and holds(*args))
+    results = {r.name: r for r in identity_sweep(1, 0, 1, 0, 9)}
+    theta = results["theta-recurrences"]
+    assert (theta.passed, theta.cases, theta.detail) == (
+        False, 12, "witness n=7 k=4")
+    assert results["omega-positive"].passed
+    assert results["omega-bounds"].passed
+
+
+def test_omega_numerator_of_the_theta_row():
+    for n in range(3, 41):
+        for k in range(3, n + 1):
+            assert (comb._omega_numerator(comb._theta_row(n, k))
+                    == omega(n, k) * 2 ** (2 * k - 5)), (n, k)
+
+
+def test_omega_within_equals_fraction_comparison():
+    half = Fraction(1, 2)
+    for n in range(3, 41):
+        for k in range(3, n + 1):
+            true_total = comb._omega_numerator(comb._theta_row(n, k))
+            # Omega and its neighbours one unit of 2**-(2k-5) away, against
+            # the real bounds where claimed and bounds that pinch the value
+            # from either side, ints and Fractions
+            for total in (true_total - 1, true_total, true_total + 1):
+                value = Fraction(total, 2 ** (2 * k - 5))
+                tiny = Fraction(1, 2 ** (2 * k))
+                cases = [(value, value), (value + tiny, value + 1),
+                         (value - 1, value - tiny), (0, math.ceil(value)),
+                         (math.floor(value), value)]
+                if (bounds := omega_bounds(n, k)) is not None:
+                    cases.append(bounds)
+                for lower, upper in cases:
+                    want = lower <= value <= upper and (k > 3 or value == half)
+                    assert comb._omega_within(total, k, lower, upper) == \
+                        want, (n, k, total, lower, upper)
+
+
 
 
 def theta_row(n, k):
