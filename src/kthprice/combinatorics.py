@@ -59,8 +59,9 @@ floats with ==, calling the integer cores the public *_sides wrap. The
 falling factorials' factors come by running subtraction (x -= D); the
 O(s) sides are running products of them, summed Horner-fashion, and the
 O(s**2) left sides multiply each term's factors out inline. The random
-cases are drawn in blocks of raw PCG64 words (_block_cases), the stream
-of one scalar draw per number. The only other floating point is the
+cases come from the Generator's public array calls, a fixed block of
+1024 at a time, so they are prefix-stable: the first T cases are the same
+for every trial count >= T. The only other floating point is the
 quadrature check of the integral representation
 
     C_l = (2**(2l+1) / pi) * int_0^1 t**l * sqrt((1-t)/t) dt.
@@ -69,7 +70,6 @@ quadrature check of the integral representation
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -357,75 +357,24 @@ class IdentityResult:
     detail: str
 
 
+_BLOCK = 1024
+
+
 def _random_cases(rng: np.random.Generator, avoid_poles: bool):
-    """Endless (m, r, z, s) draws; with avoid_poles, skip those with
+    """Endless (m, r, z, s) draws as Python floats and ints, a fixed block
+    of _BLOCK cases per pair of array calls, so the first T cases are the
+    same for every count >= T; with avoid_poles, skip those with
     |m + z*l| < 1e-3 for some l <= s, the Hagen-Rothe identity's poles."""
+    l = np.arange(13 if avoid_poles else 0)  # the l that can be poles
     while True:
-        # one draw of three doubles is the same stream as three scalar draws
-        u_m, u_r, u_z = rng.random(3).tolist()
-        m = 5.0 * u_m or 1.0  # (0, 5]
-        r = -3.0 + 13.0 * u_r
-        z = -2.0 + 4.0 * u_z
-        s = int(rng.integers(0, 13))
-        if not (avoid_poles and any(abs(m + z * l) < 1e-3 for l in range(s + 1))):
-            yield m, r, z, s
-
-
-# _block_cases draws the same cases from raw PCG64 words, a block at a
-# time, converted in numpy as Generator.random does ((w >> 11) * 2**-53)
-# and as Generator.integers(0, 13) does: 32-bit Lemire multiply on
-# next_uint32, which takes a fresh word's low half and buffers its high
-# half for the next call, so two cases use 7 words. A low product word
-# below _REDRAW = (2**32 - 13) % 13 would be redrawn (p = 9/2**32).
-_BLOCK = 4096
-_REDRAW = 9
-
-
-def _block_cases(rng: np.random.Generator, avoid_poles: bool, count: int):
-    """The first `count` cases of _random_cases(rng, avoid_poles); closed
-    early (contextlib.closing), it leaves rng right after the last case
-    yielded. Falls back to _random_cases off PCG64, and from a block that
-    needs a Lemire redraw on."""
-    bg = rng.bit_generator
-    while count and type(bg) is np.random.PCG64:
-        raw = min(count, _BLOCK)
-        saved = bg.state
-        # a buffered half stands where a pair's second case finds it, in
-        # the high half of a first, virtual case's integer word
-        odd = saved["has_uint32"]
-        pairs = (odd + raw + 1) // 2
-        words = np.zeros((pairs, 7), np.uint64)
-        words[0, 3] = saved["uinteger"] << 32
-        words.ravel()[4 * odd:] = bg.random_raw(7 * pairs - 4 * odd)
-        ints = words[:, 3]
-        doubles = words[:, [0, 1, 2, 4, 5, 6]].reshape(-1, 3)[odd:odd + raw]
-        scaled = np.column_stack([ints & 0xFFFFFFFF, ints >> 32]).ravel()[
-            odd:odd + raw] * 13
-        if ((scaled & 0xFFFFFFFF) < _REDRAW).any():
-            bg.state = saved
-            break
-        s = scaled >> 32
-        # 5u, 13u - 3 and 4u - 2 round as -3 + 13u and -2 + 4u do
-        m, r, z = ((doubles >> 11) * 2.0 ** -53 * (5.0, 13.0, 4.0)
+        m, r, z = (rng.random((_BLOCK, 3)) * (5.0, 13.0, 4.0)
                    - (0.0, 3.0, 2.0)).T
-        m[m == 0.0] = 1.0
-        l = np.arange(13 if avoid_poles else 0)  # the l that can be poles
+        m[m == 0.0] = 1.0  # (0, 5]
+        s = rng.integers(0, 13, _BLOCK)
         near = (np.abs(m[:, None] + z[:, None] * l) < 1e-3) & (l <= s[:, None])
-        keep = np.flatnonzero(~near.any(axis=1))
-        cases = zip(m[keep].tolist(), r[keep].tolist(), z[keep].tolist(),
-                    s[keep].tolist())
-        last = raw  # raw cases read: through the last case yielded, if any
-        try:
-            for case, last in zip(cases, (keep + 1).tolist()):
-                yield case
-            count -= len(keep)
-        finally:
-            j = odd + last  # cases read, the virtual one included
-            bg.state = saved
-            bg.advance(3 * j + (j + 1) // 2 - 4 * odd)
-            bg.state = {**bg.state, "has_uint32": j % 2,
-                        "uinteger": int(ints[(j - 1) // 2] >> 32)}
-    yield from islice(_random_cases(rng, avoid_poles), count)
+        keep = ~near.any(axis=1)
+        yield from zip(m[keep].tolist(), r[keep].tolist(), z[keep].tolist(),
+                       s[keep].tolist())
 
 
 def _omega_within(num: int, k: int, lower, upper) -> bool:
@@ -468,15 +417,15 @@ def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
                               ("hagen-rothe", _hagen_rothe, 0),
                               ("shifted-jensen", _shifted_jensen, 1)):
         passed, detail = True, f"(trials={trials}, seed={seed})"
-        with closing(_block_cases(rng, sides is _hagen_rothe, trials)) as draws:
-            for checked, case in enumerate(draws, 1):
-                lhs, rhs = sides(*case[skip:])
-                if lhs != rhs:
-                    m, r, z, s = case
-                    passed, detail = False, (
-                        f"witness m={m:.12g} r={r:.12g} z={z:.12g} s={s} "
-                        f"lhs={lhs!r} rhs={rhs!r}")
-                    break
+        draws = islice(_random_cases(rng, sides is _hagen_rothe), trials)
+        for checked, case in enumerate(draws, 1):
+            lhs, rhs = sides(*case[skip:])
+            if lhs != rhs:
+                m, r, z, s = case
+                passed, detail = False, (
+                    f"witness m={m:.12g} r={r:.12g} z={z:.12g} s={s} "
+                    f"lhs={lhs!r} rhs={rhs!r}")
+                break
         results.append(IdentityResult(name, passed, checked, detail))
 
     # One walk over the pairs: the theta row of (n, k + 1) is built once,

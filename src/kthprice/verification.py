@@ -58,8 +58,8 @@ SHARD_SIZE = 1 << 16
 
 # _order_statistic compares whole columns of _BLOCK_ROWS rows at a time
 # while its column work, m (p + 1) for m columns and p passes, is at most
-# _COLUMN_LIMIT; above that, one numpy call per row is cheaper (both
-# measured on shards of SHARD_SIZE rows, m up to 60).
+# _COLUMN_LIMIT; above that, one row-wise numpy call over the whole shard
+# is cheaper (both measured on shards of SHARD_SIZE rows, m up to 60).
 _BLOCK_ROWS = 4096
 _COLUMN_LIMIT = 32
 
@@ -99,7 +99,9 @@ class VerificationReport:
                     tolerance) -> "VerificationReport":
         grid = tuple(float(g) for g in grid)
         errors = tuple(float(e) for e in errors)
-        max_error = max(errors) if errors else 0.0
+        # max skips a NaN that is not first; any NaN error fails the check
+        max_error = (math.nan if any(map(math.isnan, errors))
+                     else max(errors, default=0.0))
         return cls(check=check, n=n, k=k, dist=dist, grid=grid, errors=errors,
                    max_error=max_error, tolerance=float(tolerance),
                    passed=max_error <= tolerance)
@@ -246,8 +248,9 @@ def _order_statistic(u: np.ndarray, r: int) -> np.ndarray:
     np.partition(u, r, axis=1)[:, r] bit for bit.
 
     The column work grows as m (p+1). Above _COLUMN_LIMIT it falls back to
-    one numpy call per row: u.max for the maximum, else a partition of u
-    in place, which reorders the entries within u's rows.
+    one row-wise numpy call over all of u: u.max(axis=1) for the maximum,
+    else a partition of u in place, which reorders the entries within u's
+    rows.
     """
     rows, m = u.shape
     p = min(r, m - 1 - r)
@@ -299,8 +302,8 @@ def monte_carlo_expected_payment(bid: BidFunction,
     maximum of each trial and, for winning trials, the (k-1)-th highest
     uniform are inverted, and only the latter are bid on. Each order
     statistic is picked exactly, by min/max comparisons of whole columns
-    of draws, or by one numpy call per trial past a fixed limit on that
-    column work (large n, interior ranks). The payoffs
+    of draws, or by one row-wise numpy call over the shard past a fixed
+    limit on that column work (large n, interior ranks). The payoffs
     equal inverting and sorting all n-1 values whenever the float
     F^-1 keeps the order of the draws. It can swap only draws a few
     ulps apart (about 3 % of adjacent-float pairs for the triangle, none

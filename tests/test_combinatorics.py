@@ -2,7 +2,6 @@
 
 import math
 import time
-from contextlib import closing
 from fractions import Fraction
 from itertools import islice
 
@@ -14,7 +13,7 @@ from kthprice import (catalan, catalan_integral, catalan_recurrence_holds,
                       omega_bounds, omega_bounds_hold, shifted_jensen_sides,
                       theta_coeff)
 import kthprice.combinatorics as comb
-from kthprice.combinatorics import _block_cases, _random_cases
+from kthprice.combinatorics import _random_cases
 
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -74,91 +73,69 @@ def test_hagen_rothe_rejects_vanishing_denominator():
         hagen_rothe_sides(2.0, 1.0, -1.0, 4)
 
 
+def near_pole(case):
+    m, _, z, s = case
+    return any(abs(m + z * l) < 1e-3 for l in range(s + 1))
+
+
 def scalar_draw_cases(rng, avoid_poles):
-    """_random_cases with one scalar generator call per number drawn."""
+    """Cases as _random_cases maps them, one scalar generator call per
+    number drawn."""
     while True:
         m = float(5.0 * rng.random()) or 1.0
         r = float(-3.0 + 13.0 * rng.random())
         z = float(-2.0 + 4.0 * rng.random())
         s = int(rng.integers(0, 13))
-        if not (avoid_poles
-                and any(abs(m + z * l) < 1e-3 for l in range(s + 1))):
+        if not (avoid_poles and near_pole((m, r, z, s))):
             yield m, r, z, s
 
 
-def block_draw_cases(rng, avoid_poles, count):
-    with closing(_block_cases(rng, avoid_poles, count)) as draws:
-        return list(draws)
+class FixedDraws(np.random.Generator):
+    """A generator whose array calls repeat the given doubles and integers."""
+
+    def __init__(self, u, s):
+        super().__init__(np.random.PCG64(0))
+        self.u, self.s = u, s
+
+    def random(self, size=None):
+        return np.resize(self.u, size)
+
+    def integers(self, low, high=None, size=None):
+        return np.resize(self.s, size)
 
 
-def assert_same_stream(rng, scalar_rng):
-    """The next double and integer agree, and a PCG64's whole state."""
-    if isinstance(rng.bit_generator, np.random.PCG64):
-        assert rng.bit_generator.state == scalar_rng.bit_generator.state
-    assert rng.random() == scalar_rng.random()
-    assert rng.integers(0, 13) == scalar_rng.integers(0, 13)
-
-
-@pytest.mark.parametrize("avoid_poles", [False, True])
 @pytest.mark.parametrize("seed", [97, 20250815])
-def test_random_cases_equal_scalar_draws(seed, avoid_poles, monkeypatch):
-    got = list(islice(_random_cases(np.random.default_rng(seed),
-                                    avoid_poles), 3000))
-    want = list(islice(scalar_draw_cases(np.random.default_rng(seed),
-                                         avoid_poles), 3000))
-    assert got == want
-    assert all(list(map(type, case)) == [float, float, float, int]
-               for case in got)
-    # block draws, from a fresh generator and from one holding a buffered
-    # half of a word (one odd integers call), then the stream after them
-    for odd in (0, 1):
-        rng, scalar_rng = (np.random.default_rng(seed) for _ in range(2))
-        if odd:
-            rng.integers(0, 13), scalar_rng.integers(0, 13)
-        assert rng.bit_generator.state["has_uint32"] == odd
-        want = list(islice(scalar_draw_cases(scalar_rng, avoid_poles), 3000))
-        got = block_draw_cases(rng, avoid_poles, 3000)
-        assert got == want
-        assert all(list(map(type, case)) == [float, float, float, int]
-                   for case in got)
-        assert_same_stream(rng, scalar_rng)
-    # closed after any case, the generator stands where the scalar draws
-    # stop, across the 4096-case block boundary too
-    for count in (1, 2, 3, 4095, 4096, 4097, 5000):
-        rng, scalar_rng = (np.random.default_rng(seed) for _ in range(2))
-        with closing(_block_cases(rng, avoid_poles, 6000)) as draws:
-            got = list(islice(draws, count))
-        assert got == list(islice(scalar_draw_cases(scalar_rng, avoid_poles),
-                                  count))
-        assert_same_stream(rng, scalar_rng)
-    # a block that would need a Lemire redraw falls back to scalar draws
-    monkeypatch.setattr(comb, "_REDRAW", 2 ** 32)
-    rng, scalar_rng = (np.random.default_rng(seed) for _ in range(2))
-    assert block_draw_cases(rng, avoid_poles, 300) == \
-        list(islice(scalar_draw_cases(scalar_rng, avoid_poles), 300))
-    assert_same_stream(rng, scalar_rng)
-    # so does a generator that is not PCG64
-    rng, scalar_rng = (np.random.Generator(np.random.MT19937(seed))
-                       for _ in range(2))
-    assert block_draw_cases(rng, avoid_poles, 300) == \
-        list(islice(scalar_draw_cases(scalar_rng, avoid_poles), 300))
-    assert_same_stream(rng, scalar_rng)
+def test_random_cases_contract(seed):
+    def draw(avoid_poles, count):
+        return list(islice(_random_cases(np.random.default_rng(seed),
+                                         avoid_poles), count))
 
-
-def test_block_draws_turn_a_zero_double_into_m_1():
-    # a PCG64 state whose next word is 0: XSL-RR outputs hi ^ lo, rotated,
-    # of the stepped state S' = S * mult + inc, so take S' = (x << 64) | x
-    mult, inc, x = 0x2360ED051FC65DA44385DF649FCCF645, 12345, 0xABCDEF
-    state = ((x << 64 | x) - inc) * pow(mult, -1, 2 ** 128) % 2 ** 128
-    rngs = [np.random.default_rng(0) for _ in range(3)]
-    for rng in rngs:
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-    assert rngs[0].random() == 0.0
-    got = block_draw_cases(rngs[1], False, 5)
-    assert got[0][0] == 1.0
-    assert got == list(islice(scalar_draw_cases(rngs[2], False), 5))
+    drawn = draw(False, 3000)
+    kept = draw(True, 3000)
+    for case in drawn + kept:
+        assert list(map(type, case)) == [float, float, float, int]
+        m, r, z, s = case
+        assert 0.0 < m <= 5.0 and -3.0 <= r < 10.0 and -2.0 <= z < 2.0
+        assert 0 <= s <= 12
+    # the filter drops exactly the cases near a Hagen-Rothe pole, of which
+    # the unfiltered draws hold some
+    assert any(map(near_pole, drawn))
+    assert not any(map(near_pole, kept))
+    assert [case for case in drawn if not near_pole(case)] == \
+        kept[:len(drawn) - sum(map(near_pole, drawn))]
+    # prefix-stable and reproducible
+    for avoid_poles, cases in ((False, drawn), (True, kept)):
+        assert draw(avoid_poles, 10) == cases[:10]
+        assert draw(avoid_poles, 3000) == cases
+    # a zero double becomes m = 1.0
+    zero = islice(_random_cases(FixedDraws([0.0, 0.5, 0.5], [3]), False), 2)
+    assert list(zero) == [(1.0, 3.5, 0.0, 3)] * 2
+    # m + z*l = 1 - l vanishes at l = 1: a pole at l = s = 1, none at s = 0
+    pole = FixedDraws([0.2, 0.5, 0.25], [1, 0])
+    assert list(islice(_random_cases(pole, False), 2)) == \
+        [(1.0, 3.5, -1.0, 1), (1.0, 3.5, -1.0, 0)]
+    assert list(islice(_random_cases(pole, True), 2)) == \
+        [(1.0, 3.5, -1.0, 0)] * 2
 
 
 def test_identities_randomized():
@@ -193,12 +170,12 @@ def test_identity_sweep_fails_on_a_left_side_off_by_2_to_the_minus_40(
     assert witness[0] == "witness"
     fields = dict(item.split("=") for item in witness[1:])
     assert float(fields["lhs"]) != float(fields["rhs"])
-    # the witness cases themselves; hagen-rothe draws from just after
-    # jensen's witness
+    # the witness cases themselves; hagen-rothe draws its block from the
+    # generator after jensen's
     assert results["jensen"].detail.startswith(
-        "witness m=4.64371465219 r=4.18314318813 z=-1.50083710129 s=9 ")
+        "witness m=4.64371465219 r=4.18314318813 z=-1.50083710129 s=5 ")
     assert results["hagen-rothe"].detail.startswith(
-        "witness m=4.66142432938 r=2.97916130079 z=-0.0649036625542 s=2 ")
+        "witness m=1.25671407237 r=9.42999005619 z=-1.23213491406 s=12 ")
 
 
 # Reference sides: each summed term by term in Fraction arithmetic over

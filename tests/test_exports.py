@@ -44,3 +44,20 @@ def test_cli_and_demos_import_no_private_name():
     assert len(paths) > 1
     for path in paths:
         assert _private_imports(path) == [], path.name
+
+
+# Generator methods promise no stream across numpy releases (NEP 19), and
+# a copy of their internals goes stale silently: draws use the public
+# Generator calls, never the bit generator's state.
+BIT_GENERATOR_ATTRS = {"bit_generator", "random_raw", "advance", "state",
+                       "has_uint32"}
+
+
+def test_package_reads_no_bit_generator_state():
+    paths = sorted((ROOT / "src" / "kthprice").glob("*.py"))
+    assert len(paths) > 1
+    for path in paths:
+        found = [node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute)
+                 and node.attr in BIT_GENERATOR_ATTRS]
+        assert found == [], path.name

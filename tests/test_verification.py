@@ -242,6 +242,16 @@ def test_report_to_dict_schema():
     assert failed.passed is False and failed.to_dict()["pass"] is False
 
 
+@pytest.mark.parametrize("errors", [
+    (math.nan, 1e-9, 2e-9), (1e-9, math.nan, 2e-9), (1e-9, 2e-9, math.nan),
+], ids=["first", "middle", "last"])
+def test_report_with_a_nan_error_fails(errors):
+    rep = VerificationReport.from_errors(
+        "demo", 4, 3, U, (0.25, 0.5, 1.0), errors, 1e-8)
+    assert math.isnan(rep.max_error)
+    assert rep.passed is False and rep.to_dict()["pass"] is False
+
+
 def test_monte_carlo_payment_matches_benchmark():
     eq = BidFunction.equilibrium(AuctionConfig(4, 3), U)
     mc = monte_carlo_expected_payment(eq, U, 4, 3, 0.5, 200_000, 11)
