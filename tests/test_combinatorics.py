@@ -138,6 +138,40 @@ def test_random_cases_contract(seed):
         [(1.0, 3.5, -1.0, 0)] * 2
 
 
+def scalar_block_cases(rng, avoid_poles):
+    """Cases mapped and filtered one number at a time from the same array
+    draws as _random_cases: blocks of _BLOCK double triples and integers."""
+    while True:
+        u = rng.random((comb._BLOCK, 3)).tolist()
+        s = rng.integers(0, 13, comb._BLOCK).tolist()
+        for (a, b, c), k in zip(u, s):
+            case = 5.0 * a or 1.0, -3.0 + 13.0 * b, -2.0 + 4.0 * c, k
+            if not (avoid_poles and near_pole(case)):
+                yield case
+
+
+@pytest.mark.parametrize("avoid_poles", [False, True])
+@pytest.mark.parametrize("seed", [97, 20250815])
+def test_random_cases_equal_scalar_draws(seed, avoid_poles):
+    # the vectorised map and pole filter, across three block boundaries
+    count = 3 * comb._BLOCK + 5
+    got = list(islice(_random_cases(np.random.default_rng(seed),
+                                    avoid_poles), count))
+    want = list(islice(scalar_block_cases(np.random.default_rng(seed),
+                                          avoid_poles), count))
+    assert got == want
+    assert all(list(map(type, case)) == [float, float, float, int]
+               for case in got)
+
+
+def test_block_draws_turn_a_zero_double_into_m_1():
+    # a zero m double at every other case: only those cases become m = 1.0,
+    # in every block
+    rng = FixedDraws([0.0, 0.5, 0.5, 0.5, 0.5, 0.5], [3])
+    got = list(islice(_random_cases(rng, False), 2 * comb._BLOCK + 2))
+    assert got == [(1.0, 3.5, 0.0, 3), (2.5, 3.5, 0.0, 3)] * (comb._BLOCK + 1)
+
+
 def test_identities_randomized():
     rng = np.random.default_rng(97)
     for m, r, z, s in islice(scalar_draw_cases(rng, avoid_poles=False), 200):
