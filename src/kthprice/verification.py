@@ -56,12 +56,15 @@ __all__ = [
 # only on (seed, SHARD_SIZE), never on how shards are executed.
 SHARD_SIZE = 1 << 16
 
-# _order_statistic compares whole columns of _BLOCK_ROWS rows at a time
-# while its column work, m (p + 1) for m columns and p passes, is at most
-# _COLUMN_LIMIT; above that, one row-wise numpy call over the whole shard
-# is cheaper (both measured on shards of SHARD_SIZE rows, m up to 60).
-_BLOCK_ROWS = 4096
-_COLUMN_LIMIT = 32
+# _order_statistic compares whole columns of a block of u's rows, about
+# _BLOCK_BYTES of them (16384 rows of 8 columns), while its column work,
+# m (p + 1) for m columns and p passes, is at most _COLUMN_LIMIT; above
+# that, one row-wise numpy call over the whole shard is cheaper. Both
+# measured on shards of SHARD_SIZE rows, m up to 64. Blocks hold bytes,
+# not rows: a fixed 16384 rows ran 2-3x slower than 4096 at m = 16, 32
+# and 48, where a row's stride is a multiple of 128 bytes.
+_BLOCK_BYTES = 1 << 20
+_COLUMN_LIMIT = 48
 
 
 @dataclass(frozen=True)
@@ -239,49 +242,66 @@ def _shard_rng(seed: int, index: int) -> np.random.Generator:
 def _order_statistic(u: np.ndarray, r: int) -> np.ndarray:
     """The r-th smallest entry (0-based) of each row of u, exactly.
 
-    u has m columns. Each bubble pass of compare-exchanges between whole
-    columns (np.minimum and np.maximum over a block of rows) carries the
-    largest entry of every row out of the columns still in play, or the
-    smallest for a rank below the middle. After p = min(r, m-1-r) passes
-    the wanted entry is the extreme of the columns left. Without NaNs, min
-    and max return one of their arguments, so the result equals
-    np.partition(u, r, axis=1)[:, r] bit for bit.
+    u has m columns. A row extreme (r = 0 or m-1) folds np.minimum or
+    np.maximum over u's strided column views straight into the output,
+    block by block, with no copy of u. Other ranks work on a transposed
+    copy of each block: each bubble pass of compare-exchanges between
+    whole columns carries the largest entry of every row out of the
+    columns still in play, or the smallest for a rank below the middle.
+    After p = min(r, m-1-r) passes the wanted entry is the extreme of the
+    columns left. Without NaNs, min and max return one of their
+    arguments, so the result equals np.partition(u, r, axis=1)[:, r] bit
+    for bit.
 
     The column work grows as m (p+1). Above _COLUMN_LIMIT it falls back to
-    one row-wise numpy call over all of u: u.max(axis=1) for the maximum,
-    else a partition of u in place, which reorders the entries within u's
-    rows.
+    one row-wise numpy call over all of u: u.max(axis=1) or u.min(axis=1)
+    for a row extreme, else a partition of u in place, which reorders the
+    entries within u's rows.
     """
     rows, m = u.shape
     p = min(r, m - 1 - r)
     if m * (p + 1) > _COLUMN_LIMIT:
-        if r == m - 1:
-            return u.max(axis=1)
+        if p == 0:
+            return u.max(axis=1) if r else u.min(axis=1)
         u.partition(r, axis=1)
         return u[:, r]
     # a high rank drops each row's maxima: the minimum stays behind
     stay, carry = (np.minimum, np.maximum) if r > p else (np.maximum, np.minimum)
+    block = max(1, _BLOCK_BYTES // (u.itemsize * m))
     out = np.empty(rows)
-    for start in range(0, rows, _BLOCK_ROWS):
-        cols = u[start:start + _BLOCK_ROWS].T.copy()
-        for last in range(m - 1, m - 1 - p, -1):
-            carried = cols[0].copy()
-            for j in range(1, last + 1):
-                stay(carried, cols[j], out=cols[j - 1])
-                carry(carried, cols[j], out=carried)
-        carry.reduce(cols[:m - p], axis=0, out=out[start:start + _BLOCK_ROWS])
+    if p:  # one buffer for the transposed blocks
+        cols_buffer = np.empty((m, min(block, rows)))
+    for start in range(0, rows, block):
+        acc = out[start:start + block]
+        if p == 0:  # a row extreme, folded over strided views into u
+            cols = u[start:start + block].T
+            carry(cols[0], cols[-1], out=acc)  # one column: its own extreme
+            for col in cols[1:-1]:
+                carry(acc, col, out=acc)
+        else:
+            cols = cols_buffer[:, :acc.size]
+            np.copyto(cols, u[start:start + block].T)
+            for last in range(m - 1, m - 1 - p, -1):
+                carried = cols[0].copy()
+                for j in range(1, last + 1):
+                    stay(carried, cols[j], out=cols[j - 1])
+                    carry(carried, cols[j], out=carried)
+            carry.reduce(cols[:m - p], axis=0, out=acc)
     return out
 
 
 def _mc_accumulate(samples: int, seed: int, payoff_for_shard) -> MonteCarloResult:
-    """Sum payoff_for_shard(rng, size) -> (payoffs, wins) over the shards."""
+    """Sum payoff_for_shard(rng, size) -> (payoffs, wins) over the shards.
+
+    The payoffs array is squared in place: a shard hands over its own."""
     total = 0.0
     total_sq = 0.0
     wins = 0
     for index, size in _shards(samples):
         pay, shard_wins = payoff_for_shard(_shard_rng(seed, index), size)
         total += float(pay.sum())
-        total_sq += float((pay * pay).sum())
+        pay *= pay
+        total_sq += float(pay.sum())
         wins += shard_wins
     mean = total / samples
     var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
@@ -298,14 +318,25 @@ def monte_carlo_expected_payment(bid: BidFunction,
     F^-1(U). The bidder wins when the highest value is below x and then
     pays bid(Y_{k-1}), the bid at the (k-1)-th highest opponent value,
     else pays 0. F^-1 is increasing, so the order statistics of the
-    values are F^-1 of the order statistics of the uniforms: only the
-    maximum of each trial and, for winning trials, the (k-1)-th highest
-    uniform are inverted, and only the latter are bid on. Each order
-    statistic is picked exactly, by min/max comparisons of whole columns
-    of draws, or by one row-wise numpy call over the shard past a fixed
-    limit on that column work (large n, interior ranks). The payoffs
-    equal inverting and sorting all n-1 values whenever the float
-    F^-1 keeps the order of the draws. It can swap only draws a few
+    values are F^-1 of the order statistics of the uniforms. Only the
+    trials whose maximum uniform is at most hi = F(x) (1 + 1e-9) can
+    win: only their maxima are inverted and compared with x, and for the
+    winners the (k-1)-th highest uniform is inverted and bid on.
+    Each order statistic is picked exactly, by min/max comparisons of
+    whole columns of draws, or by one row-wise numpy call over the shard
+    past a fixed limit on that column work (large n, interior ranks).
+
+    The filter drops no winner. inverse_cdf and cdf are within a few
+    ulps of F^-1 and F, and F^-1 rises by at least half as much,
+    relatively, as u does: d ln F^-1 / d ln u = F / (x f) >= 1/2 for
+    any linear density. So a maximum above hi maps to at least
+    x (1 + 5e-10) less a few ulps, which is above x: 5e-10 is over two
+    million ulps. Draws are multiples of 2**-53, so when F(x) is
+    subnormal (or rounds to 0) only a zero maximum, which wins, is at
+    most hi; and at x = omega, hi >= 1 keeps every trial.
+
+    The payoffs equal inverting and sorting all n-1 values whenever the
+    float F^-1 keeps the order of the draws. It can swap only draws a few
     ulps apart (about 3 % of adjacent-float pairs for the triangle, none
     among 1e8 sorted random draws per density), and two draws of one
     trial are that close with probability of order n**2 * 2**-53.
@@ -320,14 +351,20 @@ def monte_carlo_expected_payment(bid: BidFunction,
     if not 0.0 < x <= dist.omega:
         raise ValueError(f"{func}: x must lie in (0, omega], got x={x}")
     pivot = n - k  # ascending index of the (k-1)-th highest of n-1 values
+    hi = dist.cdf(x) * (1 + 1e-9)  # no maximum above hi can win
 
     def shard(rng, size):
         u = rng.random((size, n - 1))
+        highest = _order_statistic(u, n - 2)
         # winners picked by index: cheaper than a boolean mask on u
-        won = np.flatnonzero(dist.inverse_cdf(_order_statistic(u, n - 2)) < x)
-        pay = np.zeros(size)
-        pay[won] = bid(dist.inverse_cdf(
+        cand = np.flatnonzero(highest <= hi)
+        won = cand[dist.inverse_cdf(highest[cand]) < x]
+        # the pivot is the memory peak: the maxima go before it, pay after
+        del highest, cand
+        price = bid(dist.inverse_cdf(
             _order_statistic(u.take(won, axis=0), pivot)))
+        pay = np.zeros(size)
+        pay[won] = price
         return pay, won.size
 
     result = _mc_accumulate(samples, seed, shard)

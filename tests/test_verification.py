@@ -366,30 +366,130 @@ def test_monte_carlo_equals_direct_simulation(monkeypatch):
             assert expected_revenue(bid, dist, n, k, samples, seed) == direct
 
 
+@pytest.mark.filterwarnings("ignore:monte_carlo_expected_payment:RuntimeWarning")
+@pytest.mark.parametrize(
+    "dist", [U, T, make_linear(0.73, 1.0), make_linear(-0.9, 1.0),
+             make_linear(-1.999, 1.0)],  # the last has f(omega) = 5e-4
+    ids=["uniform", "triangle", "a=0.73", "a=-0.9", "a=-1.999"])
+def test_payment_filter_edges_equal_direct_simulation(monkeypatch, dist):
+    # a payment inverts only the maxima at most hi = F(x) (1 + 1e-9); at
+    # the edges of that filter it is still the direct simulation, bit for bit
+    monkeypatch.setattr(verification, "SHARD_SIZE", 3000)
+    samples, seed = 1 << 13, 23  # three shards, the last one partial
+    omega = dist.omega
+    xs = [omega, np.nextafter(omega, 0.0), 0.999 * omega]
+    # F(x) subnormal: only an all-zero trial could win; on the triangle
+    # F(1e-170) even rounds to 0
+    tiny = [1e-310] if dist.b else [1e-160, 1e-170]
+    assert all(dist.cdf(t) < np.finfo(float).tiny for t in tiny)
+    xs += tiny
+    # x = F^-1 of a drawn maximum (n = 5), and the floats beside it, puts
+    # maxima in [F(x), hi); for a falling density some of them still win,
+    # where cdf and inverse_cdf round apart
+    first = verification._shard_rng(seed, 0).random((3000, 4)).max(axis=1)
+    x0 = dist.inverse_cdf(first)
+    near = np.concatenate([np.nextafter(x0, 0.0), x0, np.nextafter(x0, omega)])
+    drawn = np.tile(first, 3)
+    edge = near[(dist.cdf(near) < drawn) & (dist.inverse_cdf(drawn) < near)]
+    assert edge.size > 0 or dist.a >= 0.0
+    xs += near[[300, 4500, 8990]].tolist() + edge[:3].tolist()
+    banded = 0
+    for x in xs:
+        hi = dist.cdf(x) * (1 + 1e-9)
+        banded += np.count_nonzero((dist.cdf(x) <= first) & (first < hi))
+        for n, k in ((2, 2), (5, 2), (5, 3), (5, 5)):
+            bid = BidFunction.equilibrium(AuctionConfig(n, k), dist)
+            direct = verification._mc_accumulate(
+                samples, seed, _direct_payment_shard(bid, dist, n, k, x))
+            assert monte_carlo_expected_payment(
+                bid, dist, n, k, x, samples, seed) == direct, (x, n, k)
+    assert banded > 0
+
+
+def test_payment_inverts_only_the_trials_that_can_win(monkeypatch):
+    # inverse_cdf sees the maxima at most hi = F(x) (1 + 1e-9), then each
+    # winner's price uniform: not one value per trial
+    n, k, x, samples, seed = 6, 4, 0.5, 150_000, 7
+    bid = BidFunction.equilibrium(AuctionConfig(n, k), U)
+    inverted = []
+    inverse_cdf = type(U).inverse_cdf
+
+    def counting(self, u):
+        inverted.append(np.size(u))
+        return inverse_cdf(self, u)
+
+    monkeypatch.setattr(type(U), "inverse_cdf", counting)
+    result = monte_carlo_expected_payment(bid, U, n, k, x, samples, seed)
+    hi = U.cdf(x) * (1 + 1e-9)
+    candidates = sum(
+        int(np.count_nonzero(verification._shard_rng(seed, index).random(
+            (size, n - 1)).max(axis=1) <= hi))
+        for index, size in verification._shards(samples))
+    assert 0 < result.wins <= candidates < samples / 10  # F(x)**5 = 1/32
+    assert sum(inverted) <= candidates + result.wins
+
+
+def test_monte_carlo_transient_memory_is_bounded():
+    # one 2**16-sample call at n = 8, whose draws alone take 3.5 MiB
+    # (payment) and 4 MiB (revenue), against the peaks of the column-copy
+    # implementation it replaced: 5.07, 5.42 and 7.00 MiB. The payments
+    # now peak at 4.07 and 5.30 MiB; keeping the maxima to the end of a
+    # shard reads 4.51 at x = 0.5, and making pay before the pivot 5.80
+    # at x = 0.8. The revenue still peaks in the bid, with the draws alive.
+    import tracemalloc
+    lin = make_linear(0.73, 1.0)
+    pay = BidFunction.equilibrium(AuctionConfig(8, 3), U)
+    rev = BidFunction.equilibrium(AuctionConfig(8, 5), lin)
+    cases = [
+        (lambda: monte_carlo_expected_payment(pay, U, 8, 3, 0.5, 1 << 16, 3),
+         4.3),
+        (lambda: monte_carlo_expected_payment(pay, U, 8, 3, 0.8, 1 << 16, 3),
+         5.42),
+        (lambda: expected_revenue(rev, lin, 8, 5, 1 << 16, 3), 7.01),
+    ]
+    for call, bound_mib in cases:
+        call()  # anything cached on first use is not transient
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2 ** 20, (bound_mib, peak / 2 ** 20)
+
+
 @pytest.mark.parametrize("limit", [0, verification._COLUMN_LIMIT, 10 ** 6],
                          ids=["per-row", "cost-rule", "columns"])
 def test_order_statistic_equals_partition(monkeypatch, limit):
-    # a block of 8 rows, so 0, 1 and 21 rows give no block, a partial one,
-    # and two whole blocks and a partial one; integer draws tie in most rows
+    # blocks of 8 rows, so 0, 1 and 21 rows give no block, a partial one,
+    # and two whole blocks and a partial one; integer draws tie in most
+    # rows. The row extremes (r = 0, m-1) also run in blocks of 1 row,
+    # and those folded over columns leave u as it was.
     monkeypatch.setattr(verification, "_COLUMN_LIMIT", limit)
-    monkeypatch.setattr(verification, "_BLOCK_ROWS", 8)
     rng = np.random.default_rng(29)
     for m in range(1, 41):
         for rows in (0, 1, 21):
             for u in (rng.random((rows, m)),
                       rng.integers(0, 4, (rows, m)).astype(float)):
-                for r in range(m):
-                    got = verification._order_statistic(u.copy(), r)
-                    assert np.array_equal(
-                        got, np.partition(u, r, axis=1)[:, r]), (m, rows, r)
+                for block in (8, 1):
+                    monkeypatch.setattr(verification, "_BLOCK_BYTES",
+                                        block * u.itemsize * m)
+                    for r in range(m) if block == 8 else {0, m - 1}:
+                        work = u.copy()
+                        got = verification._order_statistic(work, r)
+                        assert np.array_equal(
+                            got, np.partition(u, r, axis=1)[:, r]), (
+                                m, rows, r, block)
+                        if r in (0, m - 1) and m <= limit:
+                            assert np.array_equal(work, u), (m, rows, r)
 
 
 def test_order_statistic_at_shard_size():
     # default block and limit, on a row count that is no block multiple;
     # m = 8 is column work only, m = 12 takes both sides of the cost rule
     rng = np.random.default_rng(31)
-    rows = 3 * verification._BLOCK_ROWS + 5
     for m in (2, 7, 8, 12):
+        rows = 3 * (verification._BLOCK_BYTES // (8 * m)) + 5
         u = rng.random((rows, m))
         for r in range(m):
             assert np.array_equal(verification._order_statistic(u.copy(), r),
