@@ -34,12 +34,13 @@ for x in (0.25, 0.5, 0.75, 1.0):
     print(f"  x={x}: exact {exact:.12f}   series {series(x):.12f}")
 print()
 
-# the reverse direction: the expected payment under the bid,
+# the reverse direction, by one integration rather than a ladder: the
+# expected payment under the bid,
 # binom(n-2, k-2) int_0^x beta (F(x) - F)**(k-2) F**(n-k) f dy, must equal
 # the second-price payment psi_0 as a polynomial (revenue equivalence);
 # a bid of any other slope fails, so this checks the bid itself, not
 # just the formula it came from
-print("payment ladder closes (uniform, n=7, k=5):",
+print("payment identity holds (uniform, n=7, k=5):",
       phi_ladder_check(make_uniform(1.0), 7, 5))
-print("payment ladder closes (triangle, n=6, k=6):",
+print("payment identity holds (triangle, n=6, k=6):",
       phi_ladder_check(make_triangle(1.0), 6, 6))

@@ -53,15 +53,15 @@ row for both theta checks and Omega, and cross-multiplies the bounds.
 The Jensen / Hagen-Rothe / shifted-Jensen convolution identities take
 real arguments; each side is summed exactly as an integer over one
 denominator from the binary values of the inputs (brought there by
-polynomials._over_one_denominator), and its float is one
-correctly rounded int / int division, so identity_sweep compares the two
-floats with ==, calling the integer cores the public *_sides wrap. The
-falling factorials' factors come by running subtraction (x -= D); the
-O(s) sides are running products of them, summed Horner-fashion, and the
-O(s**2) left sides multiply each term's factors out inline. The random
-cases come from the Generator's public array calls, a fixed block of
-1024 at a time, so they are prefix-stable: the first T cases are the same
-for every trial count >= T. The only other floating point is the
+polynomials._over_one_denominator), and its float is one correctly
+rounded int / int division, so identity_sweep calls the public *_sides
+and compares the two floats with ==. The falling factorials' factors
+come by running subtraction (x -= D); the O(s) sides are running
+products of them, summed Horner-fashion, and the O(s**2) left sides
+multiply each term's factors out inline. The random cases come from the
+Generator's public array calls, a fixed block of 1024 at a time, so they
+are prefix-stable: the first T cases are the same for every trial count
+>= T. The only other floating point is the
 quadrature check of the integral representation
 
     C_l = (2**(2l+1) / pi) * int_0^1 t**l * sqrt((1-t)/t) dt.
@@ -153,8 +153,8 @@ def _falling(x: int, j: int, d: int) -> int:
 # term becomes an integer over D**s s!. The one rounding is the final
 # int / int division, which is correctly rounded (the float nearest the
 # exact side), so equal sides give equal floats. Each falling factorial's
-# factors are formed by running subtraction, x -= D. identity_sweep calls
-# the integer cores below directly; the public *_sides check s and wrap them.
+# factors are formed by running subtraction, x -= D. Each public *_sides
+# checks s and sums its two sides from the integer helpers below.
 
 def _convolution_lhs(m: int, r: int, z: int, d: int, s: int,
                      hagen_rothe: bool) -> int:
@@ -196,7 +196,10 @@ def _perm_sum(x: int, dx: int, s: int, w: int) -> int:
     return acc
 
 
-def _jensen(m, r, z, s: int) -> tuple[float, float]:
+def jensen_sides(m: float, r: float, z: float, s: int) -> tuple[float, float]:
+    """Both sides of Jensen's convolution identity,
+    sum_l binom(m+z*l, l) binom(r-z*l, s-l) == sum_l binom(m+r-l, s-l) z**l."""
+    s = _check_int("jensen_sides", "s", s, 0)
     d, (m, r, z) = _over_one_denominator(m, r, z)
     lhs = _convolution_lhs(m, r, z, d, s, False)
     # falling(M+R-lD, s-l, D) is the suffix product of M+R-iD over l <= i < s
@@ -205,7 +208,10 @@ def _jensen(m, r, z, s: int) -> tuple[float, float]:
     return lhs / scale, rhs / scale
 
 
-def _hagen_rothe(m, r, z, s: int) -> tuple[float, float]:
+def hagen_rothe_sides(m: float, r: float, z: float, s: int) -> tuple[float, float]:
+    """Both sides of the Hagen-Rothe convolution identity,
+    sum_l m/(m+z*l) binom(m+z*l, l) binom(r-z*l, s-l) == binom(m+r, s)."""
+    s = _check_int("hagen_rothe_sides", "s", s, 0)
     d, (m, r, z) = _over_one_denominator(m, r, z)
     # the one l with M + Zl = 0, if any (every l when M = Z = 0)
     pole = 0 if m == 0 else -m // z if z and m % z == 0 else -1
@@ -217,7 +223,10 @@ def _hagen_rothe(m, r, z, s: int) -> tuple[float, float]:
     return lhs / scale, rhs / scale
 
 
-def _shifted_jensen(r, z, s: int) -> tuple[float, float]:
+def shifted_jensen_sides(r: float, z: float, s: int) -> tuple[float, float]:
+    """Both sides of the shifted variant used to telescope the bid series,
+    sum_l binom(r-l, s-l) z**l == sum_l binom(r+1, s-l) (z-1)**l."""
+    s = _check_int("shifted_jensen_sides", "s", s, 0)
     d, (r, z) = _over_one_denominator(r, z)
     # falling(R-lD, s-l, D) is a suffix product, falling(R+D, s-l, D) a
     # prefix product
@@ -225,24 +234,6 @@ def _shifted_jensen(r, z, s: int) -> tuple[float, float]:
     rhs = _perm_sum(r + d, -d, s, z - d)
     scale = d ** s * math.factorial(s)
     return lhs / scale, rhs / scale
-
-
-def jensen_sides(m: float, r: float, z: float, s: int) -> tuple[float, float]:
-    """Both sides of Jensen's convolution identity,
-    sum_l binom(m+z*l, l) binom(r-z*l, s-l) == sum_l binom(m+r-l, s-l) z**l."""
-    return _jensen(m, r, z, _check_int("jensen_sides", "s", s, 0))
-
-
-def hagen_rothe_sides(m: float, r: float, z: float, s: int) -> tuple[float, float]:
-    """Both sides of the Hagen-Rothe convolution identity,
-    sum_l m/(m+z*l) binom(m+z*l, l) binom(r-z*l, s-l) == binom(m+r, s)."""
-    return _hagen_rothe(m, r, z, _check_int("hagen_rothe_sides", "s", s, 0))
-
-
-def shifted_jensen_sides(r: float, z: float, s: int) -> tuple[float, float]:
-    """Both sides of the shifted variant used to telescope the bid series,
-    sum_l binom(r-l, s-l) z**l == sum_l binom(r+1, s-l) (z-1)**l."""
-    return _shifted_jensen(r, z, _check_int("shifted_jensen_sides", "s", s, 0))
 
 
 def theta_coeff(n: int, k: int, l: int) -> Fraction:
@@ -413,11 +404,11 @@ def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
     ]
 
     rng = np.random.default_rng(seed)
-    for name, sides, skip in (("jensen", _jensen, 0),
-                              ("hagen-rothe", _hagen_rothe, 0),
-                              ("shifted-jensen", _shifted_jensen, 1)):
+    for name, sides, skip in (("jensen", jensen_sides, 0),
+                              ("hagen-rothe", hagen_rothe_sides, 0),
+                              ("shifted-jensen", shifted_jensen_sides, 1)):
         passed, detail = True, f"(trials={trials}, seed={seed})"
-        draws = islice(_random_cases(rng, sides is _hagen_rothe), trials)
+        draws = islice(_random_cases(rng, name == "hagen-rothe"), trials)
         for checked, case in enumerate(draws, 1):
             lhs, rhs = sides(*case[skip:])
             if lhs != rhs:

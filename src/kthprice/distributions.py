@@ -33,9 +33,9 @@ NORMALIZATION_TOL = 1e-12
 def _check_int(func: str, name: str, value, low: int | None = None) -> int:
     """value as an int, and >= low if low is given; a ValueError names func
     and name otherwise ("func: name", or "Class.name" for a class's field).
-    numpy integers are accepted and converted."""
-    if type(value) is not int:  # the common case skips the slower ABC check
-        if not isinstance(value, numbers.Integral):
+    numpy integers are accepted and converted; bools are refused."""
+    if type(value) is not int:  # the common case skips the slower checks
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             where = f"{func}.{name}" if func[0].isupper() else f"{func}: {name}"
             raise ValueError(f"{where} must be an integer, got {value!r}")
         value = int(value)

@@ -13,10 +13,9 @@ kernels, plus derivative, antiderivative vanishing at zero and gcd. A
 RationalFunction takes its one gcd from the Euclidean polynomial_gcd
 over the rationals and cancels it by _idivmod on integer coefficient
 lists; it keeps the reduced integer pair, is compared by integer
-cross-multiplication of those pairs, evaluated, and differentiated or
-divided only as the quotient-rule reference the ladder step is tested
-against. Every identity here is about integers, never floats. Not a
-general CAS.
+cross-multiplication of those pairs, evaluated and printed, and has no
+arithmetic of its own: results are built from Polynomial parts. Every
+identity here is about integers, never floats. Not a general CAS.
 """
 
 from __future__ import annotations
@@ -284,35 +283,15 @@ class RationalFunction:
         self.den = Polynomial([Fraction(c, lead) for c in q])
         self._ints = p, q
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, (Polynomial, int, float, Fraction)):
-            return RationalFunction(other)
-        return None
-
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, RationalFunction):
+            if not isinstance(other, (Polynomial, int, float, Fraction)):
+                return NotImplemented
+            other = RationalFunction(other)
         # cross-multiplied in integers: p1/q1 == p2/q2  iff  p1*q2 == p2*q1
         p1, q1 = self._ints
         p2, q2 = other._ints
         return _imul(p1, q2) == _imul(p2, q1)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den)
 
     def __call__(self, x):
         return self.num(x) / self.den(x)

@@ -126,6 +126,13 @@ class VerificationReport:
         }
 
 
+def _scalar_x(func: str, x):
+    """x, or a 0-d array's scalar; any other array is refused by name."""
+    if np.ndim(x):
+        raise ValueError(f"{func}: x must be a scalar, got shape {np.shape(x)}")
+    return x[()] if isinstance(x, np.ndarray) else x
+
+
 def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
                                x: float) -> float:
     """Revenue-equivalence target m(x) = int_0^x y (n-1) F**(n-2) f dy.
@@ -140,6 +147,7 @@ def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
     rounded: the result is the float nearest the exact m(x).
     """
     n = _check_int("expected_payment_benchmark", "n", n, 2)
+    x = x if type(x) is float else _scalar_x("expected_payment_benchmark", x)
     if not 0.0 <= x <= dist.omega:
         raise ValueError(f"expected_payment_benchmark: x must lie in "
                          f"[0, omega], got x={x}")
@@ -348,6 +356,7 @@ def monte_carlo_expected_payment(bid: BidFunction,
     n, k = _check_nk(func, n, k, 2)
     samples = _check_int(func, "samples", samples, 2)
     seed = _check_int(func, "seed", seed, 0)
+    x = x if type(x) is float else _scalar_x(func, x)
     if not 0.0 < x <= dist.omega:
         raise ValueError(f"{func}: x must lie in (0, omega], got x={x}")
     pivot = n - k  # ascending index of the (k-1)-th highest of n-1 values

@@ -339,18 +339,19 @@ def test_ladders_equal_fraction_reference(dist):
                          ids=["uniform", "triangle", "linear-0.73"])
 @pytest.mark.parametrize("j", [0, 1, 4])
 def test_ladder_step_matches_quotient_rule(dist, j):
-    # one integer step, scale * N / g**j with g = D f, against the general
-    # rational route
+    # one integer step, scale * N / g**j with g = D f, against the quotient
+    # rule (N / Q)' / f = (N' Q - N Q') / (Q Q f) in Polynomial arithmetic
     density = _int_density(dist)
     _, g = _int_polynomials(density)
     num, scale = [3, -2, 0, 5, 7], Fraction(5, 3)
     stepped, new_scale, power = _ladder(num, scale, j, density, 1)
     assert power == j + 2 and new_scale == scale * density[2]
     g = Polynomial(g)
-    psi = RationalFunction(Polynomial(num) * scale, g ** j)
+    big_n, big_q = Polynomial(num) * scale, g ** j
     _, f = _fraction_density(dist)
     assert RationalFunction(Polynomial(stepped) * new_scale, g ** power) == \
-        psi.derivative() / RationalFunction(f)
+        RationalFunction(big_n.derivative() * big_q - big_n * big_q.derivative(),
+                         big_q * big_q * f)
 
 
 def test_psi_oracle_sweep_to_n30():

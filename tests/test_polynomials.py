@@ -103,8 +103,6 @@ def test_rational_function_normalisation():
     assert (r.num, r.den) == (Fraction(1, 2) * X + Fraction(1, 2), X ** 2)
     with pytest.raises(ZeroDivisionError):
         RationalFunction(X, Polynomial())
-    with pytest.raises(ZeroDivisionError):
-        r / RationalFunction(Polynomial(), X)
 
 
 def fraction_reference(num, den):
@@ -177,14 +175,6 @@ def test_rational_function_equality_cross_multiplied():
     assert RationalFunction(5 * X - 5, 2 * X - 2) != 2
     assert RationalFunction(Polynomial(), X ** 2 + 3) == 0
     assert RationalFunction(X, 1) != "x"
-
-
-def test_rational_function_derivative_quotient_rule():
-    r = RationalFunction(X ** 2, X + 1)
-    # (x^2/(x+1))' = (x^2 + 2x) / (x+1)^2
-    assert r.derivative() == RationalFunction(X ** 2 + 2 * X, (X + 1) ** 2)
-    # derivative of a polynomial stays polynomial
-    assert RationalFunction(X ** 3).derivative() == 3 * X ** 2
 
 
 def test_str_round_trip_is_readable():

@@ -152,10 +152,17 @@ def test_benchmark_input_types():
         for zero in (0.0, np.int32(0)):
             value = expected_payment_benchmark(lin, n, zero)
             assert type(value) is float and value == 0.0
+        for x in (0.77, 1):  # a 0-d array is its scalar
+            value = expected_payment_benchmark(lin, n, np.array(x))
+            assert type(value) is float
+            assert value == expected_payment_benchmark(lin, n, x)
     for bad in (float("nan"), float("inf"), -float("inf"), -1e-300,
                 np.nextafter(1.0, 2.0), 2):
         with pytest.raises(ValueError):
             expected_payment_benchmark(lin, 5, bad)
+    for array in (np.array([0.5]), np.array([0.2, 0.5]), [0.5]):
+        with pytest.raises(ValueError, match=r"benchmark: x must be a scalar"):
+            expected_payment_benchmark(lin, 5, array)
 
 
 def test_quadrature_payment_frozen_values():
@@ -298,6 +305,12 @@ def test_monte_carlo_validation():
         monte_carlo_expected_payment(eq, U, 4, 3, 0.5, 1, 1)
     with pytest.raises(ValueError, match=r"revenue: samples must be >= 2"):
         expected_revenue(eq, U, 4, 3, 1, 1)
+    # x is one value: a 0-d array is its scalar, any other array is refused
+    for array in (np.array([0.5]), np.array([0.2, 0.5])):
+        with pytest.raises(ValueError, match=r"payment: x must be a scalar"):
+            monte_carlo_expected_payment(eq, U, 4, 3, array, 100, 1)
+    assert monte_carlo_expected_payment(eq, U, 4, 3, np.array(0.5), 100, 1) \
+        == monte_carlo_expected_payment(eq, U, 4, 3, 0.5, 100, 1)
     two = expected_revenue(eq, U, 4, 3, 2, 1)
     assert two.samples == 2 and two.standard_error > 0.0
     # the identity sweep's random trials are seeded the same way
@@ -657,6 +670,8 @@ def _case(name, func, *args):
                                                   "3")),
     ("seed", lambda: expected_revenue(EQ43, U, 4, 3, 100, 1.5)),
     ("seed", lambda: expected_revenue(EQ43, U, 4, 3, 100, "3")),
+    ("seed", lambda: monte_carlo_expected_payment(EQ43, U, 4, 3, 0.5, 100,
+                                                  True)),
     ("k", lambda: best_response_profile(EQ43, U, 4, 3.0, 0.5, GRID)),
     ("s", lambda: jensen_sides(1.0, 2.0, 0.5, 2.0)),
     ("s", lambda: hagen_rothe_sides(1.0, 2.0, 0.5, None)),
@@ -676,6 +691,7 @@ def _case(name, func, *args):
     _case("n", omega, 6.0, 4),
     _case("k", omega_bounds, 10, 3.0),
     _case("n", omega_bounds_hold, np.float64(10), 3),
+    _case("k", omega_bounds_hold, 10, True),
     _case("lmax", identity_sweep, 3.5, 0, 1, 1, 3),
     _case("integral_lmax", identity_sweep, 1, 0.0, 1, 1, 3),
     _case("trials", identity_sweep, 1, 0, 1.0, 1, 3),
