@@ -3,19 +3,21 @@
 Just enough symbolic machinery for the differentiation ladders that
 verify bid functions, and the package's one home for each exact-integer
 job: the dense kernels _iadd, _imul and _ipow and the long division
-_idivmod serve int and Fraction coefficients alike, and
-_over_one_denominator brings ints, floats, Fractions and numpy numbers
-to integers over one denominator. The ladders step with the kernels over
-integer coefficient lists times one Fraction scale and build a
-RationalFunction, with its one gcd, only for a finished result.
-Polynomial holds Fraction coefficients; its +, *, ** and divmod are the
-kernels, plus derivative, antiderivative vanishing at zero and gcd. A
-RationalFunction takes its one gcd from the Euclidean polynomial_gcd
-over the rationals and cancels it by _idivmod on integer coefficient
-lists; it keeps the reduced integer pair, is compared by integer
-cross-multiplication of those pairs, evaluated and printed, and has no
-arithmetic of its own: results are built from Polynomial parts. Every
-identity here is about integers, never floats. Not a general CAS.
+_idivmod serve int and Fraction coefficients alike (and _idivmod residues
+mod a prime), and _over_one_denominator brings ints, floats, Fractions
+and numpy numbers to integers over one denominator. The ladders step
+with the kernels over integer coefficient lists times one Fraction scale
+and build a RationalFunction, with its one gcd, only for a finished
+result. Polynomial holds Fraction coefficients; its +, *, ** and divmod
+are the kernels, plus derivative, antiderivative vanishing at zero and
+gcd. polynomial_gcd proves a coprime pair coprime by Euclid on integer
+residues mod the prime 2^61 - 1, and runs Euclid over the rationals only
+on the pairs that proof cannot settle. A RationalFunction cancels its one
+gcd by _idivmod on integer coefficient lists; it keeps the reduced
+integer pair, is compared by integer cross-multiplication of those
+pairs, evaluated and printed, and has no arithmetic of its own: results
+are built from Polynomial parts. Every identity here is about integers,
+never floats. Not a general CAS.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ def _coeff(value) -> Fraction:
         return value
     if isinstance(value, (int, float)):
         return Fraction(value)
+    if isinstance(value, numbers.Integral):  # numpy integers
+        return Fraction(int(value))
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
@@ -71,13 +75,16 @@ class Polynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its coefficient, so it hashes as that number
+        if self.degree <= 0:
+            return hash(self.leading_coefficient)
         return hash(self.coeffs)
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, (int, float, Fraction)):
+        if isinstance(other, (int, float, Fraction, numbers.Integral)):
             return Polynomial([other])
         return None
 
@@ -219,7 +226,8 @@ def _iadd(p: Sequence, q: Sequence) -> list:
 def _idivmod(p: Sequence, q: Sequence, div) -> tuple[list, list]:
     """(quotient, remainder) of p by q by long division, each quotient
     coefficient div(remainder lead, q's lead): / over Fractions, // for
-    integer lists that q divides exactly."""
+    integer lists that q divides exactly, reduction mod a prime for
+    residue lists with q monic (the remainder is then left unreduced)."""
     rem = list(p)
     d = len(q) - 1
     lead = q[-1]
@@ -245,8 +253,49 @@ def _over_one_denominator(*xs) -> tuple[int, list[int]]:
     return den, [p * (den // q) for p, q in ratios]
 
 
-def polynomial_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm over the rationals."""
+_M = 2 ** 61 - 1  # a Mersenne prime
+
+
+def _coprime_mod_m(p: Sequence, q: Sequence) -> bool:
+    """True only if coefficient sequences p and q are coprime over the
+    rationals, by the proof in polynomial_gcd; False when it cannot tell."""
+    if not p or not q or p[0] == q[0] == 0:  # a zero part, or x divides both
+        return False
+    a, b = ([c % _M for c in _over_one_denominator(*v)[1]] for v in (p, q))
+    if not a[-1] or not b[-1]:
+        return False
+    while len(b) > 1:  # Euclid in F_M[x], each divisor made monic
+        inv = pow(b[-1], -1, _M)
+        b = [c * inv % _M for c in b]
+        rem = [c % _M for c in _idivmod(a, b, lambda r, _: r % _M)[1]]
+        while rem and not rem[-1]:
+            rem.pop()
+        if not rem:
+            return False
+        a, b = b, rem
+    return True
+
+
+def polynomial_gcd(p, q) -> Polynomial:
+    """Monic gcd of two Polynomials or scalars over the rationals.
+
+    A coprime pair is first proved coprime with no Fraction arithmetic:
+    clear each part to an integer polynomial P, Q (a nonzero rational
+    multiple, so the gcd is the same) and run Euclid on both mod the prime
+    M = 2^61 - 1. Suppose M divides neither leading coefficient and the
+    gcd mod M is constant. A gcd G of degree >= 1 over the rationals could
+    be taken primitive in Z[x] with P = G*U, Q = G*V in Z[x] (Gauss's
+    lemma); M does not divide lc(P) = lc(G)*lc(U), so G mod M would keep
+    its degree and divide both reductions. Hence the gcd is 1. Every other
+    pair (a leading coefficient divisible by M, x dividing both parts, or
+    a nonconstant gcd mod M) takes the Euclidean algorithm over the
+    rationals.
+    """
+    p, q = Polynomial._coerce(p), Polynomial._coerce(q)
+    if p is None or q is None:
+        raise TypeError("polynomial_gcd needs Polynomial or scalar arguments")
+    if _coprime_mod_m(p.coeffs, q.coeffs):
+        return Polynomial([1])
     while q:
         p, q = q, p % q
     return p.monic()
@@ -285,7 +334,8 @@ class RationalFunction:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
-            if not isinstance(other, (Polynomial, int, float, Fraction)):
+            other = Polynomial._coerce(other)
+            if other is None:
                 return NotImplemented
             other = RationalFunction(other)
         # cross-multiplied in integers: p1/q1 == p2/q2  iff  p1*q2 == p2*q1

@@ -357,7 +357,7 @@ def test_ladder_step_matches_quotient_rule(dist, j):
 def test_psi_oracle_sweep_to_n30():
     start = time.perf_counter()
     cases = [(dist, n) for dist in (U, T) for n in range(3, 31)]
-    cases += [(make_linear(1.0, 1.0), n) for n in range(3, 21)]
+    cases += [(make_linear(1.0, 1.0), n) for n in range(3, 22)]
     assert all(psi_ladder_oracle(dist, n, k) == psi_closed_form(dist, n, k)
                for dist, n in cases for k in range(3, n + 1))
     elapsed = time.perf_counter() - start

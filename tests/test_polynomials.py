@@ -25,6 +25,26 @@ def test_float_coefficients_become_exact():
     assert Polynomial([0.1]).coeffs == (Fraction(0.1),)  # exact binary value
 
 
+def test_numpy_integers_are_coefficients_and_scalars():
+    p = Polynomial([np.int64(2), np.int32(1)])
+    assert p == X + 2
+    assert all(type(c) is Fraction and type(c.numerator) is int
+               for c in p.coeffs)
+    assert X * np.int64(3) == 3 * X
+    r = RationalFunction(X, np.int64(2))
+    assert (r.num, r.den) == (Fraction(1, 2) * X, Polynomial([1]))
+    assert RationalFunction(6 * X, 3 * X) == np.int64(2)
+
+
+def test_hash_agrees_with_eq():
+    for poly, number in ((Polynomial([3]), 3), (Polynomial(), 0),
+                         (Polynomial([0.5]), 0.5),
+                         (Polynomial([Fraction(-2, 3)]), Fraction(-2, 3))):
+        assert poly == number and hash(poly) == hash(number)
+        assert {poly: 1}.get(number) == 1 and {number: 1}.get(poly) == 1
+    assert hash(X + 1) == hash(Polynomial([1, 1]))
+
+
 def test_arithmetic():
     p = (X + 1) * (X - 1)
     assert p == X ** 2 - 1
@@ -78,6 +98,64 @@ def test_gcd_monic():
     g = polynomial_gcd((X - 1) * (X + 2) ** 2, (X + 2) * (X ** 2))
     assert g == X + 2
     assert polynomial_gcd(Polynomial(), X ** 2) == X ** 2  # gcd(0, p) = monic p
+    # scalars are coerced as RationalFunction does; anything else is refused
+    assert polynomial_gcd(Polynomial([1, 1]), 3) == 1
+    assert polynomial_gcd(0, 2 * X + 1) == X + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        polynomial_gcd(X, "x")
+
+
+def random_poly(rng, degree):
+    return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                       for _ in range(degree)] + [rng.choice([-3, -1, 1, 2])])
+
+
+def euclid_reference(p, q):
+    """The plain Euclidean loop over the rationals, with no coprimality
+    proof first."""
+    while q:
+        p, q = q, p % q
+    return p.monic()
+
+
+def gcd_cases():
+    rng = random.Random(25)
+    for degree in (0, 1, 2, 3):  # planted common factors
+        for _ in range(25):
+            common = random_poly(rng, degree)
+            yield (random_poly(rng, rng.randint(0, 4)) * common,
+                   random_poly(rng, rng.randint(0, 4)) * common)
+    m = 2 ** 61 - 1
+    yield m * X + 1, X + 2           # M divides a leading coefficient
+    # ... and the common factor m*x + 1 vanishes mod M but for its constant
+    yield (m * X + 1) * (X + 3), (m * X + 1) * (X + 5)
+    yield X, X - m                   # coprime over Q, not mod M
+    yield X * (X + 3), X ** 2 * (2 * X - 1)   # x divides both
+    yield Polynomial(), Polynomial([5])
+    yield Polynomial([0.1, 0.5, 0.3]), Polynomial([0.7, 0.25])   # floats
+
+
+@pytest.mark.parametrize("p, q", list(gcd_cases()))
+def test_gcd_equals_plain_euclid(p, q):
+    assert polynomial_gcd(p, q).coeffs == euclid_reference(p, q).coeffs
+    assert polynomial_gcd(q, p).coeffs == euclid_reference(q, p).coeffs
+
+
+def test_coprime_pair_runs_no_euclid_step(monkeypatch):
+    steps = []
+    mod = Polynomial.__mod__
+
+    def spy(self, other):
+        steps.append(other)
+        return mod(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mod__", spy)
+    assert polynomial_gcd(3 * X ** 3 - X + Fraction(1, 7), X ** 2 + 5) == 1
+    assert not steps
+    # the fallbacks do run Euclid, and still find gcd 1
+    assert polynomial_gcd(X, X - (2 ** 61 - 1)) == 1
+    assert polynomial_gcd((2 ** 61 - 1) * X + 1, X + 2) == 1
+    assert len(steps) == 4
 
 
 def test_calculus():
@@ -115,11 +193,6 @@ def fraction_reference(num, den):
         den //= g
     inv = Fraction(1) / den.leading_coefficient
     return (num * inv).coeffs, (den * inv).coeffs
-
-
-def random_poly(rng, degree):
-    return Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                       for _ in range(degree)] + [rng.choice([-3, -1, 1, 2])])
 
 
 def cancellation_cases():
