@@ -51,17 +51,17 @@ with Catalan numbers from math.comb), and Omega is one integer over
 row for both theta checks and Omega, and cross-multiplies the bounds.
 
 The Jensen / Hagen-Rothe / shifted-Jensen convolution identities take
-real arguments; each side is summed exactly as an integer over one
-denominator from the binary values of the inputs (brought there by
-polynomials._over_one_denominator), and its float is one correctly
-rounded int / int division, so identity_sweep calls the public *_sides
-and compares the two floats with ==. The falling factorials' factors
-come by running subtraction (x -= D); the O(s) sides are running
-products of them, summed Horner-fashion, and the O(s**2) left sides
-multiply each term's factors out inline. The random cases come from the
-Generator's public array calls, a fixed block of 1024 at a time, so they
-are prefix-stable: the first T cases are the same for every trial count
->= T. The only other floating point is the
+real arguments; one integer helper per identity sums both sides exactly
+over one denominator D**s s!. The public *_sides round each side once
+(int / int); identity_sweep converts its cases a block at a time
+(polynomials._rows_over_one_denominator) and rounds only where the
+integers differ, so a case passes iff the rounded floats are equal. The
+falling factorials' factors come by running subtraction (x -= D); the
+O(s) sides are running products of them, summed Horner-fashion, and the
+O(s**2) left sides multiply each term's factors out inline. The random
+cases come from the Generator's public array calls, a fixed block of
+1024 at a time, so they are prefix-stable: the first T cases are the
+same for every trial count >= T. The only other floating point is the
 quadrature check of the integral representation
 
     C_l = (2**(2l+1) / pi) * int_0^1 t**l * sqrt((1-t)/t) dt.
@@ -77,7 +77,7 @@ from itertools import islice
 import numpy as np
 
 from .distributions import _check_int, _check_nk
-from .polynomials import _over_one_denominator
+from .polynomials import _over_one_denominator, _rows_over_one_denominator
 from .quadrature import integrate
 
 __all__ = [
@@ -153,8 +153,9 @@ def _falling(x: int, j: int, d: int) -> int:
 # term becomes an integer over D**s s!. The one rounding is the final
 # int / int division, which is correctly rounded (the float nearest the
 # exact side), so equal sides give equal floats. Each falling factorial's
-# factors are formed by running subtraction, x -= D. Each public *_sides
-# checks s and sums its two sides from the integer helpers below.
+# factors are formed by running subtraction, x -= D. One helper per
+# identity, (D, M, R, Z, s) -> its two integers, serves the public *_sides
+# and identity_sweep alike.
 
 def _convolution_lhs(m: int, r: int, z: int, d: int, s: int,
                      hagen_rothe: bool) -> int:
@@ -196,16 +197,36 @@ def _perm_sum(x: int, dx: int, s: int, w: int) -> int:
     return acc
 
 
+def _jensen_ints(d: int, m: int, r: int, z: int, s: int) -> tuple[int, int]:
+    # falling(M+R-lD, s-l, D) is the suffix product of M+R-iD over l <= i < s
+    return (_convolution_lhs(m, r, z, d, s, False),
+            _perm_sum(m + r - (s - 1) * d, d, s, z))
+
+
+def _hagen_rothe_ints(d: int, m: int, r: int, z: int,
+                      s: int) -> tuple[int, int]:
+    # no pole check: hagen_rothe_sides refuses poles, the sweep avoids them
+    return _convolution_lhs(m, r, z, d, s, True), _falling(m + r, s, d)
+
+
+def _shifted_jensen_ints(d: int, r: int, z: int, s: int) -> tuple[int, int]:
+    # falling(R-lD, s-l, D) is a suffix product, falling(R+D, s-l, D) a prefix
+    return (_perm_sum(r - (s - 1) * d, d, s, z),
+            _perm_sum(r + d, -d, s, z - d))
+
+
+def _rounded(d: int, s: int, sides: tuple[int, int]) -> tuple[float, float]:
+    """The floats nearest the two integers over D**s s!."""
+    scale = d ** s * math.factorial(s)
+    return sides[0] / scale, sides[1] / scale
+
+
 def jensen_sides(m: float, r: float, z: float, s: int) -> tuple[float, float]:
     """Both sides of Jensen's convolution identity,
     sum_l binom(m+z*l, l) binom(r-z*l, s-l) == sum_l binom(m+r-l, s-l) z**l."""
     s = _check_int("jensen_sides", "s", s, 0)
-    d, (m, r, z) = _over_one_denominator(m, r, z)
-    lhs = _convolution_lhs(m, r, z, d, s, False)
-    # falling(M+R-lD, s-l, D) is the suffix product of M+R-iD over l <= i < s
-    rhs = _perm_sum(m + r - (s - 1) * d, d, s, z)
-    scale = d ** s * math.factorial(s)
-    return lhs / scale, rhs / scale
+    d, xs = _over_one_denominator(m, r, z)
+    return _rounded(d, s, _jensen_ints(d, *xs, s))
 
 
 def hagen_rothe_sides(m: float, r: float, z: float, s: int) -> tuple[float, float]:
@@ -217,23 +238,15 @@ def hagen_rothe_sides(m: float, r: float, z: float, s: int) -> tuple[float, floa
     pole = 0 if m == 0 else -m // z if z and m % z == 0 else -1
     if 0 <= pole <= s:
         raise ValueError(f"hagen_rothe_sides: m + z*l vanishes at l={pole}")
-    lhs = _convolution_lhs(m, r, z, d, s, True)
-    rhs = _falling(m + r, s, d)
-    scale = d ** s * math.factorial(s)
-    return lhs / scale, rhs / scale
+    return _rounded(d, s, _hagen_rothe_ints(d, m, r, z, s))
 
 
 def shifted_jensen_sides(r: float, z: float, s: int) -> tuple[float, float]:
     """Both sides of the shifted variant used to telescope the bid series,
     sum_l binom(r-l, s-l) z**l == sum_l binom(r+1, s-l) (z-1)**l."""
     s = _check_int("shifted_jensen_sides", "s", s, 0)
-    d, (r, z) = _over_one_denominator(r, z)
-    # falling(R-lD, s-l, D) is a suffix product, falling(R+D, s-l, D) a
-    # prefix product
-    lhs = _perm_sum(r - (s - 1) * d, d, s, z)
-    rhs = _perm_sum(r + d, -d, s, z - d)
-    scale = d ** s * math.factorial(s)
-    return lhs / scale, rhs / scale
+    d, xs = _over_one_denominator(r, z)
+    return _rounded(d, s, _shifted_jensen_ints(d, *xs, s))
 
 
 def theta_coeff(n: int, k: int, l: int) -> Fraction:
@@ -368,6 +381,14 @@ def _random_cases(rng: np.random.Generator, avoid_poles: bool):
                        s[keep].tolist())
 
 
+def _exact_cases(cases, skip: int):
+    """(case, D, [X, ...]) for each (m, r, z, s) case, its floats from index
+    skip on brought to integers over D, a block of _BLOCK cases at a time."""
+    while block := list(islice(cases, _BLOCK)):
+        yield from zip(block, *_rows_over_one_denominator(
+            [case[skip:3] for case in block]))
+
+
 def _omega_within(num: int, k: int, lower, upper) -> bool:
     """lower <= num / 2**(2k-5) <= upper, and = 1/2 at k = 3, in integers."""
     (a, b), (c, d) = lower.as_integer_ratio(), upper.as_integer_ratio()
@@ -383,8 +404,9 @@ def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
     1e-6 relative for l = 0..integral_lmax; jensen, hagen-rothe and
     shifted-jensen on `trials` checked random draws each, from one
     generator seeded with `seed`, passing iff lhs == rhs (each side is
-    the correctly rounded float of its exact value; a witness prints both
-    with repr); theta-recurrences and omega-positive exactly for all
+    the correctly rounded float of its exact value, rounded only where
+    the exact integers differ; a witness prints both floats with repr);
+    theta-recurrences and omega-positive exactly for all
     3 <= k <= n <= nmax; omega-bounds exactly on the wedge n + 4 > 2k,
     with Omega(n, 3) = 1/2. The library form of `kthprice identities`.
     """
@@ -404,19 +426,21 @@ def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
     ]
 
     rng = np.random.default_rng(seed)
-    for name, sides, skip in (("jensen", jensen_sides, 0),
-                              ("hagen-rothe", hagen_rothe_sides, 0),
-                              ("shifted-jensen", shifted_jensen_sides, 1)):
+    for name, ints, skip in (("jensen", _jensen_ints, 0),
+                             ("hagen-rothe", _hagen_rothe_ints, 0),
+                             ("shifted-jensen", _shifted_jensen_ints, 1)):
         passed, detail = True, f"(trials={trials}, seed={seed})"
         draws = islice(_random_cases(rng, name == "hagen-rothe"), trials)
-        for checked, case in enumerate(draws, 1):
-            lhs, rhs = sides(*case[skip:])
-            if lhs != rhs:
-                m, r, z, s = case
-                passed, detail = False, (
-                    f"witness m={m:.12g} r={r:.12g} z={z:.12g} s={s} "
-                    f"lhs={lhs!r} rhs={rhs!r}")
-                break
+        for checked, ((m, r, z, s), d, xs) in enumerate(
+                _exact_cases(draws, skip), 1):
+            lhs, rhs = ints(d, *xs, s)
+            if lhs != rhs:  # unequal integers may still round to one float
+                lhs, rhs = _rounded(d, s, (lhs, rhs))
+                if lhs != rhs:
+                    passed, detail = False, (
+                        f"witness m={m:.12g} r={r:.12g} z={z:.12g} s={s} "
+                        f"lhs={lhs!r} rhs={rhs!r}")
+                    break
         results.append(IdentityResult(name, passed, checked, detail))
 
     # One walk over the pairs: the theta row of (n, k + 1) is built once,

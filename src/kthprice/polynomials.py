@@ -5,7 +5,8 @@ verify bid functions, and the package's one home for each exact-integer
 job: the dense kernels _iadd, _imul and _ipow and the long division
 _idivmod serve int and Fraction coefficients alike (and _idivmod residues
 mod a prime), and _over_one_denominator brings ints, floats, Fractions
-and numpy numbers to integers over one denominator. The ladders step
+and numpy numbers to integers over one denominator (a float64 array's
+rows in one numpy pass: _rows_over_one_denominator). The ladders step
 with the kernels over integer coefficient lists times one Fraction scale
 and build a RationalFunction, with its one gcd, only for a finished
 result. Polynomial holds Fraction coefficients; its +, *, ** and divmod
@@ -28,6 +29,8 @@ import operator
 from collections.abc import Sequence
 from fractions import Fraction
 
+import numpy as np
+
 
 def _coeff(value) -> Fraction:
     # Fraction(float) is the exact binary value of the float, so even
@@ -36,6 +39,8 @@ def _coeff(value) -> Fraction:
         return value
     if isinstance(value, (int, float)):
         return Fraction(value)
+    if isinstance(value, np.floating):  # float16, float32, longdouble
+        return Fraction(*value.as_integer_ratio())
     if isinstance(value, numbers.Integral):  # numpy integers
         return Fraction(int(value))
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
@@ -84,9 +89,10 @@ class Polynomial:
     def _coerce(other):
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, (int, float, Fraction, numbers.Integral)):
+        try:  # a scalar, as _coeff takes it
             return Polynomial([other])
-        return None
+        except TypeError:
+            return None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -251,6 +257,22 @@ def _over_one_denominator(*xs) -> tuple[int, list[int]]:
                   else x.as_integer_ratio() for x in xs]
     den = math.lcm(*[q for _, q in ratios])
     return den, [p * (den // q) for p, q in ratios]
+
+
+def _rows_over_one_denominator(rows) -> tuple[list[int], list[list[int]]]:
+    """([D, ...], [[x * D for x in row], ...]) for a 2-d array of finite
+    floats, each D a power of two, in one numpy pass: np.frexp writes each
+    float64 exactly as an integer of at most 53 bits times 2**e."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(rows).all():
+        raise ValueError("_rows_over_one_denominator: values must be finite")
+    frac, exp = np.frexp(rows)
+    exp -= 53
+    exp[frac == 0] = 0  # a zero needs no denominator
+    den = np.maximum(-exp.min(axis=1), 0)
+    ints = ((frac * 2.0 ** 53).astype(np.int64).astype(object)
+            << (exp + den[:, None]).astype(object))
+    return [1 << d for d in den.tolist()], ints.tolist()
 
 
 _M = 2 ** 61 - 1  # a Mersenne prime

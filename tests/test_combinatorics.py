@@ -8,12 +8,13 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from kthprice import (catalan, catalan_integral, catalan_recurrence_holds,
-                      hagen_rothe_sides, identity_sweep, jensen_sides, omega,
-                      omega_bounds, omega_bounds_hold, shifted_jensen_sides,
-                      theta_coeff)
+from kthprice import (IdentityResult, catalan, catalan_integral,
+                      catalan_recurrence_holds, hagen_rothe_sides,
+                      identity_sweep, jensen_sides, omega, omega_bounds,
+                      omega_bounds_hold, shifted_jensen_sides, theta_coeff)
 import kthprice.combinatorics as comb
 from kthprice.combinatorics import _random_cases
+from kthprice.polynomials import _rows_over_one_denominator
 
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -210,6 +211,74 @@ def test_identity_sweep_fails_on_a_left_side_off_by_2_to_the_minus_40(
         "witness m=4.64371465219 r=4.18314318813 z=-1.50083710129 s=5 ")
     assert results["hagen-rothe"].detail.startswith(
         "witness m=1.25671407237 r=9.42999005619 z=-1.23213491406 s=12 ")
+
+
+def test_rows_over_one_denominator_is_exact():
+    rows = [case[:3] for case in
+            islice(_random_cases(np.random.default_rng(5), False), 3000)]
+    rows += [(0.0, 0.0, 0.0), (1.0, 3.5, 0.0),  # the m = 1.0 replacement
+             (2.5, -2.75, -1.5), (5e-324, 1.0, -5e-324),
+             (1e300, -1e300, 0.5), (5e-324, 1e300, 0.0)]
+    dens, ints = _rows_over_one_denominator(rows)
+    assert len(dens) == len(ints) == len(rows)
+    for row, d, xs in zip(rows, dens, ints):
+        assert type(d) is int and d > 0 and d & (d - 1) == 0  # a power of 2
+        assert all(type(x) is int for x in xs)
+        assert [Fraction(x, d) for x in xs] == list(map(Fraction, row)), row
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="values must be finite"):
+            _rows_over_one_denominator([(1.0, 2.0, 0.5), (1.0, bad, 0.5)])
+
+
+def per_case_sweep(trials, seed):
+    """The three random identities checked one case at a time through the
+    public *_sides: the reference for identity_sweep's block path."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for name, sides, skip in (("jensen", jensen_sides, 0),
+                              ("hagen-rothe", hagen_rothe_sides, 0),
+                              ("shifted-jensen", shifted_jensen_sides, 1)):
+        passed, detail = True, f"(trials={trials}, seed={seed})"
+        draws = islice(_random_cases(rng, name == "hagen-rothe"), trials)
+        for checked, case in enumerate(draws, 1):
+            lhs, rhs = sides(*case[skip:])
+            if lhs != rhs:
+                m, r, z, s = case
+                passed, detail = False, (
+                    f"witness m={m:.12g} r={r:.12g} z={z:.12g} s={s} "
+                    f"lhs={lhs!r} rhs={rhs!r}")
+                break
+        results.append(IdentityResult(name, passed, checked, detail))
+    return results
+
+
+@pytest.mark.parametrize("skewed", [False, True])
+@pytest.mark.parametrize("trials", [1, 500, 2500])  # 2500 spans three blocks
+@pytest.mark.parametrize("seed", [1, 97, 20250815])
+def test_identity_sweep_equals_a_loop_over_the_public_sides(
+        monkeypatch, seed, trials, skewed):
+    if skewed:  # left sides off by 2**-40 relative fail two identities
+        lhs = comb._convolution_lhs
+        monkeypatch.setattr(comb, "_convolution_lhs",
+                            lambda *args: (v := lhs(*args)) + v // 2 ** 40)
+    got = identity_sweep(1, 0, trials, seed, 3)[2:5]
+    assert got == per_case_sweep(trials, seed)
+    assert [r.passed for r in got] == [not skewed, not skewed, True]
+
+
+def test_identity_sweep_compares_floats_not_integers(monkeypatch):
+    # 1 more on an integer side above 2**200 is far below one ulp of its
+    # float over D**s s!: the integers differ, the rounded floats do not
+    perm_sum, rounded = comb._perm_sum, comb._rounded
+    monkeypatch.setattr(comb, "_perm_sum", lambda *args: (
+        (v := perm_sum(*args)) + (abs(v) > 2 ** 200)))
+    calls = []
+    monkeypatch.setattr(comb, "_rounded",
+                        lambda *args: calls.append(args) or rounded(*args))
+    results = {r.name: r for r in identity_sweep(1, 0, 500, 20250815, 3)}
+    assert results["jensen"].passed
+    assert results["shifted-jensen"].passed
+    assert len(calls) > 100  # so many cases had unequal integer sides
 
 
 # Reference sides: each summed term by term in Fraction arithmetic over

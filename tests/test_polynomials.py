@@ -36,6 +36,21 @@ def test_numpy_integers_are_coefficients_and_scalars():
     assert RationalFunction(6 * X, 3 * X) == np.int64(2)
 
 
+@pytest.mark.parametrize("value", [np.float32(0.5), np.float16(0.25),
+                                   np.longdouble("0.1")])
+def test_numpy_floats_are_exact_coefficients_and_scalars(value):
+    exact = Fraction(*value.as_integer_ratio())
+    assert Polynomial([value]).coeffs == (exact,)
+    assert X * value == exact * X
+    r = RationalFunction(X, value)
+    assert (r.num, r.den) == ((1 / exact) * X, Polynomial([1]))
+    assert _over_one_denominator(value) == (exact.denominator,
+                                            [exact.numerator])
+    # a longdouble keeps the bits a float64 would round away
+    assert (exact == Fraction(float(value))) == \
+        (np.finfo(type(value)).nmant <= np.finfo(np.float64).nmant)
+
+
 def test_hash_agrees_with_eq():
     for poly, number in ((Polynomial([3]), 3), (Polynomial(), 0),
                          (Polynomial([0.5]), 0.5),

@@ -23,6 +23,14 @@ def test_smooth_nonpolynomial():
     assert got == pytest.approx(2.0, abs=1e-12)
 
 
+def test_peaked_integrand_within_1e_10():
+    # 1/(c^2 + x^2), c = 0.05, peaks sharply at 0: the first two rules are
+    # far off, so only doubling on to TOL = 1e-10 gets within 1e-10
+    exact = 20.0 * math.atan(20.0)
+    got = integrate(lambda y: 1.0 / (0.05 ** 2 + y * y), 0.0, 1.0)
+    assert abs(got - exact) <= 1e-10 * exact
+
+
 def test_empty_interval():
     assert integrate(lambda y: y, 0.7, 0.7) == 0.0
 

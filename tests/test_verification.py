@@ -379,6 +379,29 @@ def test_monte_carlo_equals_direct_simulation(monkeypatch):
             assert expected_revenue(bid, dist, n, k, samples, seed) == direct
 
 
+def test_standard_error_is_the_sample_std_of_the_direct_payoffs(monkeypatch):
+    # SE = std(payoffs, ddof=1) / sqrt(N) over every shard's payoffs
+    monkeypatch.setattr(verification, "SHARD_SIZE", 3000)
+    samples, seed = 1 << 13, 31  # three shards, the last one partial
+    for dist, n, k, x in ((U, 4, 3, 0.5), (T, 6, 2, 0.8),
+                          (make_linear(0.73, 1.0), 5, 5, 0.6)):
+        bid = BidFunction.equilibrium(AuctionConfig(n, k), dist)
+        for result, shard in (
+                (monte_carlo_expected_payment(bid, dist, n, k, x, samples,
+                                              seed),
+                 _direct_payment_shard(bid, dist, n, k, x)),
+                (expected_revenue(bid, dist, n, k, samples, seed),
+                 _direct_revenue_shard(bid, dist, n, k))):
+            payoffs = np.concatenate([
+                shard(verification._shard_rng(seed, index), size)[0]
+                for index, size in verification._shards(samples)])
+            assert payoffs.size == samples
+            want = np.std(payoffs, ddof=1) / math.sqrt(samples)
+            assert want > 0.0
+            assert result.standard_error == pytest.approx(want, rel=1e-12,
+                                                          abs=0.0)
+
+
 @pytest.mark.filterwarnings("ignore:monte_carlo_expected_payment:RuntimeWarning")
 @pytest.mark.parametrize(
     "dist", [U, T, make_linear(0.73, 1.0), make_linear(-0.9, 1.0),
