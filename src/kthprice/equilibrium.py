@@ -43,7 +43,9 @@ denominator on it is a power of f, and with a = A/D, b = B/D exactly,
 f = g/D for the integer polynomial g = B + A x. So each value is carried
 as an integer coefficient list, one Fraction scale and a power of g; a
 step and the closed form are integer polynomial arithmetic only, and
-each public result becomes one RationalFunction (one gcd) at the end.
+each public result becomes one RationalFunction (one gcd) at the end,
+the scale's numerator multiplied into the numerator's integers and its
+denominator into the denominator's (_rational).
 a and b come to integers by polynomials._over_one_denominator, and one
 integer kernel, _payment_integral = S int_0^x y G**m g dy with G = 2D F,
 builds psi_0 (m = n-2) and every term of phi_ladder_check.
@@ -276,6 +278,14 @@ def _psi_ladder(dist: LinearDensityDistribution, n: int,
     return *_ladder(nums, Fraction(1, den), 0, density, k - 1), density
 
 
+def _rational(num: list[int], scale: Fraction,
+              den: list[int]) -> RationalFunction:
+    """scale * num / den, with scale's numerator multiplied into num's
+    integers and its denominator into den's."""
+    return RationalFunction(Polynomial([scale.numerator * c for c in num]),
+                            Polynomial([scale.denominator * c for c in den]))
+
+
 def psi_ladder_oracle(dist: LinearDensityDistribution, n: int,
                       k: int) -> RationalFunction:
     """Run the differentiation ladder symbolically and return psi_{k-1}.
@@ -289,8 +299,7 @@ def psi_ladder_oracle(dist: LinearDensityDistribution, n: int,
     n, k = _check_nk("psi_ladder_oracle", n, k, 3)
     num, scale, j, density = _psi_ladder(dist, n, k)
     _, g = _int_polynomials(density)
-    return RationalFunction(Polynomial(scale * c for c in num),
-                            Polynomial(_ipow(g, j)))
+    return _rational(num, scale, _ipow(g, j))
 
 
 def psi_closed_form(dist: LinearDensityDistribution, n: int,
@@ -326,8 +335,7 @@ def psi_closed_form(dist: LinearDensityDistribution, n: int,
     num = _imul(_ipow(big_g, n - k), _iadd(x_term, _imul(big_g, acc)))
     scale = Fraction(math.factorial(k - 2),
                      (2 * d) ** (n - k) * 2 ** (2 * m + 1))
-    return RationalFunction(Polynomial(scale * c for c in num),
-                            Polynomial(den))
+    return _rational(num, scale, den)
 
 
 def bid_from_psi_ladder(dist: LinearDensityDistribution, n: int,
@@ -340,8 +348,7 @@ def bid_from_psi_ladder(dist: LinearDensityDistribution, n: int,
     scale *= Fraction((2 * density[2]) ** (n - k),
                       math.comb(n - 2, k - 2) * math.factorial(k - 2))
     den = _imul(_ipow(big_g, n - k), _ipow(g, j))
-    return RationalFunction(Polynomial(scale * c for c in num),
-                            Polynomial(den))
+    return _rational(num, scale, den)
 
 
 def phi_ladder_check(dist: LinearDensityDistribution, n: int, k: int) -> bool:

@@ -11,14 +11,16 @@ with the kernels over integer coefficient lists times one Fraction scale
 and build a RationalFunction, with its one gcd, only for a finished
 result. Polynomial holds Fraction coefficients; its +, *, ** and divmod
 are the kernels, plus derivative, antiderivative vanishing at zero and
-gcd. polynomial_gcd proves a coprime pair coprime by Euclid on integer
-residues mod the prime 2^61 - 1, and runs Euclid over the rationals only
-on the pairs that proof cannot settle. A RationalFunction cancels its one
+gcd. polynomial_gcd takes the common power of x out of both parts
+exactly, proves the cofactors coprime by Euclid on integer residues mod
+the prime 2^61 - 1, and runs Euclid over the rationals only on the
+cofactors that proof cannot settle. A RationalFunction cancels its one
 gcd by _idivmod on integer coefficient lists; it keeps the reduced
 integer pair, is compared by integer cross-multiplication of those
-pairs, evaluated and printed, and has no arithmetic of its own: results
-are built from Polynomial parts. Every identity here is about integers,
-never floats. Not a general CAS.
+pairs, evaluated and printed (its Fraction parts are built on first
+access), and has no arithmetic of its own: results are built from
+Polynomial parts. Every identity here is about integers, never floats.
+Not a general CAS.
 """
 
 from __future__ import annotations
@@ -281,7 +283,7 @@ _M = 2 ** 61 - 1  # a Mersenne prime
 def _coprime_mod_m(p: Sequence, q: Sequence) -> bool:
     """True only if coefficient sequences p and q are coprime over the
     rationals, by the proof in polynomial_gcd; False when it cannot tell."""
-    if not p or not q or p[0] == q[0] == 0:  # a zero part, or x divides both
+    if not p or not q:
         return False
     a, b = ([c % _M for c in _over_one_denominator(*v)[1]] for v in (p, q))
     if not a[-1] or not b[-1]:
@@ -301,26 +303,37 @@ def _coprime_mod_m(p: Sequence, q: Sequence) -> bool:
 def polynomial_gcd(p, q) -> Polynomial:
     """Monic gcd of two Polynomials or scalars over the rationals.
 
-    A coprime pair is first proved coprime with no Fraction arithmetic:
-    clear each part to an integer polynomial P, Q (a nonzero rational
-    multiple, so the gcd is the same) and run Euclid on both mod the prime
+    The common power of x comes out first, exactly: if both parts begin
+    with v zero coefficients, gcd(x^v P, x^v Q) = x^v gcd(P, Q), and x
+    divides at most one of the cofactors P, Q. A coprime pair of
+    cofactors is then proved coprime with no Fraction arithmetic: clear
+    each to an integer polynomial P, Q (a nonzero rational multiple, so
+    the gcd is the same) and run Euclid on both mod the prime
     M = 2^61 - 1. Suppose M divides neither leading coefficient and the
     gcd mod M is constant. A gcd G of degree >= 1 over the rationals could
     be taken primitive in Z[x] with P = G*U, Q = G*V in Z[x] (Gauss's
     lemma); M does not divide lc(P) = lc(G)*lc(U), so G mod M would keep
-    its degree and divide both reductions. Hence the gcd is 1. Every other
-    pair (a leading coefficient divisible by M, x dividing both parts, or
-    a nonconstant gcd mod M) takes the Euclidean algorithm over the
-    rationals.
+    its degree and divide both reductions. Hence the gcd is 1, and x^v is
+    returned. Every other pair of cofactors (a zero part, a leading
+    coefficient divisible by M, or a nonconstant gcd mod M) takes the
+    Euclidean algorithm over the rationals.
     """
     p, q = Polynomial._coerce(p), Polynomial._coerce(q)
     if p is None or q is None:
         raise TypeError("polynomial_gcd needs Polynomial or scalar arguments")
-    if _coprime_mod_m(p.coeffs, q.coeffs):
-        return Polynomial([1])
-    while q:
-        p, q = q, p % q
-    return p.monic()
+    # a nonzero part ends in a nonzero coefficient, so the scan stops
+    # inside the shorter part unless one part is zero
+    v = next((i for i, pair in enumerate(zip(p.coeffs, q.coeffs))
+              if any(pair)), 0)
+    p_co, q_co = p.coeffs[v:], q.coeffs[v:]
+    if _coprime_mod_m(p_co, q_co):
+        g = (1,)
+    else:
+        p, q = Polynomial(p_co), Polynomial(q_co)
+        while q:
+            p, q = q, p % q
+        g = p.monic().coeffs
+    return Polynomial((0,) * v + g)
 
 
 class RationalFunction:
@@ -328,10 +341,12 @@ class RationalFunction:
 
     The one gcd comes from polynomial_gcd; it is cancelled by exact
     division (_idivmod with //) of integer coefficient lists, and the
-    reduced integer pair is kept for ==.
+    reduced integer pair is kept for ==. The Fraction parts .num and .den
+    (the pair over the denominator's leading coefficient) are built on
+    first access.
     """
 
-    __slots__ = ("num", "den", "_ints")
+    __slots__ = ("_ints", "_parts")
 
     def __init__(self, num, den=1):
         num, den = Polynomial._coerce(num), Polynomial._coerce(den)
@@ -349,10 +364,24 @@ class RationalFunction:
             # lemma it divides p and q exactly in integers.
             _, gi = _over_one_denominator(*g.coeffs)
             p, q = (_idivmod(v, gi, operator.floordiv)[0] for v in (p, q))
-        lead = q[-1]
-        self.num = Polynomial([Fraction(c, lead) for c in p])
-        self.den = Polynomial([Fraction(c, lead) for c in q])
         self._ints = p, q
+        self._parts = None
+
+    def _fraction_parts(self) -> tuple[Polynomial, Polynomial]:
+        if self._parts is None:
+            p, q = self._ints
+            lead = q[-1]
+            self._parts = tuple(Polynomial([Fraction(c, lead) for c in v])
+                                for v in (p, q))
+        return self._parts
+
+    @property
+    def num(self) -> Polynomial:
+        return self._fraction_parts()[0]
+
+    @property
+    def den(self) -> Polynomial:
+        return self._fraction_parts()[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):

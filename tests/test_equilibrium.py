@@ -364,6 +364,27 @@ def test_psi_oracle_sweep_to_n30():
     assert elapsed < 10.0, f"elapsed={elapsed:.2f}s >= 10s"
 
 
+def test_triangle_results_run_no_euclid_step(monkeypatch):
+    # on the triangle g = A x, so each part's gcd is a power of x, taken
+    # out before the coprime proof: no Euclid over the rationals
+    steps = []
+    mod = Polynomial.__mod__
+
+    def spy(self, other):
+        steps.append(other)
+        return mod(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mod__", spy)
+    assert all(psi_ladder_oracle(dist, n, k) == psi_closed_form(dist, n, k)
+               for dist in (T, make_triangle(2.5))
+               for n in range(3, 15) for k in range(3, n + 1))
+    assert not steps
+    # a shared power of g = B + A x still takes the fallback
+    lin = make_linear(1.0, 1.0)
+    assert psi_ladder_oracle(lin, 8, 5) == psi_closed_form(lin, 8, 5)
+    assert steps
+
+
 def test_psi_closed_form_agrees_with_ladder():
     # exhaustive agreement is an acceptance gate; spot combos here
     for dist in (make_uniform(1.0), make_triangle(1.0),

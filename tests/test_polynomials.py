@@ -148,6 +148,18 @@ def gcd_cases():
     yield X * (X + 3), X ** 2 * (2 * X - 1)   # x divides both
     yield Polynomial(), Polynomial([5])
     yield Polynomial([0.1, 0.5, 0.3]), Polynomial([0.7, 0.25])   # floats
+    # the common power of x comes out first: x^v P with x^w Q
+    cofactors = (
+        (Fraction(1, 3) * X + 3, 2 * X - Fraction(1, 7)),   # coprime
+        ((X - 2) * (X + 1), (X - 2) * (3 * X + 4)),          # share x - 2
+        (X + m, 2 * X + m),  # share x mod M only: Euclid, which finds x^min
+        (Polynomial([Fraction(5, 3)]), X - Fraction(1, 2)),  # a monomial part,
+    )                                                        # constant at v = 0
+    for v in range(7):
+        for w in range(7):
+            for p, q in cofactors:
+                yield X ** v * p, X ** w * q
+    yield Polynomial(), X ** 3 * (X + 1)
 
 
 @pytest.mark.parametrize("p, q", list(gcd_cases()))
@@ -166,11 +178,17 @@ def test_coprime_pair_runs_no_euclid_step(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__mod__", spy)
     assert polynomial_gcd(3 * X ** 3 - X + Fraction(1, 7), X ** 2 + 5) == 1
+    # a common power of x is taken out exactly, and the cofactors proved
+    assert polynomial_gcd(X ** 3 * (X + 1), 2 * X ** 5) == X ** 3
     assert not steps
     # the fallbacks do run Euclid, and still find gcd 1
     assert polynomial_gcd(X, X - (2 ** 61 - 1)) == 1
     assert polynomial_gcd((2 ** 61 - 1) * X + 1, X + 2) == 1
     assert len(steps) == 4
+    # cofactors x (x + M) and 2x + M share x mod M only: Euclid finds 1
+    assert polynomial_gcd(X ** 2 * (X + 2 ** 61 - 1),
+                          X * (2 * X + 2 ** 61 - 1)) == X
+    assert len(steps) > 4
 
 
 def test_calculus():

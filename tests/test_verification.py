@@ -402,6 +402,20 @@ def test_standard_error_is_the_sample_std_of_the_direct_payoffs(monkeypatch):
                                                           abs=0.0)
 
 
+def test_z_scores_against_the_benchmark_have_unit_variance():
+    # z = (estimate - exact) / SE is close to standard normal when the SE
+    # is right. The sample variance of 64 such draws has standard
+    # deviation sqrt(2/63) ~ 0.18, so [0.5, 1.6] is about 3 sigma wide;
+    # an SE off by a factor of 2 puts the variance near 1/4 or 4.
+    bid = BidFunction.equilibrium(AuctionConfig(4, 3), U)
+    bench = expected_payment_benchmark(U, 4, 0.8)
+    z = []
+    for seed in range(64):
+        mc = monte_carlo_expected_payment(bid, U, 4, 3, 0.8, 4096, seed)
+        z.append((mc.estimate - bench) / mc.standard_error)
+    assert 0.5 <= np.var(z, ddof=1) <= 1.6
+
+
 @pytest.mark.filterwarnings("ignore:monte_carlo_expected_payment:RuntimeWarning")
 @pytest.mark.parametrize(
     "dist", [U, T, make_linear(0.73, 1.0), make_linear(-0.9, 1.0),
