@@ -44,8 +44,9 @@ f = g/D for the integer polynomial g = B + A x. So each value is carried
 as an integer coefficient list, one Fraction scale and a power of g; a
 step and the closed form are integer polynomial arithmetic only, and
 each public result becomes one RationalFunction (one gcd) at the end,
-the scale's numerator multiplied into the numerator's integers and its
-denominator into the denominator's (_rational).
+handed two int lists: the scale's numerator multiplied into the
+numerator's integers and its denominator into the denominator's
+(_rational), with no Polynomial of Fractions in between.
 a and b come to integers by polynomials._over_one_denominator, and one
 integer kernel, _payment_integral = S int_0^x y G**m g dy with G = 2D F,
 builds psi_0 (m = n-2) and every term of phi_ladder_check.
@@ -63,7 +64,7 @@ import numpy as np
 from . import combinatorics
 from .distributions import (AuctionConfig, LinearDensityDistribution,
                             _check_nk, make_triangle, make_uniform)
-from .polynomials import (Polynomial, RationalFunction, _iadd, _imul, _ipow,
+from .polynomials import (RationalFunction, _iadd, _imul, _ipow,
                           _over_one_denominator)
 
 __all__ = [
@@ -265,8 +266,8 @@ def _ladder(num, scale: Fraction, j: int, density: tuple[int, int, int],
             nxt[i - 1] += b_int * i * num[i]
         while nxt and nxt[-1] == 0:
             nxt.pop()
-        num, scale, j = nxt, scale * d, j + 2
-    return num, scale, j
+        num, j = nxt, j + 2
+    return num, scale * d ** steps, j
 
 
 def _psi_ladder(dist: LinearDensityDistribution, n: int,
@@ -281,9 +282,9 @@ def _psi_ladder(dist: LinearDensityDistribution, n: int,
 def _rational(num: list[int], scale: Fraction,
               den: list[int]) -> RationalFunction:
     """scale * num / den, with scale's numerator multiplied into num's
-    integers and its denominator into den's."""
-    return RationalFunction(Polynomial([scale.numerator * c for c in num]),
-                            Polynomial([scale.denominator * c for c in den]))
+    integers and its denominator into den's, handed over as int lists."""
+    return RationalFunction([scale.numerator * c for c in num],
+                            [scale.denominator * c for c in den])
 
 
 def psi_ladder_oracle(dist: LinearDensityDistribution, n: int,

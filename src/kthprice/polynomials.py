@@ -11,15 +11,19 @@ with the kernels over integer coefficient lists times one Fraction scale
 and build a RationalFunction, with its one gcd, only for a finished
 result. Polynomial holds Fraction coefficients; its +, *, ** and divmod
 are the kernels, plus derivative, antiderivative vanishing at zero and
-gcd. polynomial_gcd takes the common power of x out of both parts
-exactly, proves the cofactors coprime by Euclid on integer residues mod
-the prime 2^61 - 1, and runs Euclid over the rationals only on the
-cofactors that proof cannot settle. A RationalFunction cancels its one
-gcd by _idivmod on integer coefficient lists; it keeps the reduced
-integer pair, is compared by integer cross-multiplication of those
-pairs, evaluated and printed (its Fraction parts are built on first
-access), and has no arithmetic of its own: results are built from
-Polynomial parts. Every identity here is about integers, never floats.
+gcd. polynomial_gcd and RationalFunction take Polynomials, scalars or
+lists of Python ints (ascending, as Polynomial(list) reads them), so the
+ladders hand over their integers with no Fraction round trip; anything
+but an int list is cleared once (_int_pair). polynomial_gcd takes the
+common power of x out of both parts exactly, proves the cofactors
+coprime by Euclid on integer residues mod the prime 2^61 - 1, and runs
+Euclid over the rationals only on the cofactors that proof cannot
+settle. A RationalFunction cuts the gcd's x^v from its integer lists by
+slicing and divides them by the rest h of the gcd (_idivmod) only when
+h is not constant; it keeps the reduced integer pair, is compared by
+integer cross-multiplication of those pairs, evaluated and printed
+(Fraction parts are built on first access), and has no arithmetic of
+its own. Every identity here is about integers, never floats.
 Not a general CAS.
 """
 
@@ -163,11 +167,16 @@ class Polynomial:
                           [c / (i + 1) for i, c in enumerate(self.coeffs)])
 
     def __call__(self, x):
-        # Horner. Exact for Fraction/int arguments, plain float otherwise.
-        if not self.coeffs:
+        # Horner. Exact for Fraction/int arguments, plain float otherwise;
+        # a float array gives float64, each coefficient rounded to float
+        # as each element's scalar call rounds it.
+        cs, acc = self.coeffs, self.leading_coefficient
+        if isinstance(x, np.ndarray) and x.dtype.kind == "f":
+            x = x.astype(np.float64)
+            cs, acc = [float(c) for c in cs], np.full(x.shape, float(acc))
+        if not cs:
             return 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+        for c in reversed(cs[:-1]):
             acc = acc * x + c
         return acc
 
@@ -280,12 +289,28 @@ def _rows_over_one_denominator(rows) -> tuple[list[int], list[list[int]]]:
 _M = 2 ** 61 - 1  # a Mersenne prime
 
 
-def _coprime_mod_m(p: Sequence, q: Sequence) -> bool:
-    """True only if coefficient sequences p and q are coprime over the
-    rationals, by the proof in polynomial_gcd; False when it cannot tell."""
+def _int_pair(p, q) -> tuple[list[int], list[int]]:
+    """p and q as integer lists, ascending, neither ending in 0: lists of
+    Python ints (no bool, float or numpy integer) as they are, otherwise
+    both as Polynomials cleared over one denominator (one positive scale)."""
+    ints = [type(v) is list and {int}.issuperset(map(type, v))
+            for v in (p, q)]
+    if all(ints) and (not p or p[-1]) and (not q or q[-1]):
+        return p, q
+    p, q = (Polynomial(v) if i else Polynomial._coerce(v)
+            for v, i in zip((p, q), ints))
+    if p is None or q is None:
+        raise TypeError("parts must be Polynomials, scalars or int lists")
+    _, cleared = _over_one_denominator(*p.coeffs, *q.coeffs)
+    return cleared[:len(p.coeffs)], cleared[len(p.coeffs):]
+
+
+def _coprime_mod_m(p: list[int], q: list[int]) -> bool:
+    """True only if integer lists p and q are coprime over the rationals,
+    by the proof in polynomial_gcd; False when it cannot tell."""
     if not p or not q:
         return False
-    a, b = ([c % _M for c in _over_one_denominator(*v)[1]] for v in (p, q))
+    a, b = ([c % _M for c in v] for v in (p, q))
     if not a[-1] or not b[-1]:
         return False
     while len(b) > 1:  # Euclid in F_M[x], each divisor made monic
@@ -301,14 +326,15 @@ def _coprime_mod_m(p: Sequence, q: Sequence) -> bool:
 
 
 def polynomial_gcd(p, q) -> Polynomial:
-    """Monic gcd of two Polynomials or scalars over the rationals.
+    """Monic gcd over the rationals of two Polynomials, scalars or lists
+    of Python ints (coefficients ascending).
 
-    The common power of x comes out first, exactly: if both parts begin
-    with v zero coefficients, gcd(x^v P, x^v Q) = x^v gcd(P, Q), and x
-    divides at most one of the cofactors P, Q. A coprime pair of
-    cofactors is then proved coprime with no Fraction arithmetic: clear
-    each to an integer polynomial P, Q (a nonzero rational multiple, so
-    the gcd is the same) and run Euclid on both mod the prime
+    Both parts become integer lists first (_int_pair; clearing scales
+    them, not their gcd). The common power of x comes out next, exactly:
+    if both lists begin with v zero coefficients,
+    gcd(x^v P, x^v Q) = x^v gcd(P, Q), and x divides at most one of the
+    cofactors P, Q. A coprime pair of cofactors is then proved coprime
+    with no Fraction arithmetic, by Euclid on both mod the prime
     M = 2^61 - 1. Suppose M divides neither leading coefficient and the
     gcd mod M is constant. A gcd G of degree >= 1 over the rationals could
     be taken primitive in Z[x] with P = G*U, Q = G*V in Z[x] (Gauss's
@@ -318,52 +344,50 @@ def polynomial_gcd(p, q) -> Polynomial:
     coefficient divisible by M, or a nonconstant gcd mod M) takes the
     Euclidean algorithm over the rationals.
     """
-    p, q = Polynomial._coerce(p), Polynomial._coerce(q)
-    if p is None or q is None:
-        raise TypeError("polynomial_gcd needs Polynomial or scalar arguments")
+    p, q = _int_pair(p, q)
     # a nonzero part ends in a nonzero coefficient, so the scan stops
     # inside the shorter part unless one part is zero
-    v = next((i for i, pair in enumerate(zip(p.coeffs, q.coeffs))
-              if any(pair)), 0)
-    p_co, q_co = p.coeffs[v:], q.coeffs[v:]
-    if _coprime_mod_m(p_co, q_co):
-        g = (1,)
+    v = next((i for i, pair in enumerate(zip(p, q)) if any(pair)), 0)
+    p, q = p[v:], q[v:]
+    if _coprime_mod_m(p, q):
+        g = (Fraction(1),)
     else:
-        p, q = Polynomial(p_co), Polynomial(q_co)
+        p, q = Polynomial(p), Polynomial(q)
         while q:
             p, q = q, p % q
         g = p.monic().coeffs
-    return Polynomial((0,) * v + g)
+    gcd = Polynomial()  # its coefficients are Fractions already
+    gcd.coeffs = (Fraction(0),) * v + g
+    return gcd
 
 
 class RationalFunction:
     """Quotient of polynomials, stored with gcd cancelled and monic denominator.
 
-    The one gcd comes from polynomial_gcd; it is cancelled by exact
-    division (_idivmod with //) of integer coefficient lists, and the
-    reduced integer pair is kept for ==. The Fraction parts .num and .den
-    (the pair over the denominator's leading coefficient) are built on
-    first access.
+    num and den are Polynomials, scalars or lists of Python ints
+    (coefficients ascending), brought to integer lists by _int_pair. The
+    one gcd, x^v h, comes from polynomial_gcd on those lists: x^v is cut
+    from both by slicing off v leading zeros, and h, if not constant, is
+    cancelled by exact division (_idivmod with //). The reduced integer
+    pair is kept for ==; the Fraction parts .num and .den (the pair over
+    the denominator's leading coefficient) are built on first access.
     """
 
     __slots__ = ("_ints", "_parts")
 
     def __init__(self, num, den=1):
-        num, den = Polynomial._coerce(num), Polynomial._coerce(den)
-        if num is None or den is None:
-            raise TypeError("RationalFunction needs Polynomial or scalar parts")
-        if not den:
+        p, q = _int_pair(num, den)
+        if not q:
             raise ZeroDivisionError("denominator is identically zero")
-        g = polynomial_gcd(num, den)
-        _, ints = _over_one_denominator(*num.coeffs, *den.coeffs)
-        split = len(num.coeffs)
-        p, q = ints[:split], ints[split:]
-        if g.degree > 0:
+        g = polynomial_gcd(p, q).coeffs
+        v = next(i for i, c in enumerate(g) if c)  # the gcd is x^v h
+        p, q, h = p[v:], q[v:], g[v:]
+        if len(h) > 1:
             # A monic polynomial cleared by the lcm of its denominators is
             # primitive with a positive leading coefficient, so by Gauss's
             # lemma it divides p and q exactly in integers.
-            _, gi = _over_one_denominator(*g.coeffs)
-            p, q = (_idivmod(v, gi, operator.floordiv)[0] for v in (p, q))
+            _, h = _over_one_denominator(*h)
+            p, q = (_idivmod(w, h, operator.floordiv)[0] for w in (p, q))
         self._ints = p, q
         self._parts = None
 

@@ -24,6 +24,7 @@ from kthprice import (
 )
 from kthprice.equilibrium import (_exact_slope, _int_density, _int_polynomials,
                                   _ladder, _u_coefficients)
+from kthprice import polynomials
 from kthprice.polynomials import _over_one_denominator
 import functools
 import math
@@ -383,6 +384,33 @@ def test_triangle_results_run_no_euclid_step(monkeypatch):
     lin = make_linear(1.0, 1.0)
     assert psi_ladder_oracle(lin, 8, 5) == psi_closed_form(lin, 8, 5)
     assert steps
+
+
+def test_triangle_results_build_no_fraction_parts(monkeypatch):
+    # the ladders hand RationalFunction integer lists, and a triangle
+    # gcd x^v is cut from them by slicing: no long division, and no
+    # Fraction coefficient until .num is read
+    calls = []
+    for name in ("_idivmod", "_coeff"):
+        def spy(*args, _name=name, _fn=getattr(polynomials, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(polynomials, name, spy)
+    pairs = [(psi_ladder_oracle(dist, n, k), psi_closed_form(dist, n, k))
+             for dist in (T, make_triangle(2.5))
+             for n in range(3, 15) for k in range(3, n + 1)]
+    assert all(a == b for a, b in pairs)
+    assert not calls
+    assert pairs[-1][0].num == pairs[-1][1].num
+    assert "_coeff" in calls
+
+
+def test_ladder_bid_on_a_float_array():
+    bid = bid_from_psi_ladder(make_linear(1.0, 1.0), 5, 4)
+    xs = np.linspace(0.1, 1, 4)
+    got = bid(xs)
+    assert got.dtype == np.float64 and np.isfinite(got).all()
+    assert got.tobytes() == np.array([bid(float(x)) for x in xs]).tobytes()
 
 
 def test_psi_closed_form_agrees_with_ladder():

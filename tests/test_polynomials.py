@@ -286,3 +286,77 @@ def test_rational_function_equality_cross_multiplied():
 def test_str_round_trip_is_readable():
     assert str(Polynomial([0, Fraction(3, 2)])) == "3/2*x"
     assert str(RationalFunction(X ** 2, X + 1)) == "(x^2) / (x + 1)"
+
+
+def as_int_lists(p, q):
+    """The pair cleared over one denominator, as two lists of Python ints."""
+    _, ints = _over_one_denominator(*p.coeffs, *q.coeffs)
+    return ints[:len(p.coeffs)], ints[len(p.coeffs):]
+
+
+@pytest.mark.parametrize("p, q", list(gcd_cases()))
+def test_int_lists_match_polynomial_parts(p, q):
+    for num, den in ((p, q), (q, p)):
+        lists = as_int_lists(num, den)
+        assert polynomial_gcd(*lists).coeffs == \
+            euclid_reference(num, den).coeffs
+        if not den:
+            with pytest.raises(ZeroDivisionError):
+                RationalFunction(*lists)
+            continue
+        a, b = RationalFunction(*lists), RationalFunction(num, den)
+        assert a._ints == b._ints
+        assert all(type(c) is int for c in a._ints[0] + a._ints[1])
+        assert (a.num, a.den, str(a), repr(a)) == \
+            (b.num, b.den, str(b), repr(b))
+        # the value is kept and the whole gcd is cancelled
+        assert a.num * den == a.den * num
+        assert a.den.degree == den.degree - polynomial_gcd(num, den).degree
+
+
+def test_int_list_edge_cases():
+    zero = RationalFunction([], [1])
+    assert zero == 0 and str(zero) == "0" and zero._ints == ([], [1])
+    assert not zero.num and zero.den == 1
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction([1], [])
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction([1], [0])  # trimmed like Polynomial([0])
+    # trailing zeros are trimmed, as Polynomial(list) trims them
+    assert RationalFunction([2, 4, 0], [6, 0])._ints == \
+        RationalFunction(Polynomial([2, 4]), 6)._ints == ([2, 4], [6])
+    assert RationalFunction([0, 3]) == 3 * X
+    assert polynomial_gcd([0, 0, 2], [0, 6]) == X
+
+
+@pytest.mark.parametrize("odd", [True, 0.5, np.int64(2)])
+def test_a_list_of_other_numbers_is_not_an_int_list(odd):
+    # a bool, a float or a numpy integer would leak into the integer
+    # pair, so such a list is refused; Polynomial takes it
+    for part in ([1, odd], [odd]):
+        with pytest.raises(TypeError):
+            RationalFunction(part, [1])
+        with pytest.raises(TypeError):
+            RationalFunction([1], part)
+        with pytest.raises(TypeError):
+            polynomial_gcd(part, [1, 1])
+        r = RationalFunction(Polynomial(part), [3])
+        assert all(type(c) is int for c in r._ints[0] + r._ints[1])
+
+
+def test_float_arrays_evaluate_to_float64_like_scalar_calls():
+    xs = np.linspace(-1.5, 2.0, 9)
+    for p in (X ** 3 - Fraction(1, 3) * X + Fraction(2, 7), 0.1 * X + 0.7,
+              Polynomial([Fraction(5, 3)]), Polynomial()):
+        got = p(xs)
+        assert got.dtype == np.float64 and got.shape == xs.shape
+        want = np.array([float(p(float(x))) for x in xs])
+        assert got.tobytes() == want.tobytes()
+        assert p(xs.astype(np.float32)).dtype == np.float64
+    r = RationalFunction(X ** 2 + 1, 3 * X - Fraction(1, 2))
+    got = r(xs)
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array([r(float(x)) for x in xs]).tobytes()
+    # exact arguments stay exact
+    assert (X ** 2)(np.array([Fraction(1, 3)], dtype=object))[0] == \
+        Fraction(1, 9)
