@@ -25,7 +25,6 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -116,8 +115,9 @@ def _round12(value):
     return value
 
 
-def _frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def _frac_str(p: int, q: int) -> str:
+    g = math.gcd(p, q)  # q > 0: p/q in lowest terms
+    return f"{p // g}/{q // g}"
 
 
 def _write(lines, output: str | None = None, end: str = "\n") -> None:
@@ -215,7 +215,8 @@ def cmd_bid_table(args: argparse.Namespace) -> int:
         rows.append(row)
 
     slope = bid.slope
-    exact = (_frac_str(slope), float(slope)) if slope is not None else (None, None)
+    exact = ((_frac_str(*slope.as_integer_ratio()), float(slope))
+             if slope is not None else (None, None))
     if args.format == "json":
         _write([{"n": n, "k": k, "dist": asdict(dist), "slope": exact[0],
                  "slope_decimal": exact[1], "rows": rows}], args.output)
@@ -379,30 +380,28 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     n, k, nmax = args.n, args.k, args.nmax
     if nmax is not None and (n is not None or k is not None):
         raise ConfigError("bounds takes either --nmax or --n and --k, not both")
+    pairs = [(n, k)]
     if nmax is not None:
         pairs = [(nn, kk) for nn in range(3, nmax + 1)
                  for kk in range(3, nn + 1)]
-    elif n is not None and k is not None:
-        pairs = [(n, k)]
-    else:
+    elif n is None or k is None:
         raise ConfigError("bounds requires either --nmax or both --n and --k")
+    elif not 3 <= k <= n:  # worded as omega_bounds words it
+        raise ConfigError(f"omega_bounds: need 3 <= k <= n, got n={n}, k={k}")
 
-    checked = []  # one omega and one omega_bounds per visited pair
+    rows = []  # (n, k, Omega's numerator, anchor, verdict) per wedge pair
     for nn, kk in pairs:
-        bounds = combinatorics.omega_bounds(nn, kk)
-        if bounds is None:
+        if (checked := combinatorics._omega_check(nn, kk)) is None:
             if nmax is not None:
                 continue
             raise ConfigError(f"bounds are only claimed for n + 4 > 2k, "
                               f"got n={nn}, k={kk}")
-        value = combinatorics.omega(nn, kk)
-        lower, upper = bounds
-        checked.append((nn, kk, value, lower, upper, lower <= value <= upper))
+        rows.append((nn, kk, *checked))
     _write(f"{'ok' if ok else 'FAIL'} n={nn} k={kk} "
-           f"omega={_frac_str(value)} "
-           f"lower={_frac_str(lower)} upper={_frac_str(upper)}"
-           for nn, kk, value, lower, upper, ok in checked)
-    return EXIT_OK if all(row[-1] for row in checked) else EXIT_CHECK_FAILED
+           f"omega={_frac_str(num, 1 << (2 * kk - 5))} "
+           f"lower={_frac_str(anchor, 2)} upper={_frac_str(7 * anchor, 8)}"
+           for nn, kk, num, anchor, ok in rows)
+    return EXIT_OK if all(row[-1] for row in rows) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

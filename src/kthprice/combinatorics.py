@@ -43,12 +43,12 @@ the square-root step is too weak only at (5, 4), (7, 5), (9, 6),
 (11, 7), (13, 8) and (15, 9), and k = n is on the wedge only at n = 3.
 The tests check each step in exact arithmetic and the product form on
 every wedge pair with n <= 200, which covers them. omega_bounds_hold,
-`kthprice bounds` and identity_sweep also check the bound pair by pair.
-All of these are exact rational statements, checked as integers over
-one denominator: theta * 2**l is an integer (a row of them per (n, k),
-with Catalan numbers from math.comb), and Omega is one integer over
-2**(2k-5), summed from the row by Horner in 4; identity_sweep reads each
-row for both theta checks and Omega, and cross-multiplies the bounds.
+`kthprice bounds` and identity_sweep check the bound pair by pair in
+_omega_check, the one home of the wedge, the anchor binom(n-3, k-3)
+(omega_bounds reads it there) and both inequalities, cross-multiplied
+in integers: Omega is one integer over 2**(2k-5), summed by Horner in 4
+from the theta row of (n, k), the integers theta * 2**l that
+theta_coeff and identity_sweep's two theta checks read too.
 
 The Jensen / Hagen-Rothe / shifted-Jensen convolution identities take
 real arguments; one integer helper per identity sums both sides exactly
@@ -258,7 +258,7 @@ def theta_coeff(n: int, k: int, l: int) -> Fraction:
     l = _check_int("theta_coeff", "l", l)
     if not 0 <= l <= k - 3:
         raise ValueError("theta_coeff: index l must lie in 0..k-3")
-    return Fraction(math.comb(n - 2, k - 3 - l) * catalan(l), 2 ** l)
+    return Fraction(_theta_row(n, k)[l], 2 ** l)
 
 
 def _theta_row(n: int, k: int) -> list[int]:
@@ -321,6 +321,17 @@ def omega(n: int, k: int) -> Fraction:
     return Fraction(_omega_numerator(_theta_row(n, k)), 2 ** (2 * k - 5))
 
 
+def _omega_check(n: int, k: int, num=None) -> tuple[int, int, bool] | None:
+    """None off the wedge n + 4 > 2k, else (num, A, A/2 <= num / 2**(2k-5)
+    <= 7A/8) with the anchor A = binom(n-3, k-3), cross-multiplied;
+    unchecked. num is Omega's numerator, from its theta row if None."""
+    if not n + 4 > 2 * k:
+        return None
+    num = _omega_numerator(_theta_row(n, k)) if num is None else num
+    anchor, e = math.comb(n - 3, k - 3), 2 * k - 5
+    return num, anchor, anchor << e <= 2 * num and 8 * num <= 7 * anchor << e
+
+
 def omega_bounds(n: int, k: int) -> tuple[Fraction, Fraction] | None:
     """Exact bounds binom(n-3,k-3)/2 and 7*binom(n-3,k-3)/8 on Omega(n, k).
 
@@ -329,10 +340,9 @@ def omega_bounds(n: int, k: int) -> tuple[Fraction, Fraction] | None:
     bid's slope premium by (k-2)/(2(n-2)) and 7(k-2)/(8(n-2)).
     """
     n, k = _check_nk("omega_bounds", n, k, 3)
-    if not n + 4 > 2 * k:
+    if (checked := _omega_check(n, k, 0)) is None:  # reads the anchor only
         return None
-    anchor = math.comb(n - 3, k - 3)
-    return Fraction(anchor, 2), Fraction(7 * anchor, 8)
+    return Fraction(checked[1], 2), Fraction(7 * checked[1], 8)
 
 
 def omega_bounds_hold(n: int, k: int) -> bool:
@@ -342,12 +352,10 @@ def omega_bounds_hold(n: int, k: int) -> bool:
     attained with equality.
     """
     n, k = _check_nk("omega_bounds_hold", n, k, 3)
-    bounds = omega_bounds(n, k)
-    if bounds is None:
+    if (checked := _omega_check(n, k)) is None:
         raise ValueError(f"omega_bounds_hold: bounds are only claimed for "
                          f"n + 4 > 2k, got n={n}, k={k}")
-    lower, upper = bounds
-    return lower <= omega(n, k) <= upper
+    return checked[2]
 
 
 @dataclass(frozen=True)
@@ -387,13 +395,6 @@ def _exact_cases(cases, skip: int):
     while block := list(islice(cases, _BLOCK)):
         yield from zip(block, *_rows_over_one_denominator(
             [case[skip:3] for case in block]))
-
-
-def _omega_within(num: int, k: int, lower, upper) -> bool:
-    """lower <= num / 2**(2k-5) <= upper, and = 1/2 at k = 3, in integers."""
-    (a, b), (c, d) = lower.as_integer_ratio(), upper.as_integer_ratio()
-    e = 2 * k - 5
-    return a << e <= num * b and num * d <= c << e and (k > 3 or num == 1)
 
 
 def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
@@ -456,9 +457,9 @@ def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
             theta.append(_theta_step_holds(row, next_row)
                          and _theta_index_holds(n, k, row, next_row))
             positive.append(total > 0)
-            if (bounds := omega_bounds(n, k)) is not None:
+            if (checked := _omega_check(n, k, total)) is not None:
                 wedge.append((n, k))
-                bounded.append(_omega_within(total, k, *bounds))
+                bounded.append(checked[2])
             row = next_row
     for name, cases, holds in (("theta-recurrences", pairs, theta),
                                ("omega-positive", pairs, positive),

@@ -99,11 +99,8 @@ def series_coefficients(n: int, k: int) -> tuple[Fraction, ...]:
     """Exact coefficients c_l = (-1)**l theta(n,k,l) / binom(n-2,k-2)."""
     n, k = _check_nk("series_coefficients", n, k, 3)
     denom = math.comb(n - 2, k - 2)
-    out = []
-    for l in range(k - 2):
-        c = combinatorics.theta_coeff(n, k, l) / denom
-        out.append(-c if l % 2 else c)
-    return tuple(out)
+    return tuple(Fraction(-t if l % 2 else t, 2 ** l * denom)
+                 for l, t in enumerate(combinatorics._theta_row(n, k)))
 
 
 def _u_coefficients(n: int, k: int) -> tuple[Fraction, ...]:

@@ -174,6 +174,8 @@ class Polynomial:
         if isinstance(x, np.ndarray) and x.dtype.kind == "f":
             x = x.astype(np.float64)
             cs, acc = [float(c) for c in cs], np.full(x.shape, float(acc))
+        elif isinstance(x, float):  # a constant's value is a float too
+            acc = float(acc)
         if not cs:
             return 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
         for c in reversed(cs[:-1]):

@@ -265,11 +265,11 @@ def test_identities_rejects_bad_limits(capsys):
 
 def test_identities_reports_first_witness(monkeypatch, capsys):
     import kthprice.combinatorics as comb
-    bounds = comb.omega_bounds
-    # an empty interval at (20, 10): Omega(20, 10) > 0 falls outside it
-    monkeypatch.setattr(comb, "omega_bounds",
-                        lambda n, k: (0, 0) if (n, k) == (20, 10)
-                        else bounds(n, k))
+    check = comb._omega_check
+    # a numerator of 0 at (20, 10) falls below the lower bound there
+    monkeypatch.setattr(comb, "_omega_check",
+                        lambda n, k, num=None: check(
+                            n, k, 0 if (n, k) == (20, 10) else num))
     code, out, _ = run(capsys, "identities", "--lmax", "2",
                        "--integral-lmax", "0", "--random-trials", "1")
     assert code == EXIT_CHECK_FAILED
@@ -300,29 +300,39 @@ def test_identities_reports_first_pair_of_a_corrupt_theta_entry(monkeypatch,
     assert all(line.startswith("ok ") for line in lines[:5])
 
 
-def test_identities_computes_each_pair_once(capsys, monkeypatch):
+def _count_omega_calls(monkeypatch):
+    """Count the calls of omega, omega_bounds, the integer bounds check and
+    the theta row from here on; returns the live counts by name."""
     import kthprice.combinatorics as comb
-    calls = {"omega": 0, "omega_bounds": 0, "_theta_row": 0}
+    calls = {"omega": 0, "omega_bounds": 0, "_omega_check": 0,
+             "_theta_row": 0}
 
     def counted(name):
         fn = getattr(comb, name)
 
-        def wrapper(n, k):
+        def wrapper(n, k, *num):
             calls[name] += 1
-            return fn(n, k)
+            return fn(n, k, *num)
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(comb, name, counted(name))
+    return calls
+
+
+def test_identities_computes_each_pair_once(capsys, monkeypatch):
+    calls = _count_omega_calls(monkeypatch)
     code, out, _ = run(capsys, "identities", "--lmax", "2",
                        "--integral-lmax", "0", "--random-trials", "1",
                        "--nmax", "30")
     assert code == EXIT_OK and out.endswith("ok omega-bounds (nmax=30)\n")
     pairs = 28 * 29 // 2  # 3 <= k <= n <= 30
-    assert calls["omega_bounds"] == pairs == 406
-    # Omega comes from the theta row of its pair, not from omega()
-    assert calls["omega"] == 0
-    # the rows k = 3..n+1 once per n
+    # one integer check per pair, None off the wedge
+    assert calls["_omega_check"] == pairs == 406
+    # Omega comes from the theta row of its pair, not from omega(), and
+    # the bounds from the check, not from omega_bounds()
+    assert calls["omega"] == calls["omega_bounds"] == 0
+    # the rows k = 3..n+1 once per n; the check reads none of its own
     assert calls["_theta_row"] == pairs + 28 == 434
 
 
@@ -377,23 +387,14 @@ def test_bounds_sweep_and_validation(capsys):
 
 
 def test_bounds_computes_each_pair_once(capsys, monkeypatch):
-    import kthprice.combinatorics as comb
-    calls = {"omega": 0, "omega_bounds": 0}
-
-    def counted(name):
-        fn = getattr(comb, name)
-
-        def wrapper(n, k):
-            calls[name] += 1
-            return fn(n, k)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(comb, name, counted(name))
+    calls = _count_omega_calls(monkeypatch)
     code, out, _ = run(capsys, "bounds", "--nmax", "20")
     assert code == EXIT_OK
-    assert len(out.splitlines()) == calls["omega"] == 90
-    assert calls["omega_bounds"] == 171  # every pair 3 <= k <= n <= 20
+    # one check per pair 3 <= k <= n <= 20; a theta row only on the wedge
+    assert calls["_omega_check"] == 171
+    assert len(out.splitlines()) == calls["_theta_row"] == 90
+    # the printed values come from the check's integers, not from Fractions
+    assert calls["omega"] == calls["omega_bounds"] == 0
 
 
 # ---------------------------------------------------------------------------

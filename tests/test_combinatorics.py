@@ -13,6 +13,7 @@ from kthprice import (IdentityResult, catalan, catalan_integral,
                       identity_sweep, jensen_sides, omega, omega_bounds,
                       omega_bounds_hold, shifted_jensen_sides, theta_coeff)
 import kthprice.combinatorics as comb
+from kthprice.cli import main
 from kthprice.combinatorics import _random_cases
 from kthprice.polynomials import _rows_over_one_denominator
 
@@ -405,28 +406,63 @@ def test_omega_numerator_of_the_theta_row():
                     == omega(n, k) * 2 ** (2 * k - 5)), (n, k)
 
 
-def test_omega_within_equals_fraction_comparison():
-    half = Fraction(1, 2)
-    for n in range(3, 41):
+def test_omega_check_agrees_with_fraction_reference(capsys):
+    # Omega from omega(), its bounds from the formula and omega_bounds(), as
+    # Fractions, against the integer check for the true numerator and its
+    # neighbours one unit of 2**-(2k-5) away, and against the lines of
+    # `kthprice bounds --nmax 60`
+    lines = []
+    for n in range(3, 61):
         for k in range(3, n + 1):
-            true_total = comb._omega_numerator(comb._theta_row(n, k))
-            # Omega and its neighbours one unit of 2**-(2k-5) away, against
-            # the real bounds where claimed and bounds that pinch the value
-            # from either side, ints and Fractions
-            for total in (true_total - 1, true_total, true_total + 1):
-                value = Fraction(total, 2 ** (2 * k - 5))
-                tiny = Fraction(1, 2 ** (2 * k))
-                cases = [(value, value), (value + tiny, value + 1),
-                         (value - 1, value - tiny), (0, math.ceil(value)),
-                         (math.floor(value), value)]
-                if (bounds := omega_bounds(n, k)) is not None:
-                    cases.append(bounds)
-                for lower, upper in cases:
-                    want = lower <= value <= upper and (k > 3 or value == half)
-                    assert comb._omega_within(total, k, lower, upper) == \
-                        want, (n, k, total, lower, upper)
+            value = omega(n, k)
+            total = comb._omega_numerator(comb._theta_row(n, k))
+            assert comb._omega_check(n, k) == comb._omega_check(n, k, total)
+            if not n + 4 > 2 * k:
+                assert comb._omega_check(n, k, total) is None, (n, k)
+                assert omega_bounds(n, k) is None, (n, k)
+                continue
+            anchor = math.comb(n - 3, k - 3)
+            lower, upper = Fraction(anchor, 2), Fraction(7 * anchor, 8)
+            assert omega_bounds(n, k) == (lower, upper), (n, k)
+            for num in (total - 1, total, total + 1):
+                near = Fraction(num, 2 ** (2 * k - 5))
+                assert comb._omega_check(n, k, num) == (
+                    num, anchor, lower <= near <= upper), (n, k, num)
+            ok = lower <= value <= upper
+            assert omega_bounds_hold(n, k) == ok
+            lines.append(f"{'ok' if ok else 'FAIL'} n={n} k={k} "
+                         f"omega={value.numerator}/{value.denominator} "
+                         f"lower={lower.numerator}/{lower.denominator} "
+                         f"upper={upper.numerator}/{upper.denominator}")
+    assert main(["bounds", "--nmax", "60"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
 
 
+@pytest.mark.parametrize("n, k", [(9, 6), (20, 10)])
+def test_omega_check_refuses_one_unit_outside_the_bounds(n, k):
+    # numerators over 2**(2k-5) one unit below A/2 and one above 7A/8
+    scale = 2 ** (2 * k - 5)
+    anchor = math.comb(n - 3, k - 3)
+    low = Fraction(anchor, 2) * scale
+    high = Fraction(7 * anchor, 8) * scale
+    assert low.denominator == high.denominator == 1
+    if (n, k) == (9, 6):
+        assert (low - 1, high + 1) == (1279, 2241)
+    for num, holds in ((low - 1, False), (low, True), (high, True),
+                       (high + 1, False)):
+        assert comb._omega_check(n, k, int(num)) == (num, anchor, holds)
+    assert comb._omega_check(n, k)[2]
+
+
+def test_omega_at_k3_is_the_lower_bound():
+    # Omega(n, 3) = 1/2 = binom(n-3, 0)/2: the check passes with equality,
+    # and the numerators 0 and 2 over 2 fail it
+    for n in range(3, 61):
+        assert omega(n, 3) == Fraction(1, 2) == omega_bounds(n, 3)[0]
+        assert comb._omega_check(n, 3) == (1, 1, True)
+        assert omega_bounds_hold(n, 3)
+        assert not comb._omega_check(n, 3, 0)[2]
+        assert not comb._omega_check(n, 3, 2)[2]
 
 
 def theta_row(n, k):

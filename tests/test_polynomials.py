@@ -360,3 +360,12 @@ def test_float_arrays_evaluate_to_float64_like_scalar_calls():
     # exact arguments stay exact
     assert (X ** 2)(np.array([Fraction(1, 3)], dtype=object))[0] == \
         Fraction(1, 9)
+
+
+def test_a_constant_called_at_a_float_gives_a_float():
+    # as a non-constant polynomial does; exact arguments stay exact
+    for call in (Polynomial([3]), RationalFunction(3)):
+        assert type(call(0.5)) is float and call(0.5) == 3.0
+        assert type(call(Fraction(1, 2))) is Fraction
+    assert type((X + 3)(0.5)) is float
+    assert type(Polynomial([Fraction(1, 3)])(np.float64(2.0))) is float
