@@ -258,17 +258,18 @@ def theta_coeff(n: int, k: int, l: int) -> Fraction:
     l = _check_int("theta_coeff", "l", l)
     if not 0 <= l <= k - 3:
         raise ValueError("theta_coeff: index l must lie in 0..k-3")
-    return Fraction(_theta_row(n, k)[l], 2 ** l)
+    return Fraction(_theta_row(n, k, (l,))[0], 2 ** l)
 
 
-def _theta_row(n: int, k: int) -> list[int]:
-    """[theta(n, k, l) * 2**l for l = 0..k-3], unchecked.
+def _theta_row(n: int, k: int, ls=None) -> list[int]:
+    """[theta(n, k, l) * 2**l for l in ls], by default l = 0..k-3,
+    unchecked.
 
     The Catalan numbers come from math.comb, not from catalan() or the
     recurrence the sweep checks.
     """
     return [math.comb(n - 2, k - 3 - l) * (math.comb(2 * l, l) // (l + 1))
-            for l in range(k - 2)]
+            for l in (range(k - 2) if ls is None else ls)]
 
 
 # The two theta checks compare the integers theta * 2**l, cross-multiplied,

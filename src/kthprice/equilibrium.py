@@ -254,13 +254,22 @@ def _ladder(num, scale: Fraction, j: int, density: tuple[int, int, int],
 
     By the quotient rule with f' = a constant,
     (N / g**j)' / f = D (N' g - j A N) / g**(j+2), and the coefficient of
-    x**i in N' (B + A x) - j A N is B (i+1) N[i+1] + A (i-j) N[i].
+    x**i in N' (B + A x) - j A N is B (i+1) N[i+1] + A (i-j) N[i]. That is
+    zero wherever N[i] = N[i+1] = 0, so if N has no power of x below
+    x**lo, the step's result has none below x**(lo-1): each step is one
+    loop from there, and the zeros below it are never read.
     """
     a_int, b_int, d = density
+    lo = next((i for i, c in enumerate(num) if c), 0)
     for _ in range(steps):
-        nxt = [a_int * (i - j) * c for i, c in enumerate(num)]
-        for i in range(1, len(num)):
-            nxt[i - 1] += b_int * i * num[i]
+        lo = max(lo - 1, 0)
+        top = len(num) - 1
+        nxt = [0] * lo
+        for i in range(lo, top):
+            nxt.append(b_int * (i + 1) * num[i + 1]
+                       + a_int * (i - j) * num[i])
+        if num:
+            nxt.append(a_int * (top - j) * num[top])
         while nxt and nxt[-1] == 0:
             nxt.pop()
         num, j = nxt, j + 2

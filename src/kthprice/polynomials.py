@@ -4,9 +4,11 @@ Just enough symbolic machinery for the differentiation ladders that
 verify bid functions, and the package's one home for each exact-integer
 job: the dense kernels _iadd, _imul and _ipow and the long division
 _idivmod serve int and Fraction coefficients alike (and _idivmod residues
-mod a prime), and _over_one_denominator brings ints, floats, Fractions
-and numpy numbers to integers over one denominator (a float64 array's
-rows in one numpy pass: _rows_over_one_denominator). The ladders step
+mod a prime); _ipow expands a base x^v (c0 + c1 x), as every ladder base
+is, by the binomial theorem, and squares and multiplies any other; and
+_over_one_denominator brings ints, floats, Fractions and numpy numbers
+to integers over one denominator (a float64 array's rows in one numpy
+pass: _rows_over_one_denominator). The ladders step
 with the kernels over integer coefficient lists times one Fraction scale
 and build a RationalFunction, with its one gcd, only for a finished
 result. Polynomial holds Fraction coefficients; its +, *, ** and divmod
@@ -15,15 +17,17 @@ gcd. polynomial_gcd and RationalFunction take Polynomials, scalars or
 lists of Python ints (ascending, as Polynomial(list) reads them), so the
 ladders hand over their integers with no Fraction round trip; anything
 but an int list is cleared once (_int_pair). polynomial_gcd takes the
-common power of x out of both parts exactly, proves the cofactors
-coprime by Euclid on integer residues mod the prime 2^61 - 1, and runs
-Euclid over the rationals only on the cofactors that proof cannot
-settle. A RationalFunction cuts the gcd's x^v from its integer lists by
-slicing and divides them by the rest h of the gcd (_idivmod) only when
-h is not constant; it keeps the reduced integer pair, is compared by
-integer cross-multiplication of those pairs, evaluated and printed
-(Fraction parts are built on first access), and has no arithmetic of
-its own. Every identity here is about integers, never floats.
+common power of x out of both parts exactly, returns it at once when a
+cofactor is a nonzero constant (a unit, so nothing more is shared),
+proves other cofactors coprime by Euclid on integer residues mod the
+prime 2^61 - 1, and runs Euclid over the rationals only on the cofactors
+that proof cannot settle. A RationalFunction cuts the gcd's x^v from
+its integer lists by slicing and divides them by the rest h of the gcd
+(_idivmod) only when h is not constant; it keeps the reduced integer
+pair, is compared by integer cross-multiplication of those pairs,
+evaluated and printed (Fraction parts are built on first access), and
+has no arithmetic of its own. Every identity here is about integers,
+never floats.
 Not a general CAS.
 """
 
@@ -221,6 +225,32 @@ def _imul(p: Sequence, q: Sequence) -> list:
 
 
 def _ipow(p: Sequence, exponent: int) -> list:
+    """p**exponent. A base x**v (c0 + c1 x), c0 != 0, c1 nonzero or
+    absent, takes the binomial theorem:
+    x**(v e) sum_i binom(e, i) c0**(e-i) c1**i x**i, which is the product
+    square-and-multiply would form, term for term; no term is 0 and no
+    long product is made. Every ladder base is one: g = B + A x,
+    G = x (2B + A x), and their uniform and triangle monomials. Any other
+    base is squared and multiplied. A zero base (no nonzero coefficient)
+    gives [] for e >= 1 and [1] for e = 0."""
+    v = next((i for i, c in enumerate(p) if c), len(p))
+    terms = len(p) - v
+    if terms == 0:
+        return [] if exponent else [1]
+    if terms == 1:
+        return [0] * (v * exponent) + [p[v] ** exponent]
+    if terms == 2:
+        c0, c1 = p[v], p[v + 1]
+        lows = [1]  # c0**0 .. c0**e
+        for _ in range(exponent):
+            lows.append(lows[-1] * c0)
+        out = [0] * (v * exponent)
+        binom, high = 1, 1  # binom(e, i), c1**i
+        for i in range(exponent + 1):
+            out.append(binom * lows[exponent - i] * high)
+            binom = binom * (exponent - i) // (i + 1)
+            high *= c1
+        return out
     out = [1]
     while exponent:
         if exponent & 1:
@@ -335,14 +365,19 @@ def polynomial_gcd(p, q) -> Polynomial:
     them, not their gcd). The common power of x comes out next, exactly:
     if both lists begin with v zero coefficients,
     gcd(x^v P, x^v Q) = x^v gcd(P, Q), and x divides at most one of the
-    cofactors P, Q. A coprime pair of cofactors is then proved coprime
-    with no Fraction arithmetic, by Euclid on both mod the prime
-    M = 2^61 - 1. Suppose M divides neither leading coefficient and the
-    gcd mod M is constant. A gcd G of degree >= 1 over the rationals could
-    be taken primitive in Z[x] with P = G*U, Q = G*V in Z[x] (Gauss's
-    lemma); M does not divide lc(P) = lc(G)*lc(U), so G mod M would keep
-    its degree and divide both reductions. Hence the gcd is 1, and x^v is
-    returned. Every other pair of cofactors (a zero part, a leading
+    cofactors P, Q. If either cofactor is a nonzero constant c, x^v is
+    returned at once, since a nonzero constant is a unit over the
+    rationals: gcd(P, c) = 1 whatever P is, even 0, and whatever c is,
+    even a multiple of M below (every uniform and triangle result ends
+    here, its denominator a power of b or of a x). Any other coprime pair
+    of cofactors is proved coprime with no Fraction arithmetic, by Euclid
+    on both mod the prime M = 2^61 - 1. Suppose M divides neither leading
+    coefficient and the gcd mod M is constant. A gcd G of degree >= 1
+    over the rationals could be taken primitive in Z[x] with P = G*U,
+    Q = G*V in Z[x] (Gauss's lemma); M does not divide
+    lc(P) = lc(G)*lc(U), so G mod M would keep its degree and divide both
+    reductions. Hence the gcd is 1, and x^v is returned. Every other pair
+    of cofactors (a zero part beside a nonconstant one, a leading
     coefficient divisible by M, or a nonconstant gcd mod M) takes the
     Euclidean algorithm over the rationals.
     """
@@ -351,7 +386,7 @@ def polynomial_gcd(p, q) -> Polynomial:
     # inside the shorter part unless one part is zero
     v = next((i for i, pair in enumerate(zip(p, q)) if any(pair)), 0)
     p, q = p[v:], q[v:]
-    if _coprime_mod_m(p, q):
+    if len(p) == 1 or len(q) == 1 or _coprime_mod_m(p, q):
         g = (Fraction(1),)
     else:
         p, q = Polynomial(p), Polynomial(q)

@@ -384,6 +384,20 @@ def test_theta_and_omega_equal_term_by_term_fraction_sums():
             assert omega(n, k) == total, (n, k)
 
 
+def test_theta_coeff_is_its_row_entry(monkeypatch):
+    rows = {(n, k): comb._theta_row(n, k)
+            for n in range(3, 41) for k in range(3, n + 1)}
+    # theta_coeff computes its one entry, never the whole row
+    built = []
+    row = comb._theta_row
+    monkeypatch.setattr(comb, "_theta_row",
+                        lambda *args: built.append(row(*args)) or built[-1])
+    for (n, k), want in rows.items():
+        assert [theta_coeff(n, k, l) for l in range(k - 2)] == \
+            [Fraction(t, 2 ** l) for l, t in enumerate(want)], (n, k)
+    assert {len(entries) for entries in built} == {1}
+
+
 @pytest.mark.parametrize("check", ["_theta_step_holds", "_theta_index_holds"])
 def test_identity_sweep_reads_both_theta_checks(monkeypatch, check):
     # fail each check alone at the pair (7, 4), the 12th in the walk

@@ -28,6 +28,7 @@ from kthprice import polynomials
 from kthprice.polynomials import _over_one_denominator
 import functools
 import math
+import random
 import sys
 import time
 
@@ -353,6 +354,39 @@ def test_ladder_step_matches_quotient_rule(dist, j):
     assert RationalFunction(Polynomial(stepped) * new_scale, g ** power) == \
         RationalFunction(big_n.derivative() * big_q - big_n * big_q.derivative(),
                          big_q * big_q * f)
+
+
+def two_pass_step(num, j, density):
+    """One ladder step as _ladder took it before its one-loop rule: a list
+    comprehension, then a loop over the whole list."""
+    a_int, b_int, _ = density
+    nxt = [a_int * (i - j) * c for i, c in enumerate(num)]
+    for i in range(1, len(num)):
+        nxt[i - 1] += b_int * i * num[i]
+    while nxt and nxt[-1] == 0:
+        nxt.pop()
+    return nxt
+
+
+# (A, B, D): a general slope, the uniform (A = 0) and the triangle (B = 0)
+@pytest.mark.parametrize("density", [(3, 5, 2), (-7, 2, 4), (0, 5, 1),
+                                     (3, 0, 1)])
+def test_ladder_equals_two_pass_step(density):
+    rng = random.Random(30)
+    nums = [[]] + [[0] * zeros + [rng.randint(-4, 4) for _ in range(size)]
+                   + [rng.choice([-3, 1, 2 ** 64 + 1])]
+                   for zeros in range(5) for size in range(6)
+                   for _ in range(2)]
+    for num in nums:
+        for j in range(6):
+            want = num
+            for steps in range(1, 5):
+                want = two_pass_step(want, j + 2 * (steps - 1), density)
+                got, scale, power = _ladder(num, Fraction(2, 3), j,
+                                            density, steps)
+                assert got == want, (num, j, steps)
+                assert (scale, power) == (Fraction(2, 3) * density[2] ** steps,
+                                          j + 2 * steps)
 
 
 def test_psi_oracle_sweep_to_n30():

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from kthprice import Polynomial, RationalFunction, polynomial_gcd
-from kthprice.polynomials import _idivmod, _over_one_denominator
+from kthprice import polynomials
+from kthprice.polynomials import (_idivmod, _imul, _ipow,
+                                  _over_one_denominator)
 
 X = Polynomial.variable()
 
@@ -160,6 +162,12 @@ def gcd_cases():
             for p, q in cofactors:
                 yield X ** v * p, X ** w * q
     yield Polynomial(), X ** 3 * (X + 1)
+    # a constant cofactor: gcd(P, c) = 1, also when M divides c
+    yield Polynomial([3 * m]), X ** 2 + 1
+    yield X ** 2 * (5 * m), X ** 3 * (X + 1)
+    yield X ** 2 * 5, X ** 4 * Fraction(7, 3)
+    yield Polynomial(), Polynomial([m])
+    yield Polynomial(), X ** 2 * m
 
 
 @pytest.mark.parametrize("p, q", list(gcd_cases()))
@@ -189,6 +197,70 @@ def test_coprime_pair_runs_no_euclid_step(monkeypatch):
     assert polynomial_gcd(X ** 2 * (X + 2 ** 61 - 1),
                           X * (2 * X + 2 ** 61 - 1)) == X
     assert len(steps) > 4
+
+
+def test_a_constant_cofactor_needs_no_proof(monkeypatch):
+    # after the common x^v, a nonzero constant part settles the gcd: x^v,
+    # with no proof mod M (which a constant divisible by M would fail)
+    calls = []
+    for name in ("_coprime_mod_m", "_idivmod"):
+        def spy(*args, _name=name, _fn=getattr(polynomials, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(polynomials, name, spy)
+    m = 2 ** 61 - 1
+    assert polynomial_gcd(X ** 2 * (5 * m), X ** 3 * (X + 1)) == X ** 2
+    assert polynomial_gcd(X ** 4 * (X - 2), X ** 4 * Fraction(1, 3)) == X ** 4
+    assert polynomial_gcd(Polynomial(), 7) == 1
+    assert not calls
+    # a zero part is not a constant: gcd(0, Q) is Q made monic
+    assert polynomial_gcd(Polynomial(), 2 * X + 1) == X + Fraction(1, 2)
+    assert calls
+
+
+def square_and_multiply(p, exponent):
+    """_ipow as it was before its binomial rule: square-and-multiply by
+    _imul for every base."""
+    out = [1]
+    while exponent:
+        if exponent & 1:
+            out = _imul(out, p)
+        exponent >>= 1
+        if exponent:
+            p = _imul(p, p)
+    return out
+
+
+def power_bases():
+    rng = random.Random(30)
+    for zeros in range(4):
+        for terms in range(1, 5):
+            for _ in range(3):
+                # inner coefficients may be 0; the last one never is
+                body = [rng.randint(-9, 9) for _ in range(terms - 1)]
+                body.append(rng.choice([-5, -2, -1, 1, 3, 2 ** 70 + 1]))
+                ints = [0] * zeros + body
+                yield ints
+                yield [Fraction(c, rng.randint(1, 7)) for c in ints]
+
+
+@pytest.mark.parametrize("exponent", range(13))
+def test_ipow_equals_square_and_multiply(exponent):
+    bases = list(power_bases()) + [[]]
+    for base in bases:
+        got = _ipow(base, exponent)
+        assert got == square_and_multiply(base, exponent), (base, exponent)
+        assert not got or got[-1] != 0
+
+
+def test_ipow_hand_worked_and_zero_bases():
+    # the binomial rule covers every ladder base: x^v times 1 or 2 terms
+    assert _ipow([3, 2], 4) == [81, 216, 216, 96, 16]
+    assert _ipow((0, 0, Fraction(1, 2)), 3) == [0] * 6 + [Fraction(1, 8)]
+    # square-and-multiply gave [0] for [0] ** 2, against the invariant
+    assert square_and_multiply([0], 2) == [0]
+    assert _ipow([0], 2) == _ipow([0, 0], 5) == _ipow([], 1) == []
+    assert _ipow([0], 0) == _ipow([], 0) == [1]
 
 
 def test_calculus():
