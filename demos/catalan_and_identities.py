@@ -6,8 +6,8 @@ Run:  python3 demos/catalan_and_identities.py
 from fractions import Fraction
 
 from kthprice import (catalan, catalan_integral, catalan_recurrence_holds,
-                      jensen_sides, hagen_rothe_sides, omega,
-                      omega_bounds_hold, theta_coeff)
+                      jensen_sides, hagen_rothe_sides, omega, omega_bounds,
+                      theta_coeff)
 
 # the closed form, the recurrence, and a definite integral all agree
 print("first Catalan numbers:", [catalan(l) for l in range(10)])
@@ -28,8 +28,9 @@ for k in range(3, 8):
 print()
 print("omega values and their exact bounds (n=10):")
 for k in range(3, 7):
+    lo, hi = omega_bounds(10, k)
     print(f"  k={k}: omega={omega(10, k)}  bounds hold:",
-          omega_bounds_hold(10, k))
+          lo <= omega(10, k) <= hi)
 print("k=3 always sits exactly on the lower bound:",
       all(omega(n, 3) == Fraction(1, 2) for n in range(3, 25)))
 

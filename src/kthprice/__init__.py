@@ -13,19 +13,16 @@ and ships a CLI plus narrative demos on top.
 from .combinatorics import (IdentityResult, catalan, catalan_integral,
                             catalan_recurrence_holds, hagen_rothe_sides,
                             identity_sweep, jensen_sides, omega, omega_bounds,
-                            omega_bounds_hold, shifted_jensen_sides,
-                            theta_coeff, theta_index_identity_holds,
-                            theta_step_recurrence_holds)
-from .distributions import (NORMALIZATION_TOL, AuctionConfig,
-                            LinearDensityDistribution, make_linear,
-                            make_triangle, make_uniform)
+                            shifted_jensen_sides, theta_coeff)
+from .distributions import (AuctionConfig, LinearDensityDistribution,
+                            make_linear, make_triangle, make_uniform)
 from .equilibrium import (BidFunction, MonotonicityResult,
                           bid_from_psi_ladder, monotonicity_certificate,
                           phi_ladder_check, psi_closed_form,
                           psi_ladder_oracle, series_coefficients)
 from .polynomials import Polynomial, RationalFunction, polynomial_gcd
 from .quadrature import QuadratureError, integrate
-from .verification import (SHARD_SIZE, MonteCarloResult, VerificationReport,
+from .verification import (MonteCarloResult, VerificationReport,
                            best_response_profile, expected_payment_benchmark,
                            expected_payment_quadrature, expected_revenue,
                            monte_carlo_expected_payment,
@@ -40,11 +37,9 @@ __all__ = [
     "LinearDensityDistribution",
     "MonotonicityResult",
     "MonteCarloResult",
-    "NORMALIZATION_TOL",
     "Polynomial",
     "QuadratureError",
     "RationalFunction",
-    "SHARD_SIZE",
     "VerificationReport",
     "best_response_profile",
     "bid_from_psi_ladder",
@@ -65,7 +60,6 @@ __all__ = [
     "monte_carlo_expected_payment",
     "omega",
     "omega_bounds",
-    "omega_bounds_hold",
     "phi_ladder_check",
     "polynomial_gcd",
     "psi_closed_form",
@@ -74,6 +68,4 @@ __all__ = [
     "series_coefficients",
     "shifted_jensen_sides",
     "theta_coeff",
-    "theta_index_identity_holds",
-    "theta_step_recurrence_holds",
 ]

@@ -10,7 +10,8 @@ gives the flags, the --config file fields (same names, same types) and
 the defaults: default < config file < flag, all checked alike.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 invalid
-configuration, 3 numerical failure: non-convergence or float overflow.
+configuration, 3 numerical failure: non-convergence, float overflow or a
+payment simulation that no trial won.
 
 main(argv) returns the exit code rather than exiting, so it can be called
 repeatedly in one process; the argument parser is built on the first
@@ -24,6 +25,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -347,8 +349,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.mode == "payment":
         if x is None:
             raise ConfigError("simulate payment requires --x")
-        result = monte_carlo_expected_payment(bid, dist, n, k, x,
-                                              args.samples, args.seed)
+        with warnings.catch_warnings():  # no win is an error line below
+            warnings.filterwarnings("ignore", "monte_carlo_expected_payment: "
+                                    "no winning trial", RuntimeWarning)
+            result = monte_carlo_expected_payment(bid, dist, n, k, x,
+                                                  args.samples, args.seed)
+        if result.wins == 0:
+            print(f"error: no winning trial at n={n}, k={k}, x={x} in "
+                  f"{args.samples} samples: a win is rarer than 1/samples "
+                  f"and 0 +- 0 is no estimate", file=sys.stderr)
+            return EXIT_NUMERICAL
         benchmark = expected_payment_benchmark(dist, n, x)
         error = abs(result.estimate - benchmark)
         doc.update(x=x, estimate=result.estimate,

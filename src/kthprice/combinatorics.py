@@ -42,13 +42,13 @@ the bound for every n >= 16. The pairs below n = 16 are finitely many:
 the square-root step is too weak only at (5, 4), (7, 5), (9, 6),
 (11, 7), (13, 8) and (15, 9), and k = n is on the wedge only at n = 3.
 The tests check each step in exact arithmetic and the product form on
-every wedge pair with n <= 200, which covers them. omega_bounds_hold,
-`kthprice bounds` and identity_sweep check the bound pair by pair in
-_omega_check, the one home of the wedge, the anchor binom(n-3, k-3)
-(omega_bounds reads it there) and both inequalities, cross-multiplied
-in integers: Omega is one integer over 2**(2k-5), summed by Horner in 4
-from the theta row of (n, k), the integers theta * 2**l that
-theta_coeff and identity_sweep's two theta checks read too.
+every wedge pair with n <= 200, which covers them. `kthprice bounds`
+and identity_sweep check the bound pair by pair in _omega_check, the one
+home of the wedge, the anchor binom(n-3, k-3) (omega_bounds reads it
+there) and both inequalities, cross-multiplied in integers: Omega is one
+integer over 2**(2k-5), summed by Horner in 4 from the theta row of
+(n, k), the integers theta * 2**l that theta_coeff and identity_sweep's
+two theta checks read too.
 
 The Jensen / Hagen-Rothe / shifted-Jensen convolution identities take
 real arguments; one integer helper per identity sums both sides exactly
@@ -88,11 +88,8 @@ __all__ = [
     "hagen_rothe_sides",
     "shifted_jensen_sides",
     "theta_coeff",
-    "theta_step_recurrence_holds",
-    "theta_index_identity_holds",
     "omega",
     "omega_bounds",
-    "omega_bounds_hold",
     "IdentityResult",
     "identity_sweep",
 ]
@@ -272,9 +269,12 @@ def _theta_row(n: int, k: int, ls=None) -> list[int]:
             for l in (range(k - 2) if ls is None else ls)]
 
 
-# The two theta checks compare the integers theta * 2**l, cross-multiplied,
-# in the rows for k and k + 1; identity_sweep builds each row once for
-# both checks and for both pairs that read it.
+# The two theta checks, exact,
+#   step:  theta(n, k+1, l) == (2l-1)/(l+1) * theta(n, k, l-1), l = 1..k-2,
+#   index: (n-k+l+1) theta(n, k, l) == (k-2-l) theta(n, k+1, l), l = 0..k-3,
+# compare the integers theta * 2**l, cross-multiplied, in the rows for k
+# and k + 1; identity_sweep builds each row once for both checks and for
+# both pairs that read it.
 
 def _theta_step_holds(row: list[int], next_row: list[int]) -> bool:
     return all((l + 1) * next_row[l] == 2 * (2 * l - 1) * row[l - 1]
@@ -285,21 +285,6 @@ def _theta_index_holds(n: int, k: int, row: list[int],
                        next_row: list[int]) -> bool:
     return all((n - k + l + 1) * row[l] == (k - 2 - l) * next_row[l]
                for l in range(k - 2))
-
-
-def theta_step_recurrence_holds(n: int, k: int) -> bool:
-    """Check theta(n, k+1, l) == (2l-1)/(l+1) * theta(n, k, l-1) exactly.
-
-    Verified for l = 1..k-2, the full range on which both sides exist.
-    """
-    n, k = _check_nk("theta_step_recurrence_holds", n, k, 3)
-    return _theta_step_holds(_theta_row(n, k), _theta_row(n, k + 1))
-
-
-def theta_index_identity_holds(n: int, k: int) -> bool:
-    """Check (n-k+l+1) * theta(n,k,l) == (k-2-l) * theta(n,k+1,l) exactly."""
-    n, k = _check_nk("theta_index_identity_holds", n, k, 3)
-    return _theta_index_holds(n, k, _theta_row(n, k), _theta_row(n, k + 1))
 
 
 def _omega_numerator(row: list[int]) -> int:
@@ -344,19 +329,6 @@ def omega_bounds(n: int, k: int) -> tuple[Fraction, Fraction] | None:
     if (checked := _omega_check(n, k, 0)) is None:  # reads the anchor only
         return None
     return Fraction(checked[1], 2), Fraction(7 * checked[1], 8)
-
-
-def omega_bounds_hold(n: int, k: int) -> bool:
-    """Exact check that Omega(n, k) lies within omega_bounds(n, k).
-
-    Parameters off the wedge are rejected. For k = 3 the lower bound is
-    attained with equality.
-    """
-    n, k = _check_nk("omega_bounds_hold", n, k, 3)
-    if (checked := _omega_check(n, k)) is None:
-        raise ValueError(f"omega_bounds_hold: bounds are only claimed for "
-                         f"n + 4 > 2k, got n={n}, k={k}")
-    return checked[2]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "NORMALIZATION_TOL",
     "AuctionConfig",
     "LinearDensityDistribution",
     "make_uniform",
@@ -27,7 +26,7 @@ __all__ = [
     "make_linear",
 ]
 
-NORMALIZATION_TOL = 1e-12
+_NORMALIZATION_TOL = 1e-12
 
 
 def _check_int(func: str, name: str, value, low: int | None = None) -> int:
@@ -90,10 +89,10 @@ class LinearDensityDistribution:
                 f"density must stay positive at omega: f(omega) = "
                 f"{self.a * self.omega + self.b}")
         mass = self.a * self.omega ** 2 / 2.0 + self.b * self.omega
-        if abs(mass - 1.0) > NORMALIZATION_TOL:
+        if abs(mass - 1.0) > _NORMALIZATION_TOL:
             raise ValueError(
                 f"parameters are not normalised: F(omega) = {mass!r}, "
-                f"expected 1 within {NORMALIZATION_TOL}")
+                f"expected 1 within {_NORMALIZATION_TOL}")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

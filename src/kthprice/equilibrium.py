@@ -156,8 +156,8 @@ class BidFunction:
         if self.slope is None and a < 0:  # increasing: largest at omega
             with np.errstate(over="ignore"):
                 if not math.isfinite(self(self.dist.omega)):
-                    raise ValueError(f"series bid exceeds the float range at "
-                                     f"omega for n={n}, k={k}, a={a}")
+                    raise OverflowError(f"series bid exceeds the float range "
+                                        f"at omega for n={n}, k={k}, a={a}")
 
     @classmethod
     def second_price(cls, config: AuctionConfig,
@@ -179,7 +179,7 @@ class BidFunction:
         """The Catalan series in floats, for any linear density, k >= 3.
         Against exact rational evaluation its relative error is at most
         2e-15 for a > 0 and 2e-13 at a = -1 and -1.9 (tested to n = 150).
-        For a < 0 a bid past the float range at omega raises ValueError;
+        For a < 0 a bid past the float range at omega raises OverflowError;
         for a >= 0, beta <= x (n-1)/(n-k+1) cannot overflow."""
         return cls(config, dist)
 

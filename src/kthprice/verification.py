@@ -40,7 +40,6 @@ from .polynomials import _over_one_denominator
 from .quadrature import BLOCK_ROWS, integrate
 
 __all__ = [
-    "SHARD_SIZE",
     "MonteCarloResult",
     "VerificationReport",
     "expected_payment_benchmark",
@@ -53,14 +52,14 @@ __all__ = [
 
 # Monte Carlo streams are consumed in fixed-size shards; shard i uses the
 # generator seeded by SeedSequence(seed, spawn_key=(i,)). Results depend
-# only on (seed, SHARD_SIZE), never on how shards are executed.
-SHARD_SIZE = 1 << 16
+# only on (seed, _SHARD_SIZE), never on how shards are executed.
+_SHARD_SIZE = 1 << 16
 
 # _order_statistic compares whole columns of a block of u's rows, about
 # _BLOCK_BYTES of them (16384 rows of 8 columns), while its column work,
 # m (p + 1) for m columns and p passes, is at most _COLUMN_LIMIT; above
 # that, one row-wise numpy call over the whole shard is cheaper. Both
-# measured on shards of SHARD_SIZE rows, m up to 64. Blocks hold bytes,
+# measured on shards of _SHARD_SIZE rows, m up to 64. Blocks hold bytes,
 # not rows: a fixed 16384 rows ran 2-3x slower than 4096 at m = 16, 32
 # and 48, where a row's stride is a multiple of 128 bytes.
 _BLOCK_BYTES = 1 << 20
@@ -239,8 +238,8 @@ def revenue_equivalence_check(bid: BidFunction,
 
 
 def _shards(samples: int):
-    for index, done in enumerate(range(0, samples, SHARD_SIZE)):
-        yield index, min(SHARD_SIZE, samples - done)
+    for index, done in enumerate(range(0, samples, _SHARD_SIZE)):
+        yield index, min(_SHARD_SIZE, samples - done)
 
 
 def _shard_rng(seed: int, index: int) -> np.random.Generator:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -358,6 +359,22 @@ def test_simulate_payment_requires_x(capsys):
     assert code == EXIT_CONFIG and "x must lie in" in err and "x=1.5" in err
 
 
+def test_simulate_payment_without_a_win_exits_3(capsys, tmp_path):
+    # F(0.05)**7 = 2.5e-3**7 on the triangle: no win in 100 trials, and
+    # 0 +- 0 is not printed as a result, nor the library's warning shown
+    argv = ("simulate", "payment", "--n", "8", "--k", "3", "--x", "0.05",
+            "--dist", "triangle", "--samples", "100")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err.startswith("error: no winning trial at n=8, k=3, x=0.05 "
+                              "in 100 samples") and err.count("\n") == 1
+        target = tmp_path / "payment.json"
+        assert run(capsys, *argv, "--output", str(target))[0] == EXIT_NUMERICAL
+        assert not target.exists()
+
+
 def test_simulate_revenue_repeat_runs_identical(capsys):
     argv = ("simulate", "revenue", "--n", "5", "--k", "4", "--dist",
             "triangle", "--samples", "70000", "--seed", "9")
@@ -465,7 +482,12 @@ def test_quadrature_failure_maps_to_exit_3(monkeypatch, capsys):
     # (n-1) binom(n-2, k-2) passes the float range for n >= 1022
     ["verify", "--suite", "re", "--n", "1100", "--k", "550"],
     ["verify", "--suite", "best-response", "--n", "1100", "--k", "550"],
-], ids=["identities", "verify-re", "verify-best-response"])
+    # the series bid at omega passes the float range for a = -1.9
+    *(argv + ["--n", "150", "--k", "150", "--dist", "linear", "--a", "-1.9"]
+      for argv in (["bid-table"], ["verify"],
+                   ["simulate", "payment", "--x", "0.5"])),
+], ids=["identities", "verify-re", "verify-best-response", "series-bid-table",
+        "series-verify", "series-simulate"])
 def test_float_overflow_maps_to_exit_3(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_NUMERICAL and out == ""

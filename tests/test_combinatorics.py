@@ -11,7 +11,7 @@ import pytest
 from kthprice import (IdentityResult, catalan, catalan_integral,
                       catalan_recurrence_holds, hagen_rothe_sides,
                       identity_sweep, jensen_sides, omega, omega_bounds,
-                      omega_bounds_hold, shifted_jensen_sides, theta_coeff)
+                      shifted_jensen_sides, theta_coeff)
 import kthprice.combinatorics as comb
 from kthprice.cli import main
 from kthprice.combinatorics import _random_cases
@@ -398,6 +398,43 @@ def test_theta_coeff_is_its_row_entry(monkeypatch):
     assert {len(entries) for entries in built} == {1}
 
 
+def test_theta_checks_refuse_a_one_unit_error(monkeypatch):
+    # every entry of the k row is read by both checks; entry l of the k + 1
+    # row by the step check for l >= 1 and by the index check for l <= k-3
+    for n in range(3, 21):
+        for k in range(3, n + 1):
+            row, next_row = comb._theta_row(n, k), comb._theta_row(n, k + 1)
+            assert comb._theta_step_holds(row, next_row), (n, k)
+            assert comb._theta_index_holds(n, k, row, next_row), (n, k)
+            for delta in (-1, 1):
+                for l in range(k - 2):
+                    bad = row.copy()
+                    bad[l] += delta
+                    assert not comb._theta_step_holds(bad, next_row)
+                    assert not comb._theta_index_holds(n, k, bad, next_row)
+                for l in range(k - 1):
+                    bad = next_row.copy()
+                    bad[l] += delta
+                    assert comb._theta_step_holds(row, bad) == (l == 0)
+                    assert comb._theta_index_holds(n, k, row, bad) == (
+                        l == k - 2), (n, k, l)
+    # one unit off in theta(9, 6, 2): the sweep fails at (9, 5), the 24th
+    # pair, whose k + 1 row it is
+    theta_row = comb._theta_row
+
+    def corrupt(n, k, ls=None):
+        out = theta_row(n, k, ls)
+        if (n, k, ls) == (9, 6, None):
+            out[2] += 1
+        return out
+
+    monkeypatch.setattr(comb, "_theta_row", corrupt)
+    theta = {r.name: r for r in identity_sweep(1, 0, 1, 0, 12)}[
+        "theta-recurrences"]
+    assert (theta.passed, theta.cases, theta.detail) == (
+        False, 24, "witness n=9 k=5")
+
+
 @pytest.mark.parametrize("check", ["_theta_step_holds", "_theta_index_holds"])
 def test_identity_sweep_reads_both_theta_checks(monkeypatch, check):
     # fail each check alone at the pair (7, 4), the 12th in the walk
@@ -443,7 +480,6 @@ def test_omega_check_agrees_with_fraction_reference(capsys):
                 assert comb._omega_check(n, k, num) == (
                     num, anchor, lower <= near <= upper), (n, k, num)
             ok = lower <= value <= upper
-            assert omega_bounds_hold(n, k) == ok
             lines.append(f"{'ok' if ok else 'FAIL'} n={n} k={k} "
                          f"omega={value.numerator}/{value.denominator} "
                          f"lower={lower.numerator}/{lower.denominator} "
@@ -474,7 +510,6 @@ def test_omega_at_k3_is_the_lower_bound():
     for n in range(3, 61):
         assert omega(n, 3) == Fraction(1, 2) == omega_bounds(n, 3)[0]
         assert comb._omega_check(n, 3) == (1, 1, True)
-        assert omega_bounds_hold(n, 3)
         assert not comb._omega_check(n, 3, 0)[2]
         assert not comb._omega_check(n, 3, 2)[2]
 
@@ -619,9 +654,7 @@ def test_omega_upper_bound_wedge_steps_to_n_200(c):
 def test_omega_bounds_rejects_outside_wedge():
     assert omega_bounds(10, 3) == (Fraction(1, 2), Fraction(7, 8))
     assert omega_bounds(10, 6) == (Fraction(35, 2), Fraction(245, 8))
-    assert omega_bounds(6, 5) is None
-    with pytest.raises(ValueError):
-        omega_bounds_hold(6, 5)  # n + 4 = 10 = 2k
+    assert omega_bounds(6, 5) is None  # n + 4 = 10 = 2k
     with pytest.raises(ValueError):
         omega_bounds(5, 2)
     with pytest.raises(ValueError):

@@ -184,7 +184,7 @@ def test_series_float_error_against_exact_series():
         for n, k in SWEEP_PAIRS:
             try:
                 bid = BidFunction.series(AuctionConfig(n, k), lin)
-            except ValueError:
+            except OverflowError:
                 num, den = _exact_series(n, k, lin, 1.0)
                 assert a < 0 and num > den * int(sys.float_info.max), (a, n, k)
                 continue
@@ -200,7 +200,7 @@ def test_series_float_error_against_exact_series():
 
 def test_series_out_of_float_range_is_refused():
     lin = make_linear(-1.9, 1.0)
-    with pytest.raises(ValueError, match=r"n=150, k=150, a=-1\.9"):
+    with pytest.raises(OverflowError, match=r"n=150, k=150, a=-1\.9"):
         BidFunction.series(AuctionConfig(150, 150), lin)
     top = BidFunction.series(AuctionConfig(100, 100), lin)(1.0)
     assert 1e306 < top < sys.float_info.max  # largest, and still finite

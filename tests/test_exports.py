@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import kthprice
@@ -24,6 +25,39 @@ def test_every_module_all_resolves():
 
 def test_package_all_is_sorted():
     assert kthprice.__all__ == sorted(set(kthprice.__all__))
+
+
+PUBLIC = [
+    "AuctionConfig", "BidFunction", "IdentityResult",
+    "LinearDensityDistribution", "MonotonicityResult", "MonteCarloResult",
+    "Polynomial", "QuadratureError", "RationalFunction", "VerificationReport",
+    "best_response_profile", "bid_from_psi_ladder", "catalan",
+    "catalan_integral", "catalan_recurrence_holds",
+    "expected_payment_benchmark", "expected_payment_quadrature",
+    "expected_revenue", "hagen_rothe_sides", "identity_sweep", "integrate",
+    "jensen_sides", "make_linear", "make_triangle", "make_uniform",
+    "monotonicity_certificate", "monte_carlo_expected_payment", "omega",
+    "omega_bounds", "phi_ladder_check", "polynomial_gcd", "psi_closed_form",
+    "psi_ladder_oracle", "revenue_equivalence_check", "series_coefficients",
+    "shifted_jensen_sides", "theta_coeff",
+]
+
+
+def test_package_all_is_the_pinned_list():
+    assert len(PUBLIC) == 37
+    assert kthprice.__all__ == PUBLIC
+
+
+def test_every_public_name_serves_a_claim():
+    # each export is named, as a whole word, by the CLI, a demo, the README
+    # or the benchmark; adding one needs a claim that uses it
+    paths = [ROOT / "src" / "kthprice" / "cli.py", ROOT / "README.md",
+             *sorted((ROOT / "demos").glob("*.py")),
+             *sorted((ROOT / "benchmarks").glob("*.py"))]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in paths)
+    unused = [name for name in kthprice.__all__
+              if not re.search(rf"\b{name}\b", text)]
+    assert unused == []
 
 
 def _private_imports(path: Path) -> list[str]:
