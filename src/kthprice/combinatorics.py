@@ -53,16 +53,17 @@ two theta checks read too.
 The Jensen / Hagen-Rothe / shifted-Jensen convolution identities take
 real arguments; one integer helper per identity sums both sides exactly
 over one denominator D**s s!. The public *_sides round each side once
-(int / int); identity_sweep converts its cases a block at a time
-(polynomials._rows_over_one_denominator) and rounds only where the
-integers differ, so a case passes iff the rounded floats are equal. The
-falling factorials' factors come by running subtraction (x -= D); the
-O(s) sides are running products of them, summed Horner-fashion, and the
-O(s**2) left sides multiply each term's factors out inline. The random
-cases come from the Generator's public array calls, a fixed block of
-1024 at a time, so they are prefix-stable: the first T cases are the
-same for every trial count >= T. The only other floating point is the
-quadrature check of the integral representation
+(int / int); identity_sweep draws integers over one D = 2**49, skips
+only exact Hagen-Rothe poles (_pole, as hagen_rothe_sides refuses them)
+and rounds only where the integers differ, so a case passes iff the
+rounded floats are equal. The falling factorials' factors come by
+running subtraction (x -= D); the O(s) sides are running products of
+them, summed Horner-fashion, and the O(s**2) left sides multiply each
+term's factors out inline. The cases come from the Generator's public
+array calls, a fixed block of 1024 at a time, so they are prefix-stable:
+the first T cases are the same for every trial count >= T. The only
+other floating point is the quadrature check of the integral
+representation
 
     C_l = (2**(2l+1) / pi) * int_0^1 t**l * sqrt((1-t)/t) dt.
 """
@@ -77,7 +78,7 @@ from itertools import islice
 import numpy as np
 
 from .distributions import _check_int, _check_nk
-from .polynomials import _over_one_denominator, _rows_over_one_denominator
+from .polynomials import _over_one_denominator
 from .quadrature import integrate
 
 __all__ = [
@@ -103,14 +104,11 @@ def catalan(l: int) -> int:
 
 
 def catalan_recurrence_holds(l_max: int) -> bool:
-    """Check C_l == 2(2l-1)/(l+1) * C_{l-1} exactly for l = 1..l_max."""
+    """Check (l+1) C_l == 2(2l-1) C_{l-1} in integers for l = 1..l_max."""
     l_max = _check_int("catalan_recurrence_holds", "l_max", l_max, 1)
-    c = Fraction(1)  # C_0
-    for l in range(1, l_max + 1):
-        c = c * Fraction(2 * (2 * l - 1), l + 1)
-        if c != catalan(l):
-            return False
-    return True
+    c = [1, *map(catalan, range(1, l_max + 1))]  # C_0 = 1
+    return all((l + 1) * c[l] == 2 * (2 * l - 1) * c[l - 1]
+               for l in range(1, l_max + 1))
 
 
 def catalan_integral(l: int) -> float:
@@ -200,9 +198,14 @@ def _jensen_ints(d: int, m: int, r: int, z: int, s: int) -> tuple[int, int]:
             _perm_sum(m + r - (s - 1) * d, d, s, z))
 
 
+def _pole(m: int, z: int) -> int:
+    """The one l with M + Zl = 0 (every l when M = Z = 0: 0), else -1."""
+    return 0 if m == 0 else -m // z if z and m % z == 0 else -1
+
+
 def _hagen_rothe_ints(d: int, m: int, r: int, z: int,
                       s: int) -> tuple[int, int]:
-    # no pole check: hagen_rothe_sides refuses poles, the sweep avoids them
+    # no pole check: hagen_rothe_sides refuses poles, the sweep skips them
     return _convolution_lhs(m, r, z, d, s, True), _falling(m + r, s, d)
 
 
@@ -231,9 +234,7 @@ def hagen_rothe_sides(m: float, r: float, z: float, s: int) -> tuple[float, floa
     sum_l m/(m+z*l) binom(m+z*l, l) binom(r-z*l, s-l) == binom(m+r, s)."""
     s = _check_int("hagen_rothe_sides", "s", s, 0)
     d, (m, r, z) = _over_one_denominator(m, r, z)
-    # the one l with M + Zl = 0, if any (every l when M = Z = 0)
-    pole = 0 if m == 0 else -m // z if z and m % z == 0 else -1
-    if 0 <= pole <= s:
+    if 0 <= (pole := _pole(m, z)) <= s:
         raise ValueError(f"hagen_rothe_sides: m + z*l vanishes at l={pole}")
     return _rounded(d, s, _hagen_rothe_ints(d, m, r, z, s))
 
@@ -343,31 +344,18 @@ class IdentityResult:
 
 
 _BLOCK = 1024
+_D = 2 ** 49  # the sweep's m, r, z = M/D, R/D, Z/D; every numerator < 2**53
 
 
-def _random_cases(rng: np.random.Generator, avoid_poles: bool):
-    """Endless (m, r, z, s) draws as Python floats and ints, a fixed block
-    of _BLOCK cases per pair of array calls, so the first T cases are the
-    same for every count >= T; with avoid_poles, skip those with
-    |m + z*l| < 1e-3 for some l <= s, the Hagen-Rothe identity's poles."""
-    l = np.arange(13 if avoid_poles else 0)  # the l that can be poles
+def _random_cases(rng: np.random.Generator):
+    """Endless (M, R, Z, s) draws as Python ints, M in [1, 5D], R in
+    [-3D, 10D), Z in [-2D, 2D), s in [0, 12], a fixed block of _BLOCK cases
+    per pair of array calls, so the first T cases are the same for every
+    count >= T."""
     while True:
-        m, r, z = (rng.random((_BLOCK, 3)) * (5.0, 13.0, 4.0)
-                   - (0.0, 3.0, 2.0)).T
-        m[m == 0.0] = 1.0  # (0, 5]
-        s = rng.integers(0, 13, _BLOCK)
-        near = (np.abs(m[:, None] + z[:, None] * l) < 1e-3) & (l <= s[:, None])
-        keep = ~near.any(axis=1)
-        yield from zip(m[keep].tolist(), r[keep].tolist(), z[keep].tolist(),
-                       s[keep].tolist())
-
-
-def _exact_cases(cases, skip: int):
-    """(case, D, [X, ...]) for each (m, r, z, s) case, its floats from index
-    skip on brought to integers over D, a block of _BLOCK cases at a time."""
-    while block := list(islice(cases, _BLOCK)):
-        yield from zip(block, *_rows_over_one_denominator(
-            [case[skip:3] for case in block]))
+        mrz = rng.integers((1, -3 * _D, -2 * _D), (5 * _D + 1, 10 * _D, 2 * _D),
+                           (_BLOCK, 3))
+        yield from zip(*mrz.T.tolist(), rng.integers(0, 13, _BLOCK).tolist())
 
 
 def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
@@ -404,16 +392,16 @@ def identity_sweep(lmax: int, integral_lmax: int, trials: int, seed: int,
                              ("hagen-rothe", _hagen_rothe_ints, 0),
                              ("shifted-jensen", _shifted_jensen_ints, 1)):
         passed, detail = True, f"(trials={trials}, seed={seed})"
-        draws = islice(_random_cases(rng, name == "hagen-rothe"), trials)
-        for checked, ((m, r, z, s), d, xs) in enumerate(
-                _exact_cases(draws, skip), 1):
-            lhs, rhs = ints(d, *xs, s)
+        cases = (c for c in _random_cases(rng) if name != "hagen-rothe"
+                 or not 0 <= _pole(c[0], c[2]) <= c[3])
+        for checked, (m, r, z, s) in enumerate(islice(cases, trials), 1):
+            lhs, rhs = ints(_D, *(m, r, z)[skip:], s)
             if lhs != rhs:  # unequal integers may still round to one float
-                lhs, rhs = _rounded(d, s, (lhs, rhs))
+                lhs, rhs = _rounded(_D, s, (lhs, rhs))
                 if lhs != rhs:
                     passed, detail = False, (
-                        f"witness m={m:.12g} r={r:.12g} z={z:.12g} s={s} "
-                        f"lhs={lhs!r} rhs={rhs!r}")
+                        f"witness m={m / _D:.12g} r={r / _D:.12g} "
+                        f"z={z / _D:.12g} s={s} lhs={lhs!r} rhs={rhs!r}")
                     break
         results.append(IdentityResult(name, passed, checked, detail))
 

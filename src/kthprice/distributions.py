@@ -1,7 +1,8 @@
 """Linear-density value distributions and the auction configuration.
 
 Values are drawn i.i.d. from F(x) = a*x**2/2 + b*x on [0, omega], with
-density f(x) = a*x + b. Constructors reject non-finite parameters,
+density f(x) = a*x + b. Constructors reject non-finite parameters
+(also a or b past the float range at an extreme omega) with a ValueError
 naming the field, and unnormalised ones (F(omega) must be 1) instead of
 silently rescaling. Positivity of f is required on (0, omega] only, so
 the triangle case b = 0, f(0) = 0 is legal. inverse_cdf inverts the
@@ -88,7 +89,7 @@ class LinearDensityDistribution:
             raise ValueError(
                 f"density must stay positive at omega: f(omega) = "
                 f"{self.a * self.omega + self.b}")
-        mass = self.a * self.omega ** 2 / 2.0 + self.b * self.omega
+        mass = (self.a * self.omega / 2.0 + self.b) * self.omega  # cdf(omega)
         if abs(mass - 1.0) > _NORMALIZATION_TOL:
             raise ValueError(
                 f"parameters are not normalised: F(omega) = {mass!r}, "
@@ -140,12 +141,19 @@ def make_triangle(omega: float) -> LinearDensityDistribution:
     """Triangle density rising from 0: b = 0, a = 2/omega**2."""
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    return LinearDensityDistribution(2.0 / omega ** 2, 0.0, omega)
+    try:
+        a = 2.0 / omega ** 2
+    except (OverflowError, ZeroDivisionError):  # omega**2 leaves the range
+        a = 2.0 / omega / omega  # inf or 0 where a leaves the range too
+    return LinearDensityDistribution(a, 0.0, omega)
 
 
 def make_linear(a: float, omega: float) -> LinearDensityDistribution:
     """General linear density with slope a; b is fixed by normalisation."""
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    b = (1.0 - a * omega ** 2 / 2.0) / omega
+    try:
+        b = (1.0 - a * omega ** 2 / 2.0) / omega
+    except OverflowError:  # float ** raises past the float range; * does not
+        b = (1.0 - a * omega * omega / 2.0) / omega
     return LinearDensityDistribution(a, b, omega)

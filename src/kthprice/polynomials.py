@@ -7,8 +7,8 @@ _idivmod serve int and Fraction coefficients alike (and _idivmod residues
 mod a prime); _ipow expands a base x^v (c0 + c1 x), as every ladder base
 is, by the binomial theorem, and squares and multiplies any other; and
 _over_one_denominator brings ints, floats, Fractions and numpy numbers
-to integers over one denominator (a float64 array's rows in one numpy
-pass: _rows_over_one_denominator). The ladders step
+to integers over one denominator (the public *_sides of combinatorics
+call it; identity_sweep draws its integers directly). The ladders step
 with the kernels over integer coefficient lists times one Fraction scale
 and build a RationalFunction, with its one gcd, only for a finished
 result. Polynomial holds Fraction coefficients; its +, *, ** and divmod
@@ -300,22 +300,6 @@ def _over_one_denominator(*xs) -> tuple[int, list[int]]:
                   else x.as_integer_ratio() for x in xs]
     den = math.lcm(*[q for _, q in ratios])
     return den, [p * (den // q) for p, q in ratios]
-
-
-def _rows_over_one_denominator(rows) -> tuple[list[int], list[list[int]]]:
-    """([D, ...], [[x * D for x in row], ...]) for a 2-d array of finite
-    floats, each D a power of two, in one numpy pass: np.frexp writes each
-    float64 exactly as an integer of at most 53 bits times 2**e."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(rows).all():
-        raise ValueError("_rows_over_one_denominator: values must be finite")
-    frac, exp = np.frexp(rows)
-    exp -= 53
-    exp[frac == 0] = 0  # a zero needs no denominator
-    den = np.maximum(-exp.min(axis=1), 0)
-    ints = ((frac * 2.0 ** 53).astype(np.int64).astype(object)
-            << (exp + den[:, None]).astype(object))
-    return [1 << d for d in den.tolist()], ints.tolist()
 
 
 _M = 2 ** 61 - 1  # a Mersenne prime

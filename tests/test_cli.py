@@ -494,6 +494,27 @@ def test_float_overflow_maps_to_exit_3(capsys, argv):
     assert err.startswith("error: float overflow: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    # 2/omega**2 overflows: a is refused by name
+    (["--dist", "triangle", "--omega", "1e-170"], EXIT_CONFIG,
+     "error: a must be finite, got inf\n"),
+    # the uniform needs no omega**2: b = 1e-200 is a valid density
+    (["--omega", "1e200"], EXIT_OK, ""),
+    # 2/omega**2 underflows to 0
+    (["--dist", "triangle", "--omega", "1e170"], EXIT_CONFIG,
+     "error: a must be positive when b = 0\n"),
+    (["--dist", "linear", "--a", "0.5", "--omega", "1e200"], EXIT_CONFIG,
+     "error: b must be finite, got -inf\n"),
+], ids=["triangle-1e-170", "uniform-1e200", "triangle-1e170",
+        "linear-1e200"])
+def test_extreme_omega_exit_codes(capsys, argv, code, message):
+    got, out, err = run(capsys, "bid-table", *argv)
+    assert (got, err) == (code, message)
+    assert (out == "") == (code != EXIT_OK)
+    if code == EXIT_OK:  # the bid at omega is 4/3 omega, as at omega = 1
+        assert out.splitlines()[-1].startswith("1e+200,1.33333333333e+200,")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bid-table", "--n", "abc"], "invalid int value: 'abc'"),
     (["bid-table", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),

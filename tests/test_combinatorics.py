@@ -15,7 +15,6 @@ from kthprice import (IdentityResult, catalan, catalan_integral,
 import kthprice.combinatorics as comb
 from kthprice.cli import main
 from kthprice.combinatorics import _random_cases
-from kthprice.polynomials import _rows_over_one_denominator
 
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -75,108 +74,92 @@ def test_hagen_rothe_rejects_vanishing_denominator():
         hagen_rothe_sides(2.0, 1.0, -1.0, 4)
 
 
-def near_pole(case):
+D = comb._D
+
+
+def floats(case):
+    """A drawn case (M, R, Z, s) as the floats m, r, z = M/D, R/D, Z/D."""
+    m, r, z, s = case
+    return m / D, r / D, z / D, s
+
+
+def exact_pole(case):
     m, _, z, s = case
-    return any(abs(m + z * l) < 1e-3 for l in range(s + 1))
-
-
-def scalar_draw_cases(rng, avoid_poles):
-    """Cases as _random_cases maps them, one scalar generator call per
-    number drawn."""
-    while True:
-        m = float(5.0 * rng.random()) or 1.0
-        r = float(-3.0 + 13.0 * rng.random())
-        z = float(-2.0 + 4.0 * rng.random())
-        s = int(rng.integers(0, 13))
-        if not (avoid_poles and near_pole((m, r, z, s))):
-            yield m, r, z, s
+    return any(m + z * l == 0 for l in range(s + 1))
 
 
 class FixedDraws(np.random.Generator):
-    """A generator whose array calls repeat the given doubles and integers."""
+    """A generator whose array calls repeat the given (M, R, Z) rows and
+    s values."""
 
-    def __init__(self, u, s):
+    def __init__(self, mrz, s):
         super().__init__(np.random.PCG64(0))
-        self.u, self.s = u, s
+        self.mrz, self.s = mrz, s
 
-    def random(self, size=None):
-        return np.resize(self.u, size)
-
-    def integers(self, low, high=None, size=None):
-        return np.resize(self.s, size)
+    def integers(self, low, high=None, size=None, **kwargs):
+        return np.resize(self.mrz if isinstance(size, tuple) else self.s, size)
 
 
 @pytest.mark.parametrize("seed", [97, 20250815])
 def test_random_cases_contract(seed):
-    def draw(avoid_poles, count):
-        return list(islice(_random_cases(np.random.default_rng(seed),
-                                         avoid_poles), count))
+    def draw(count):
+        return list(islice(_random_cases(np.random.default_rng(seed)), count))
 
-    drawn = draw(False, 3000)
-    kept = draw(True, 3000)
-    for case in drawn + kept:
-        assert list(map(type, case)) == [float, float, float, int]
+    drawn = draw(3000)
+    for case in drawn:
+        assert list(map(type, case)) == [int, int, int, int]
         m, r, z, s = case
-        assert 0.0 < m <= 5.0 and -3.0 <= r < 10.0 and -2.0 <= z < 2.0
+        assert 1 <= m <= 5 * D and -3 * D <= r < 10 * D and -2 * D <= z < 2 * D
         assert 0 <= s <= 12
-    # the filter drops exactly the cases near a Hagen-Rothe pole, of which
-    # the unfiltered draws hold some
-    assert any(map(near_pole, drawn))
-    assert not any(map(near_pole, kept))
-    assert [case for case in drawn if not near_pole(case)] == \
-        kept[:len(drawn) - sum(map(near_pole, drawn))]
+        # every numerator is below 2**53, so M/D, R/D, Z/D are exact floats
+        assert [Fraction(x) for x in floats(case)[:3]] == \
+            [Fraction(x, D) for x in case[:3]]
+    # the ranges are filled: m near both ends, r and z on both signs
+    m, r, z, s = zip(*drawn)
+    assert min(m) < D // 100 and max(m) > 5 * D - D // 100
+    assert min(r) < -2 * D and max(r) > 9 * D
+    assert min(z) < -D and max(z) > D and set(s) == set(range(13))
     # prefix-stable and reproducible
-    for avoid_poles, cases in ((False, drawn), (True, kept)):
-        assert draw(avoid_poles, 10) == cases[:10]
-        assert draw(avoid_poles, 3000) == cases
-    # a zero double becomes m = 1.0
-    zero = islice(_random_cases(FixedDraws([0.0, 0.5, 0.5], [3]), False), 2)
-    assert list(zero) == [(1.0, 3.5, 0.0, 3)] * 2
-    # m + z*l = 1 - l vanishes at l = 1: a pole at l = s = 1, none at s = 0
-    pole = FixedDraws([0.2, 0.5, 0.25], [1, 0])
-    assert list(islice(_random_cases(pole, False), 2)) == \
-        [(1.0, 3.5, -1.0, 1), (1.0, 3.5, -1.0, 0)]
-    assert list(islice(_random_cases(pole, True), 2)) == \
-        [(1.0, 3.5, -1.0, 0)] * 2
+    assert draw(10) == drawn[:10]
+    assert draw(3000) == drawn
+    # the rows and s values come straight from the two array calls
+    fixed = FixedDraws([[1, 2 * D, -D], [5 * D, -3 * D, D - 1]], [3, 0, 12])
+    assert list(islice(_random_cases(fixed), 3)) == [
+        (1, 2 * D, -D, 3), (5 * D, -3 * D, D - 1, 0), (1, 2 * D, -D, 12)]
 
 
-def scalar_block_cases(rng, avoid_poles):
-    """Cases mapped and filtered one number at a time from the same array
-    draws as _random_cases: blocks of _BLOCK double triples and integers."""
+def per_number_cases(rng):
+    """Cases drawn one number at a time: each block's 3 * _BLOCK numerators
+    row by row by scalar calls with their column's bounds, then its _BLOCK
+    values of s."""
+    bounds = [(1, 5 * D + 1), (-3 * D, 10 * D), (-2 * D, 2 * D)]
     while True:
-        u = rng.random((comb._BLOCK, 3)).tolist()
-        s = rng.integers(0, 13, comb._BLOCK).tolist()
-        for (a, b, c), k in zip(u, s):
-            case = 5.0 * a or 1.0, -3.0 + 13.0 * b, -2.0 + 4.0 * c, k
-            if not (avoid_poles and near_pole(case)):
-                yield case
+        rows = [[int(rng.integers(low, high)) for low, high in bounds]
+                for _ in range(comb._BLOCK)]
+        for row in rows:
+            yield (*row, int(rng.integers(0, 13)))
 
 
-@pytest.mark.parametrize("avoid_poles", [False, True])
+@pytest.mark.parametrize("after_a_sweep", [False, True])
 @pytest.mark.parametrize("seed", [97, 20250815])
-def test_random_cases_equal_scalar_draws(seed, avoid_poles):
-    # the vectorised map and pole filter, across three block boundaries
+def test_random_cases_equal_scalar_draws(seed, after_a_sweep):
+    # the array draws, across three block boundaries; after_a_sweep, as
+    # for each identity after the first, the cases start on a fresh block
+    # of the same generator, the rest of the last one left undrawn
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = per_number_cases(ref)
+    if after_a_sweep:
+        assert len(list(islice(_random_cases(rng), 5))) == 5
+        list(islice(want, comb._BLOCK))
     count = 3 * comb._BLOCK + 5
-    got = list(islice(_random_cases(np.random.default_rng(seed),
-                                    avoid_poles), count))
-    want = list(islice(scalar_block_cases(np.random.default_rng(seed),
-                                          avoid_poles), count))
-    assert got == want
-    assert all(list(map(type, case)) == [float, float, float, int]
-               for case in got)
-
-
-def test_block_draws_turn_a_zero_double_into_m_1():
-    # a zero m double at every other case: only those cases become m = 1.0,
-    # in every block
-    rng = FixedDraws([0.0, 0.5, 0.5, 0.5, 0.5, 0.5], [3])
-    got = list(islice(_random_cases(rng, False), 2 * comb._BLOCK + 2))
-    assert got == [(1.0, 3.5, 0.0, 3), (2.5, 3.5, 0.0, 3)] * (comb._BLOCK + 1)
+    got = list(islice(_random_cases(rng), count))
+    assert got == list(islice(want, count))
+    assert all(list(map(type, case)) == [int, int, int, int] for case in got)
 
 
 def test_identities_randomized():
     rng = np.random.default_rng(97)
-    for m, r, z, s in islice(scalar_draw_cases(rng, avoid_poles=False), 200):
+    for m, r, z, s in map(floats, islice(_random_cases(rng), 200)):
         lhs, rhs = jensen_sides(m, r, z, s)
         assert lhs == rhs, (m, r, z, s)
         lhs, rhs = shifted_jensen_sides(r, z, s)
@@ -214,21 +197,32 @@ def test_identity_sweep_fails_on_a_left_side_off_by_2_to_the_minus_40(
         "witness m=1.25671407237 r=9.42999005619 z=-1.23213491406 s=12 ")
 
 
-def test_rows_over_one_denominator_is_exact():
-    rows = [case[:3] for case in
-            islice(_random_cases(np.random.default_rng(5), False), 3000)]
-    rows += [(0.0, 0.0, 0.0), (1.0, 3.5, 0.0),  # the m = 1.0 replacement
-             (2.5, -2.75, -1.5), (5e-324, 1.0, -5e-324),
-             (1e300, -1e300, 0.5), (5e-324, 1e300, 0.0)]
-    dens, ints = _rows_over_one_denominator(rows)
-    assert len(dens) == len(ints) == len(rows)
-    for row, d, xs in zip(rows, dens, ints):
-        assert type(d) is int and d > 0 and d & (d - 1) == 0  # a power of 2
-        assert all(type(x) is int for x in xs)
-        assert [Fraction(x, d) for x in xs] == list(map(Fraction, row)), row
-    for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="values must be finite"):
-            _rows_over_one_denominator([(1.0, 2.0, 0.5), (1.0, bad, 0.5)])
+def test_identity_sweep_skips_only_exact_hagen_rothe_poles(monkeypatch):
+    # m + z*l = 2 - l vanishes at l = 2: a pole for s = 4, none for s = 1;
+    # z = -1 + 1/D leaves m + 2z = 2/D, a near-pole the sweep now checks
+    rows = [[2 * D, D, -D], [2 * D, D, 1 - D], [2 * D, D, -D]]
+    draw = comb._random_cases
+    monkeypatch.setattr(comb, "_random_cases",
+                        lambda rng: draw(FixedDraws(rows, [4, 4, 1])))
+    calls = {}
+    for name in ("_jensen_ints", "_hagen_rothe_ints"):
+        ints = getattr(comb, name)
+        monkeypatch.setattr(comb, name, lambda *args, ints=ints, name=name: (
+            calls.setdefault(name, []).append(args[1:]) or ints(*args)))
+    results = {r.name: r for r in identity_sweep(1, 0, 4, 0, 3)}
+    assert results["jensen"].passed and results["hagen-rothe"].passed
+    assert results["hagen-rothe"].cases == 4
+    pole, near, beyond = [(*row, s) for row, s in zip(rows, [4, 4, 1])]
+    assert calls["_jensen_ints"] == [pole, near, beyond, pole]
+    assert calls["_hagen_rothe_ints"] == [near, beyond, near, beyond]
+    # the public sides refuse the pole and agree with the reference elsewhere
+    with pytest.raises(ValueError, match="vanishes at l=2"):
+        hagen_rothe_sides(*floats(pole))
+    for case in (near, beyond):
+        assert hagen_rothe_sides(*floats(case)) == \
+            reference_hagen_rothe(*floats(case))
+        assert not exact_pole(case)
+    assert exact_pole(pole)
 
 
 def per_case_sweep(trials, seed):
@@ -240,11 +234,12 @@ def per_case_sweep(trials, seed):
                               ("hagen-rothe", hagen_rothe_sides, 0),
                               ("shifted-jensen", shifted_jensen_sides, 1)):
         passed, detail = True, f"(trials={trials}, seed={seed})"
-        draws = islice(_random_cases(rng, name == "hagen-rothe"), trials)
-        for checked, case in enumerate(draws, 1):
-            lhs, rhs = sides(*case[skip:])
+        cases = (c for c in _random_cases(rng)
+                 if name != "hagen-rothe" or not exact_pole(c))
+        for checked, case in enumerate(islice(cases, trials), 1):
+            lhs, rhs = sides(*floats(case)[skip:])
             if lhs != rhs:
-                m, r, z, s = case
+                m, r, z, s = floats(case)
                 passed, detail = False, (
                     f"witness m={m:.12g} r={r:.12g} z={z:.12g} s={s} "
                     f"lhs={lhs!r} rhs={rhs!r}")
@@ -258,10 +253,11 @@ def per_case_sweep(trials, seed):
 @pytest.mark.parametrize("seed", [1, 97, 20250815])
 def test_identity_sweep_equals_a_loop_over_the_public_sides(
         monkeypatch, seed, trials, skewed):
-    if skewed:  # left sides off by 2**-40 relative fail two identities
+    if skewed:  # left sides off by 2**-40 relative fail two identities; at
+        # least one unit off, so that the side 1 of an s = 0 case fails too
         lhs = comb._convolution_lhs
-        monkeypatch.setattr(comb, "_convolution_lhs",
-                            lambda *args: (v := lhs(*args)) + v // 2 ** 40)
+        monkeypatch.setattr(comb, "_convolution_lhs", lambda *args: (
+            (v := lhs(*args)) + (v // 2 ** 40 or 1)))
     got = identity_sweep(1, 0, trials, seed, 3)[2:5]
     assert got == per_case_sweep(trials, seed)
     assert [r.passed for r in got] == [not skewed, not skewed, True]
@@ -338,7 +334,7 @@ def assert_same_sides(sides, reference, *args):
 
 def test_sides_bit_identical_to_fraction_reference_on_random_draws():
     rng = np.random.default_rng(2024)
-    for m, r, z, s in islice(_random_cases(rng, avoid_poles=True), 2000):
+    for m, r, z, s in map(floats, islice(_random_cases(rng), 2000)):
         assert_same_sides(jensen_sides, reference_jensen, m, r, z, s)
         assert_same_sides(hagen_rothe_sides, reference_hagen_rothe, m, r, z, s)
         assert_same_sides(shifted_jensen_sides, reference_shifted_jensen,

@@ -59,6 +59,59 @@ def test_non_finite_parameter_is_named(make, field):
         make()
 
 
+EXTREME_OMEGAS = [1e-320, 1e-170, 1e170, 1e300]
+
+
+@pytest.mark.parametrize("omega", EXTREME_OMEGAS)
+@pytest.mark.parametrize("make", [make_uniform, make_triangle,
+                                  lambda omega: make_linear(0.5, omega)],
+                         ids=["uniform", "triangle", "linear"])
+def test_extreme_omega_gives_a_distribution_or_a_value_error(make, omega):
+    # omega**2 overflows or underflows here; float ** raises for the first,
+    # and 2/0 for the second, but neither may leave the constructor
+    try:
+        dist = make(omega)
+    except ValueError as exc:
+        assert str(exc).split()[0] in ("a", "b", "omega"), exc
+        return
+    assert dist.omega == omega
+    assert abs(dist.cdf(omega) - 1.0) <= 1e-12
+    assert dist.pdf(omega) > 0.0
+
+
+def test_extreme_omega_verdicts():
+    # the uniform needs no omega**2 and stays valid; the triangle's
+    # a = 2/omega**2 leaves the float range at both ends
+    for omega in EXTREME_OMEGAS[1:]:
+        assert make_uniform(omega).b == 1.0 / omega
+    with pytest.raises(ValueError, match="^b must be finite, got inf"):
+        make_uniform(1e-320)  # 1/omega overflows
+    for omega, message in ((1e-320, "finite, got inf"),
+                           (1e-170, "finite, got inf"),
+                           (1e170, "positive when b = 0")):
+        with pytest.raises(ValueError, match=f"^a must be {message}"):
+            make_triangle(omega)
+    with pytest.raises(ValueError, match="^b must be finite, got -inf"):
+        make_linear(0.5, 1e300)
+    # past omega**2's range, a subnormal a = 2/omega**2 is still a density
+    wide = make_triangle(2e154)
+    assert 0.0 < wide.a < 2.3e-308 and abs(wide.cdf(2e154) - 1.0) <= 1e-12
+
+
+def test_parameters_bit_identical_to_the_power_formulas():
+    # where omega**2 stays in the float range, a and b are the float **
+    # formulas' bits (** and * round omega**2 differently at times)
+    rng = np.random.default_rng(7)
+    omegas = 10.0 ** rng.uniform(-150.0, 150.0, 2000)
+    for omega in [1e-150, 1e150, 1.0, 2.0, *omegas.tolist()]:
+        assert make_triangle(omega).a == 2.0 / omega ** 2, omega
+        assert make_uniform(omega).b == 1.0 / omega, omega
+        # near 1, 1 - a*omega**2/2 is exact and keeps a last-bit change
+        for a in (1.9 / omega ** 2, -1.5 / omega ** 2):
+            lin = make_linear(a, omega)
+            assert lin.b == (1.0 - a * omega ** 2 / 2.0) / omega, omega
+
+
 def test_auction_config_validation():
     AuctionConfig(5, 3)
     AuctionConfig(np.int64(6), np.int32(4))
