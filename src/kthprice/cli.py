@@ -10,8 +10,9 @@ gives the flags, the --config file fields (same names, same types) and
 the defaults: default < config file < flag, all checked alike.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 invalid
-configuration, 3 numerical failure: non-convergence, float overflow or a
-payment simulation that no trial won.
+configuration (any ValueError: a bad option or a library precondition),
+3 numerical failure: non-convergence, float overflow or a payment
+simulation that no trial won.
 
 main(argv) returns the exit code rather than exiting, so it can be called
 repeatedly in one process; the argument parser is built on the first
@@ -49,10 +50,6 @@ EXIT_NUMERICAL = 3
 DEFAULT_SEED = 20250815
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration; the message names the offending field."""
-
-
 @dataclass(frozen=True)
 class Option:
     """The flag --name and config field name. low bounds int values from
@@ -68,22 +65,22 @@ class Option:
     help: str | None = None
 
     def check(self, value):
-        """value as self.type, or ConfigError naming the option."""
+        """value as self.type, or a ValueError naming the option."""
         if self.type is float and type(value) is int:
             value = float(value)
         if type(value) is not self.type:  # bool is not accepted as an int
-            raise ConfigError(f"{self.name} must be {self.type.__name__}, "
-                              f"got {value!r}")
+            raise ValueError(f"{self.name} must be {self.type.__name__}, "
+                             f"got {value!r}")
         if self.type is float and not math.isfinite(value):
-            raise ConfigError(f"{self.name} must be finite, got {value!r}")
+            raise ValueError(f"{self.name} must be finite, got {value!r}")
         if self.choices and value not in self.choices:
-            raise ConfigError(f"{self.name} must be one of "
-                              f"{', '.join(self.choices)}, got {value!r}")
+            raise ValueError(f"{self.name} must be one of "
+                             f"{', '.join(self.choices)}, got {value!r}")
         exclusive = self.type is float
         if self.low is not None and (
                 not value > self.low if exclusive else value < self.low):
-            raise ConfigError(f"{self.name} must be {'>' if exclusive else '>='} "
-                              f"{self.low}, got {value!r}")
+            raise ValueError(f"{self.name} must be {'>' if exclusive else '>='} "
+                             f"{self.low}, got {value!r}")
         return value
 
 
@@ -134,7 +131,7 @@ def _write(lines, output: str | None = None, end: str = "\n") -> None:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write output {output}: {exc}") from exc
+        raise ValueError(f"cannot write output {output}: {exc}") from exc
 
 
 def _resolve(args: argparse.Namespace, options: tuple[Option, ...]) -> None:
@@ -145,14 +142,14 @@ def _resolve(args: argparse.Namespace, options: tuple[Option, ...]) -> None:
             with open(args.config, "r", encoding="utf-8") as fh:
                 fields = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: "
-                              f"{exc}") from exc
+            raise ValueError(f"cannot read config file {args.config}: "
+                             f"{exc}") from exc
         if not isinstance(fields, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ValueError("config file must hold a JSON object")
         fields = {key.replace("_", "-"): value for key, value in fields.items()}
         unknown = sorted(set(fields) - {opt.name for opt in options})
         if unknown:
-            raise ConfigError(f"unknown config field {unknown[0]!r}")
+            raise ValueError(f"unknown config field {unknown[0]!r}")
     for opt in options:
         dest = opt.name.replace("-", "_")
         value = getattr(args, dest)
@@ -163,14 +160,14 @@ def _resolve(args: argparse.Namespace, options: tuple[Option, ...]) -> None:
 
 def _build_dist(args: argparse.Namespace) -> LinearDensityDistribution:
     if args.dist != "linear" and args.a is not None:
-        raise ConfigError(f"--a applies to dist 'linear' only, "
-                          f"not {args.dist!r}")
+        raise ValueError(f"--a applies to dist 'linear' only, "
+                         f"not {args.dist!r}")
     if args.dist == "uniform":
         return make_uniform(args.omega)
     if args.dist == "triangle":
         return make_triangle(args.omega)
     if args.a is None:
-        raise ConfigError("dist 'linear' requires --a")
+        raise ValueError("dist 'linear' requires --a")
     return make_linear(args.a, args.omega)
 
 
@@ -265,11 +262,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name, suites in VERIFY_SUITE_OPTIONS.items():
         value = getattr(args, name.replace("-", "_"))
         if suite not in suites and value is not None:
-            raise ConfigError(f"suite {suite!r} takes no --{name}")
+            raise ValueError(f"suite {suite!r} takes no --{name}")
     g = args.grid_size or 101
     if suite in ("best-response", "all") and g < 3:
         # the tolerance omega/(g-1) = omega would pass any bid
-        raise ConfigError("best-response needs --grid-size >= 3")
+        raise ValueError("best-response needs --grid-size >= 3")
     dist = _build_dist(args)
     bid = _pick_bid(args, dist)  # bid None is the equilibrium bid
 
@@ -283,24 +280,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
         xs = np.array([0.2, 0.5, 0.8]) * dist.omega
         z_star, _ = best_response_profile(bid, dist, n, k, xs, z_grid)
         errs = np.abs(z_star - xs)
-        reports.append(VerificationReport.from_errors(
+        reports.append(VerificationReport(
             "best-response", n, k, dist, xs, errs, dist.omega / (g - 1)))
     if suite in ("oracle", "all") and k >= 3:
         ok = psi_ladder_oracle(dist, n, k) == psi_closed_form(dist, n, k)
-        reports.append(VerificationReport.from_errors(
+        reports.append(VerificationReport(
             "psi-ladder-oracle", n, k, dist, [], [0.0 if ok else 1.0], 0.0))
     if suite in ("ladder", "all"):
         applicable = k >= 3 and (dist.a == 0.0 or dist.b == 0.0)
         if suite == "ladder" and not applicable:
-            raise ConfigError("ladder suite needs k >= 3 and a uniform or "
-                              "triangle distribution")
+            raise ValueError("ladder suite needs k >= 3 and a uniform or "
+                             "triangle distribution")
         if applicable:
             ok = phi_ladder_check(dist, n, k)
-            reports.append(VerificationReport.from_errors(
+            reports.append(VerificationReport(
                 "phi-ladder", n, k, dist, [], [0.0 if ok else 1.0], 0.0))
     if not reports:
-        raise ConfigError(f"suite {suite!r} has no applicable check for "
-                          f"k={k} on this distribution")
+        raise ValueError(f"suite {suite!r} has no applicable check for "
+                         f"k={k} on this distribution")
 
     _write([report.to_dict() for report in reports], args.output)
     if args.expect_fail:
@@ -348,7 +345,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     doc = {"mode": args.mode, "n": n, "k": k, "dist": asdict(dist)}
     if args.mode == "payment":
         if x is None:
-            raise ConfigError("simulate payment requires --x")
+            raise ValueError("simulate payment requires --x")
         with warnings.catch_warnings():  # no win is an error line below
             warnings.filterwarnings("ignore", "monte_carlo_expected_payment: "
                                     "no winning trial", RuntimeWarning)
@@ -367,7 +364,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                    within_3se=bool(error <= 3.0 * result.standard_error))
     else:
         if x is not None:
-            raise ConfigError("simulate revenue takes no --x")
+            raise ValueError("simulate revenue takes no --x")
         result = expected_revenue(bid, dist, n, k, args.samples, args.seed)
         doc.update(estimate=result.estimate,
                    standard_error=result.standard_error)
@@ -389,23 +386,23 @@ BOUNDS_OPTIONS = (
 def cmd_bounds(args: argparse.Namespace) -> int:
     n, k, nmax = args.n, args.k, args.nmax
     if nmax is not None and (n is not None or k is not None):
-        raise ConfigError("bounds takes either --nmax or --n and --k, not both")
+        raise ValueError("bounds takes either --nmax or --n and --k, not both")
     pairs = [(n, k)]
     if nmax is not None:
         pairs = [(nn, kk) for nn in range(3, nmax + 1)
                  for kk in range(3, nn + 1)]
     elif n is None or k is None:
-        raise ConfigError("bounds requires either --nmax or both --n and --k")
+        raise ValueError("bounds requires either --nmax or both --n and --k")
     elif not 3 <= k <= n:  # worded as omega_bounds words it
-        raise ConfigError(f"omega_bounds: need 3 <= k <= n, got n={n}, k={k}")
+        raise ValueError(f"omega_bounds: need 3 <= k <= n, got n={n}, k={k}")
 
     rows = []  # (n, k, Omega's numerator, anchor, verdict) per wedge pair
     for nn, kk in pairs:
         if (checked := combinatorics._omega_check(nn, kk)) is None:
             if nmax is not None:
                 continue
-            raise ConfigError(f"bounds are only claimed for n + 4 > 2k, "
-                              f"got n={nn}, k={kk}")
+            raise ValueError(f"bounds are only claimed for n + 4 > 2k, "
+                             f"got n={nn}, k={kk}")
         rows.append((nn, kk, *checked))
     _write(f"{'ok' if ok else 'FAIL'} n={nn} k={kk} "
            f"omega={_frac_str(num, 1 << (2 * kk - 5))} "
@@ -471,8 +468,7 @@ def main(argv=None) -> int:
         print(f"error: float overflow: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        # ConfigError, and library precondition violations, which are
-        # configuration errors too
+        # a bad option, or a library precondition: a configuration error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

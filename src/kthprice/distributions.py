@@ -2,13 +2,14 @@
 
 Values are drawn i.i.d. from F(x) = a*x**2/2 + b*x on [0, omega], with
 density f(x) = a*x + b. Constructors reject non-finite parameters
-(also a or b past the float range at an extreme omega) with a ValueError
-naming the field, and unnormalised ones (F(omega) must be 1) instead of
-silently rescaling. Positivity of f is required on (0, omega] only, so
-the triangle case b = 0, f(0) = 0 is legal. inverse_cdf inverts the
-quadratic CDF in closed form; the Monte Carlo routes use it to map
-uniforms to values. _check_int and _check_nk, beside AuctionConfig,
-check the integer and (n, k) arguments of every module.
+(_check_finite: an int past the float range too, and a or b past it at
+an extreme omega) with a ValueError naming the field, and unnormalised
+ones (F(omega) must be 1) instead of silently rescaling. Positivity of f
+is required on (0, omega] only, so the triangle case b = 0, f(0) = 0 is
+legal. inverse_cdf inverts the quadratic CDF in closed form; the Monte
+Carlo routes use it to map uniforms to values. _check_int and _check_nk,
+beside AuctionConfig, check the integer and (n, k) arguments of every
+module.
 """
 
 from __future__ import annotations
@@ -53,6 +54,23 @@ def _check_nk(func: str, n, k, k_min: int) -> tuple[int, int]:
     return n, k
 
 
+def _check_finite(name: str, value) -> None:
+    """A ValueError naming the field unless value is finite as a float."""
+    try:
+        if math.isfinite(value):
+            return
+    except OverflowError:  # an int past the float range
+        value = "an int past the float range"
+    raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_omega(omega) -> None:
+    """omega finite and positive, checked before any arithmetic on it."""
+    _check_finite("omega", omega)
+    if not omega > 0.0:
+        raise ValueError(f"omega must be positive, got {omega}")
+
+
 @dataclass(frozen=True)
 class AuctionConfig:
     """Bidder count n and price index k: winner pays the k-th highest bid."""
@@ -75,12 +93,9 @@ class LinearDensityDistribution:
     omega: float
 
     def __post_init__(self):
-        for name in ("omega", "a", "b"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        _check_omega(self.omega)
+        for name in ("a", "b"):
+            _check_finite(name, getattr(self, name))
         if self.b < 0.0:
             raise ValueError(f"b must be >= 0 (density negative near 0): {self.b}")
         if self.b == 0.0 and self.a <= 0.0:
@@ -132,15 +147,13 @@ class LinearDensityDistribution:
 
 def make_uniform(omega: float) -> LinearDensityDistribution:
     """Uniform values on [0, omega]: a = 0, b = 1/omega."""
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    _check_omega(omega)
     return LinearDensityDistribution(0.0, 1.0 / omega, omega)
 
 
 def make_triangle(omega: float) -> LinearDensityDistribution:
     """Triangle density rising from 0: b = 0, a = 2/omega**2."""
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    _check_omega(omega)
     try:
         a = 2.0 / omega ** 2
     except (OverflowError, ZeroDivisionError):  # omega**2 leaves the range
@@ -150,8 +163,8 @@ def make_triangle(omega: float) -> LinearDensityDistribution:
 
 def make_linear(a: float, omega: float) -> LinearDensityDistribution:
     """General linear density with slope a; b is fixed by normalisation."""
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    _check_omega(omega)
+    _check_finite("a", a)
     try:
         b = (1.0 - a * omega ** 2 / 2.0) / omega
     except OverflowError:  # float ** raises past the float range; * does not

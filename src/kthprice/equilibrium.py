@@ -47,9 +47,11 @@ each public result becomes one RationalFunction (one gcd) at the end,
 handed two int lists: the scale's numerator multiplied into the
 numerator's integers and its denominator into the denominator's
 (_rational), with no Polynomial of Fractions in between.
-a and b come to integers by polynomials._over_one_denominator, and one
-integer kernel, _payment_integral = S int_0^x y G**m g dy with G = 2D F,
-builds psi_0 (m = n-2) and every term of phi_ladder_check.
+_int_density is the one home of those integers: A, B and D from
+polynomials._over_one_denominator, and the lists G = 2D F and g. One
+integer kernel, _payment_integral = S int_0^x y G**m g dy, builds psi_0
+(m = n-2) and every term of phi_ladder_check. __all__ is the module's
+one list of public names.
 """
 
 from __future__ import annotations
@@ -208,19 +210,13 @@ class BidFunction:
 # coefficient lists, and every value on a ladder is scale * N / g**j: an
 # integer list N, one Fraction scale and a power of g.
 
-def _int_density(dist: LinearDensityDistribution) -> tuple[int, int, int]:
-    """(A, B, D): a = A/D and b = B/D exactly."""
+def _int_density(dist: LinearDensityDistribution) -> tuple:
+    """(A, B, D, G, g): a = A/D and b = B/D exactly, and G = 2D F and
+    g = D f as integer coefficient lists."""
     d, (a_int, b_int) = _over_one_denominator(dist.a, dist.b)
-    return a_int, b_int, d
-
-
-def _int_polynomials(
-        density: tuple[int, int, int]) -> tuple[list[int], list[int]]:
-    """(G, g) = (2D F, D f) as integer coefficient lists."""
-    a_int, b_int, _ = density
     if not a_int:
-        return [0, 2 * b_int], [b_int]
-    return [0, 2 * b_int, a_int], [b_int, a_int]
+        return a_int, b_int, d, [0, 2 * b_int], [b_int]
+    return a_int, b_int, d, [0, 2 * b_int, a_int], [b_int, a_int]
 
 
 def _payment_integral(big_g: list, g: list, m: int, span: int) -> list[int]:
@@ -240,15 +236,15 @@ def _psi_0(dist: LinearDensityDistribution,
     from n to 2n-1, so S = lcm(n..2n-1). L is the least common
     denominator, as for reduced fractions.
     """
-    density = _int_density(dist)
+    _, _, d, big_g, g = _int_density(dist)
     span = math.lcm(*range(n, 2 * n))
-    nums = _payment_integral(*_int_polynomials(density), n - 2, span)
-    den = 2 ** (n - 2) * density[2] ** (n - 1) * span
+    nums = _payment_integral(big_g, g, n - 2, span)
+    den = 2 ** (n - 2) * d ** (n - 1) * span
     common = math.gcd(den, *nums)
     return tuple(v // common for v in nums), den // common
 
 
-def _ladder(num, scale: Fraction, j: int, density: tuple[int, int, int],
+def _ladder(num, scale: Fraction, j: int, density: tuple,
             steps: int) -> tuple[list[int], Fraction, int]:
     """Apply psi -> psi' / f `steps` times to psi = scale * num / g**j.
 
@@ -259,7 +255,7 @@ def _ladder(num, scale: Fraction, j: int, density: tuple[int, int, int],
     x**lo, the step's result has none below x**(lo-1): each step is one
     loop from there, and the zeros below it are never read.
     """
-    a_int, b_int, d = density
+    a_int, b_int, d, *_ = density
     lo = next((i for i, c in enumerate(num) if c), 0)
     for _ in range(steps):
         lo = max(lo - 1, 0)
@@ -277,9 +273,9 @@ def _ladder(num, scale: Fraction, j: int, density: tuple[int, int, int],
 
 
 def _psi_ladder(dist: LinearDensityDistribution, n: int,
-                k: int) -> tuple[list[int], Fraction, int, tuple[int, int, int]]:
-    """psi_{k-1} as (N, scale, j) with the density (A, B, D) it ran on:
-    psi_{k-1} = scale * N / g**j."""
+                k: int) -> tuple[list[int], Fraction, int, tuple]:
+    """psi_{k-1} as (N, scale, j) with the density (A, B, D, G, g) it ran
+    on: psi_{k-1} = scale * N / g**j."""
     density = _int_density(dist)
     nums, den = _psi_0(dist, n)
     return *_ladder(nums, Fraction(1, den), 0, density, k - 1), density
@@ -304,8 +300,7 @@ def psi_ladder_oracle(dist: LinearDensityDistribution, n: int,
     distribution.
     """
     n, k = _check_nk("psi_ladder_oracle", n, k, 3)
-    num, scale, j, density = _psi_ladder(dist, n, k)
-    _, g = _int_polynomials(density)
+    num, scale, j, (*_, g) = _psi_ladder(dist, n, k)
     return _rational(num, scale, _ipow(g, j))
 
 
@@ -324,9 +319,7 @@ def psi_closed_form(dist: LinearDensityDistribution, n: int,
     in 4 g**2.
     """
     n, k = _check_nk("psi_closed_form", n, k, 3)
-    density = _int_density(dist)
-    a_int, _, d = density
-    big_g, g = _int_polynomials(density)
+    a_int, _, d, big_g, g = _int_density(dist)
     m = k - 3
     g2 = [4 * c for c in _imul(g, g)]
     a_big_g = [a_int * c for c in big_g] if a_int else []
@@ -349,10 +342,9 @@ def bid_from_psi_ladder(dist: LinearDensityDistribution, n: int,
                         k: int) -> RationalFunction:
     """beta_k as a rational function, straight from the symbolic ladder."""
     n, k = _check_nk("bid_from_psi_ladder", n, k, 3)
-    num, scale, j, density = _psi_ladder(dist, n, k)
-    big_g, g = _int_polynomials(density)
+    num, scale, j, (_, _, d, big_g, g) = _psi_ladder(dist, n, k)
     # beta_k = psi_{k-1} / (binom(n-2,k-2) (k-2)! F**(n-k)), F = G / (2D)
-    scale *= Fraction((2 * density[2]) ** (n - k),
+    scale *= Fraction((2 * d) ** (n - k),
                       math.comb(n - 2, k - 2) * math.factorial(k - 2))
     den = _imul(_ipow(big_g, n - k), _ipow(g, j))
     return _rational(num, scale, den)
@@ -380,7 +372,7 @@ def phi_ladder_check(dist: LinearDensityDistribution, n: int, k: int) -> bool:
     if slope is None:
         raise ValueError("phi_ladder_check: distribution must be uniform or "
                          "triangle so the payment integrals stay polynomial")
-    big_g, g = _int_polynomials(_int_density(dist))
+    _, _, _, big_g, g = _int_density(dist)
     span = math.lcm(*range(1, 2 * n))
     total = []
     for l in range(k - 1):

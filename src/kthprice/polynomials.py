@@ -5,10 +5,11 @@ verify bid functions, and the package's one home for each exact-integer
 job: the dense kernels _iadd, _imul and _ipow and the long division
 _idivmod serve int and Fraction coefficients alike (and _idivmod residues
 mod a prime); _ipow expands a base x^v (c0 + c1 x), as every ladder base
-is, by the binomial theorem, and squares and multiplies any other; and
-_over_one_denominator brings ints, floats, Fractions and numpy numbers
-to integers over one denominator (the public *_sides of combinatorics
-call it; identity_sweep draws its integers directly). The ladders step
+is, by the binomial theorem, and squares and multiplies any other;
+_ratio reads a number's exact value, for Polynomial's coefficients
+(_coeff) and for _over_one_denominator, which brings numbers to integers
+over one denominator (the public *_sides of combinatorics call it;
+identity_sweep draws its integers directly). The ladders step
 with the kernels over integer coefficient lists times one Fraction scale
 and build a RationalFunction, with its one gcd, only for a finished
 result. Polynomial holds Fraction coefficients; its +, *, ** and divmod
@@ -28,7 +29,7 @@ pair, is compared by integer cross-multiplication of those pairs,
 evaluated and printed (Fraction parts are built on first access), and
 has no arithmetic of its own. Every identity here is about integers,
 never floats.
-Not a general CAS.
+Not a general CAS. __all__ is the module's one list of public names.
 """
 
 from __future__ import annotations
@@ -41,19 +42,22 @@ from fractions import Fraction
 
 import numpy as np
 
+__all__ = ["Polynomial", "RationalFunction", "polynomial_gcd"]
+
+
+def _ratio(x) -> tuple[int, int]:
+    """x's exact value as (p, q), q > 0; a float's is its binary value."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:  # numpy integers have no as_integer_ratio
+        if isinstance(x, numbers.Integral):
+            return int(x), 1
+        raise TypeError(f"cannot use {type(x).__name__} as an exact "
+                        f"number") from None
+
 
 def _coeff(value) -> Fraction:
-    # Fraction(float) is the exact binary value of the float, so even
-    # "messy" distribution parameters stay exact once converted.
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, float)):
-        return Fraction(value)
-    if isinstance(value, np.floating):  # float16, float32, longdouble
-        return Fraction(*value.as_integer_ratio())
-    if isinstance(value, numbers.Integral):  # numpy integers
-        return Fraction(int(value))
-    raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
 
 
 class Polynomial:
@@ -291,13 +295,9 @@ def _idivmod(p: Sequence, q: Sequence, div) -> tuple[list, list]:
 
 
 def _over_one_denominator(*xs) -> tuple[int, list[int]]:
-    """(D, [x * D for x in xs]): ints, floats, Fractions and numpy numbers
-    as exact integers over D, the lcm of their denominators."""
-    try:  # the fast path: no per-value type check
-        ratios = [x.as_integer_ratio() for x in xs]
-    except AttributeError:  # numpy integers have no as_integer_ratio
-        ratios = [(int(x), 1) if isinstance(x, numbers.Integral)
-                  else x.as_integer_ratio() for x in xs]
+    """(D, [x * D for x in xs]): the exact values of xs (_ratio) as
+    integers over D, the lcm of their denominators."""
+    ratios = [_ratio(x) for x in xs]
     den = math.lcm(*[q for _, q in ratios])
     return den, [p * (den // q) for p, q in ratios]
 

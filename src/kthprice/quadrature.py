@@ -23,6 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
+__all__ = ["QuadratureError", "integrate"]
+
 # The tolerance is measured against max(1, |integral|), so it acts as a
 # relative tolerance for large values and an absolute one near zero.
 TOL = 1e-10

@@ -8,7 +8,7 @@ bid formulas they test:
   the exact antiderivative the symbolic ladder starts from
   (equilibrium._psi_0), held as integers over one denominator and
   evaluated in integers at the exact value p / q of x (from
-  polynomials._over_one_denominator), with shifts for the powers of 2 in
+  polynomials._ratio), with shifts for the powers of 2 in
   q; the one rounding is the final correctly rounded division;
 * expected_payment_quadrature: the k-th price payment formula
   (n-1) binom(n-2,k-2) int_0^x beta(y) (F(x)-F(y))**(k-2) F(y)**(n-k) f(y) dy
@@ -23,7 +23,8 @@ A bid passes revenue_equivalence_check when routes one and two agree on
 a grid; truthful bidding with k >= 3 is the canonical negative control.
 best_response_profile scans the interim payoff G(z) x - m(z) over
 deviations z in [0, omega], for one value x or an array of them sharing
-the payments m(z); at equilibrium the argmax sits at z = x.
+the payments m(z); at equilibrium the argmax sits at z = x. __all__ is
+the module's one list of public names.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .distributions import LinearDensityDistribution, _check_int, _check_nk
 from .equilibrium import BidFunction, _psi_0
-from .polynomials import _over_one_denominator
+from .polynomials import _ratio
 from .quadrature import BLOCK_ROWS, integrate
 
 __all__ = [
@@ -84,7 +85,8 @@ class MonteCarloResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Result of one named check over a grid; passed == (max_error <= tolerance)."""
+    """Result of one named check over a grid, in floats; its verdict is
+    read from them: passed == (max_error <= tolerance)."""
 
     check: str
     n: int
@@ -92,21 +94,23 @@ class VerificationReport:
     dist: LinearDensityDistribution
     grid: tuple[float, ...]
     errors: tuple[float, ...]
-    max_error: float
     tolerance: float
-    passed: bool
 
-    @classmethod
-    def from_errors(cls, check, n, k, dist, grid, errors,
-                    tolerance) -> "VerificationReport":
-        grid = tuple(float(g) for g in grid)
-        errors = tuple(float(e) for e in errors)
+    def __post_init__(self):
+        object.__setattr__(self, "grid", tuple(map(float, self.grid)))
+        object.__setattr__(self, "errors", tuple(map(float, self.errors)))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
+
+    @property
+    def max_error(self) -> float:
         # max skips a NaN that is not first; any NaN error fails the check
-        max_error = (math.nan if any(map(math.isnan, errors))
-                     else max(errors, default=0.0))
-        return cls(check=check, n=n, k=k, dist=dist, grid=grid, errors=errors,
-                   max_error=max_error, tolerance=float(tolerance),
-                   passed=max_error <= tolerance)
+        if any(map(math.isnan, self.errors)):
+            return math.nan
+        return max(self.errors, default=0.0)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_error <= self.tolerance
 
     def to_dict(self) -> dict:
         return {
@@ -151,7 +155,7 @@ def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
         raise ValueError(f"expected_payment_benchmark: x must lie in "
                          f"[0, omega], got x={x}")
     nums, den = _psi_0(dist, n)
-    q, (p,) = _over_one_denominator(x)
+    p, q = _ratio(x)
     e = (q & -q).bit_length() - 1  # q = odd 2**e; odd is 1 unless a Fraction
     odd = q >> e
     # N[i] = 0 for i < n: Horner runs over N[n..d], times p**n at the end
@@ -233,8 +237,8 @@ def revenue_equivalence_check(bid: BidFunction,
             - expected_payment_benchmark(dist, n, x))
         for x in grid
     ]
-    return VerificationReport.from_errors(
-        "revenue-equivalence", n, k, dist, grid, errors, tol)
+    return VerificationReport("revenue-equivalence", n, k, dist, grid,
+                              errors, tol)
 
 
 def _shards(samples: int):

@@ -37,7 +37,7 @@ def test_constructor_rejects_bad_parameters():
         make_uniform(-1.0)
 
 
-INF, NAN = float("inf"), float("nan")
+INF, NAN, HUGE = float("inf"), float("nan"), 10 ** 400  # HUGE: no float
 
 
 @pytest.mark.parametrize("make, field", [
@@ -49,12 +49,19 @@ INF, NAN = float("inf"), float("nan")
     (lambda: LinearDensityDistribution(0.0, NAN, 1.0), "b"),
     (lambda: LinearDensityDistribution(0.0, 1.0, NAN), "omega"),
     (lambda: LinearDensityDistribution(-INF, 1.0, 1.0), "a"),
+    (lambda: make_uniform(HUGE), "omega"),
+    (lambda: make_triangle(HUGE), "omega"),
+    (lambda: make_linear(0.5, HUGE), "omega"),
+    (lambda: make_linear(HUGE, 1.0), "a"),
+    (lambda: LinearDensityDistribution(0, 1, HUGE), "omega"),
 ], ids=["uniform-inf", "triangle-inf", "linear-omega-inf", "linear-a-nan",
-        "linear-a-inf", "b-nan", "omega-nan", "a-minus-inf"])
+        "linear-a-inf", "b-nan", "omega-nan", "a-minus-inf", "uniform-huge",
+        "triangle-huge", "linear-omega-huge", "linear-a-huge", "omega-huge"])
 def test_non_finite_parameter_is_named(make, field):
     # checked before the sign and mass checks, which would blame another
     # quantity: make_uniform(inf) has b = 1/inf = 0, make_linear(0.5, inf)
-    # has b = nan
+    # has b = nan; an int past the float range is no finite float either,
+    # where arithmetic on it would raise OverflowError
     with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
         make()
 

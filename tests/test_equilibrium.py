@@ -22,8 +22,8 @@ from kthprice import (
     series_coefficients,
     theta_coeff,
 )
-from kthprice.equilibrium import (_exact_slope, _int_density, _int_polynomials,
-                                  _ladder, _u_coefficients)
+from kthprice.equilibrium import (_exact_slope, _int_density, _ladder,
+                                  _u_coefficients)
 from kthprice import polynomials
 from kthprice.polynomials import _over_one_denominator
 import functools
@@ -126,7 +126,7 @@ def _exact_series(n, k, dist, x):
     r = A P h / (2 g**2) and F/f = P h / (2 Q g). Returned as the integer
     pair (numerator, denominator), positive and not reduced."""
     cs, den = _paper_coefficients(n, k)
-    big_a, big_b, _ = _int_density(dist)
+    big_a, big_b, *_ = _int_density(dist)
     x = Fraction(x)
     p, q = x.numerator, x.denominator
     g, h = big_a * p + big_b * q, big_a * p + 2 * big_b * q
@@ -341,16 +341,18 @@ def test_ladders_equal_fraction_reference(dist):
                          ids=["uniform", "triangle", "linear-0.73"])
 @pytest.mark.parametrize("j", [0, 1, 4])
 def test_ladder_step_matches_quotient_rule(dist, j):
-    # one integer step, scale * N / g**j with g = D f, against the quotient
-    # rule (N / Q)' / f = (N' Q - N Q') / (Q Q f) in Polynomial arithmetic
+    # the one integer density, G = 2D F and g = D f; then one integer
+    # step, scale * N / g**j, against the quotient rule
+    # (N / Q)' / f = (N' Q - N Q') / (Q Q f) in Polynomial arithmetic
     density = _int_density(dist)
-    _, g = _int_polynomials(density)
+    _, _, d, big_g, g = density
+    big_f, f = _fraction_density(dist)
+    assert (Polynomial(big_g), Polynomial(g)) == (2 * d * big_f, d * f)
     num, scale = [3, -2, 0, 5, 7], Fraction(5, 3)
     stepped, new_scale, power = _ladder(num, scale, j, density, 1)
-    assert power == j + 2 and new_scale == scale * density[2]
+    assert power == j + 2 and new_scale == scale * d
     g = Polynomial(g)
     big_n, big_q = Polynomial(num) * scale, g ** j
-    _, f = _fraction_density(dist)
     assert RationalFunction(Polynomial(stepped) * new_scale, g ** power) == \
         RationalFunction(big_n.derivative() * big_q - big_n * big_q.derivative(),
                          big_q * big_q * f)

@@ -23,8 +23,22 @@ def test_every_module_all_resolves():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
+MODULES = ["combinatorics", "distributions", "equilibrium", "polynomials",
+           "quadrature", "verification"]
+
+
 def test_package_all_is_sorted():
+    # the sorted union of the module lists, each name the module's object
     assert kthprice.__all__ == sorted(set(kthprice.__all__))
+    modules = [importlib.import_module(f"kthprice.{name}") for name in MODULES]
+    assert kthprice.__all__ == sorted(name for module in modules
+                                      for name in module.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(kthprice, name) is getattr(module, name), name
+    # every module but the CLI and __main__ has a list
+    assert {info.name for info in pkgutil.iter_modules(kthprice.__path__)} \
+        == set(MODULES) | {"cli", "__main__"}
 
 
 PUBLIC = [

@@ -2,6 +2,7 @@
 
 import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from kthprice import Polynomial, RationalFunction, polynomial_gcd
 from kthprice import polynomials
-from kthprice.polynomials import (_idivmod, _imul, _ipow,
+from kthprice.polynomials import (_coeff, _idivmod, _imul, _ipow,
                                   _over_one_denominator)
 
 X = Polynomial.variable()
@@ -98,10 +99,24 @@ def test_divmod_exact():
     (np.int64(-7), 1, -7),
     (np.int32(5), 1, 5),
     (np.float64(0.1), 2 ** 55, 3602879701896397),  # binary value of 0.1
+    (True, 1, 1),
+    (np.float32(0.75), 4, 3),
+    (Decimal("0.1"), 10, 1),  # a Decimal's value is decimal
 ])
 def test_over_one_denominator_of_each_type(x, den, num):
+    # Polynomial's coefficients read the same exact value (_ratio)
     got = _over_one_denominator(x)
     assert got == (den, [num]) and type(got[1][0]) is int
+    assert _coeff(x) == Fraction(num, den) and type(_coeff(x)) is Fraction
+    assert Polynomial([x]).coeffs == (Fraction(num, den),)
+
+
+@pytest.mark.parametrize("x", ["1", 1j, None])
+def test_both_readers_refuse_a_non_number(x):
+    with pytest.raises(TypeError, match="as an exact number"):
+        _over_one_denominator(1, x)
+    with pytest.raises(TypeError, match="as an exact number"):
+        _coeff(x)
 
 
 def test_over_one_denominator_takes_the_lcm():

@@ -232,8 +232,10 @@ def test_revenue_equivalence_passes_equilibrium_bids_past_n_60(n, k, dist):
 
 
 def test_report_to_dict_schema():
-    rep = VerificationReport.from_errors(
-        "demo", 4, 3, U, (0.5, 1.0), (1e-12, 2e-12), 1e-8)
+    rep = VerificationReport("demo", 4, 3, U, np.array([0.5, 1.0]),
+                             [1e-12, np.float64(2e-12)], 1e-8)
+    assert (rep.grid, rep.errors) == ((0.5, 1.0), (1e-12, 2e-12))
+    assert all(type(v) is float for v in rep.grid + rep.errors)
     doc = rep.to_dict()
     assert doc["check"] == "demo"
     assert doc["params"] == {"n": 4, "k": 3,
@@ -241,17 +243,21 @@ def test_report_to_dict_schema():
     assert doc["pass"] is True and doc["max_error"] == 2e-12
     assert set(doc) == {"check", "params", "grid", "errors", "max_error",
                         "tolerance", "pass"}
-    failed = VerificationReport.from_errors(
-        "demo", 4, 3, U, (0.5,), (1.0,), 1e-8)
+    # the verdict is read from errors and tolerance: above it fails, at it
+    # passes (an exact check's tolerance is 0)
+    failed = VerificationReport("demo", 4, 3, U, (0.5,), (1.0,), 1e-8)
+    assert failed.max_error == 1.0
     assert failed.passed is False and failed.to_dict()["pass"] is False
+    exact = VerificationReport("demo", 4, 3, U, (), (0.0,), 0)
+    assert exact.passed is True and type(exact.tolerance) is float
+    assert VerificationReport("demo", 4, 3, U, (), (), 0.0).max_error == 0.0
 
 
 @pytest.mark.parametrize("errors", [
     (math.nan, 1e-9, 2e-9), (1e-9, math.nan, 2e-9), (1e-9, 2e-9, math.nan),
 ], ids=["first", "middle", "last"])
 def test_report_with_a_nan_error_fails(errors):
-    rep = VerificationReport.from_errors(
-        "demo", 4, 3, U, (0.25, 0.5, 1.0), errors, 1e-8)
+    rep = VerificationReport("demo", 4, 3, U, (0.25, 0.5, 1.0), errors, 1e-8)
     assert math.isnan(rep.max_error)
     assert rep.passed is False and rep.to_dict()["pass"] is False
 
