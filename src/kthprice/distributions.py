@@ -1,15 +1,16 @@
 """Linear-density value distributions and the auction configuration.
 
 Values are drawn i.i.d. from F(x) = a*x**2/2 + b*x on [0, omega], with
-density f(x) = a*x + b. Constructors reject non-finite parameters
-(_check_finite: an int past the float range too, and a or b past it at
-an extreme omega) with a ValueError naming the field, and unnormalised
-ones (F(omega) must be 1) instead of silently rescaling. Positivity of f
-is required on (0, omega] only, so the triangle case b = 0, f(0) = 0 is
+density f(x) = a*x + b. Each parameter is read once, by _check_finite, as
+its nearest float, the one binary density that the float paths and the
+exact ladders read. A bool, or a value not finite as a float (an int
+past the float range too, and a or b past it at an extreme omega),
+raises a ValueError naming the field; unnormalised parameters (F(omega)
+must be 1) raise one instead of silently rescaling. Positivity of f is
+required on (0, omega] only, so the triangle case b = 0, f(0) = 0 is
 legal. inverse_cdf inverts the quadratic CDF in closed form; the Monte
 Carlo routes use it to map uniforms to values. _check_int and _check_nk,
-beside AuctionConfig, check the integer and (n, k) arguments of every
-module.
+beside AuctionConfig, check the integer and (n, k) arguments of every module.
 """
 
 from __future__ import annotations
@@ -54,21 +55,25 @@ def _check_nk(func: str, n, k, k_min: int) -> tuple[int, int]:
     return n, k
 
 
-def _check_finite(name: str, value) -> None:
-    """A ValueError naming the field unless value is finite as a float."""
+def _check_finite(name: str, value) -> float:
+    """value as its nearest float; a ValueError naming the field for a
+    bool or a value that is not finite as a float."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         if math.isfinite(value):
-            return
+            return float(value)
     except OverflowError:  # an int past the float range
         value = "an int past the float range"
     raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _check_omega(omega) -> None:
-    """omega finite and positive, checked before any arithmetic on it."""
-    _check_finite("omega", omega)
+def _check_omega(omega) -> float:
+    """omega as a finite, positive float, checked before any arithmetic."""
+    omega = _check_finite("omega", omega)
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
+    return omega
 
 
 @dataclass(frozen=True)
@@ -86,16 +91,16 @@ class AuctionConfig:
 
 @dataclass(frozen=True)
 class LinearDensityDistribution:
-    """Distribution with density f(x) = a*x + b on [0, omega]."""
+    """Distribution with density f(x) = a*x + b on [0, omega], in floats."""
 
     a: float
     b: float
     omega: float
 
     def __post_init__(self):
-        _check_omega(self.omega)
+        object.__setattr__(self, "omega", _check_omega(self.omega))
         for name in ("a", "b"):
-            _check_finite(name, getattr(self, name))
+            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
         if self.b < 0.0:
             raise ValueError(f"b must be >= 0 (density negative near 0): {self.b}")
         if self.b == 0.0 and self.a <= 0.0:
@@ -147,13 +152,13 @@ class LinearDensityDistribution:
 
 def make_uniform(omega: float) -> LinearDensityDistribution:
     """Uniform values on [0, omega]: a = 0, b = 1/omega."""
-    _check_omega(omega)
+    omega = _check_omega(omega)
     return LinearDensityDistribution(0.0, 1.0 / omega, omega)
 
 
 def make_triangle(omega: float) -> LinearDensityDistribution:
     """Triangle density rising from 0: b = 0, a = 2/omega**2."""
-    _check_omega(omega)
+    omega = _check_omega(omega)
     try:
         a = 2.0 / omega ** 2
     except (OverflowError, ZeroDivisionError):  # omega**2 leaves the range
@@ -163,8 +168,7 @@ def make_triangle(omega: float) -> LinearDensityDistribution:
 
 def make_linear(a: float, omega: float) -> LinearDensityDistribution:
     """General linear density with slope a; b is fixed by normalisation."""
-    _check_omega(omega)
-    _check_finite("a", a)
+    omega, a = _check_omega(omega), _check_finite("a", a)
     try:
         b = (1.0 - a * omega ** 2 / 2.0) / omega
     except OverflowError:  # float ** raises past the float range; * does not

@@ -23,15 +23,17 @@ A bid passes revenue_equivalence_check when routes one and two agree on
 a grid; truthful bidding with k >= 3 is the canonical negative control.
 best_response_profile scans the interim payoff G(z) x - m(z) over
 deviations z in [0, omega], for one value x or an array of them sharing
-the payments m(z); at equilibrium the argmax sits at z = x. __all__ is
-the module's one list of public names.
+the payments m(z); at equilibrium the argmax sits at z = x. Each x and
+z_grid passes one support check, _allowed_x, and samples and seed one
+Monte Carlo intake, _mc_accumulate. __all__ is the module's one list of
+public names.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -115,12 +117,7 @@ class VerificationReport:
     def to_dict(self) -> dict:
         return {
             "check": self.check,
-            "params": {
-                "n": self.n,
-                "k": self.k,
-                "dist": {"a": self.dist.a, "b": self.dist.b,
-                         "omega": self.dist.omega},
-            },
+            "params": {"n": self.n, "k": self.k, "dist": asdict(self.dist)},
             "grid": list(self.grid),
             "errors": list(self.errors),
             "max_error": self.max_error,
@@ -129,11 +126,32 @@ class VerificationReport:
         }
 
 
-def _scalar_x(func: str, x):
-    """x, or a 0-d array's scalar; any other array is refused by name."""
-    if np.ndim(x):
-        raise ValueError(f"{func}: x must be a scalar, got shape {np.shape(x)}")
-    return x[()] if isinstance(x, np.ndarray) else x
+def _allowed_x(func: str, x, omega: float, rows: bool = False,
+               zero: bool = False, name: str = "x"):
+    """x checked once: in (0, omega], or in [0, omega] with zero; NaN lies
+    in neither. A float comes back as it is, with no array built, another
+    scalar or a 0-d array as its scalar, and with rows a 1-d array as a
+    float ndarray; a ValueError names func, name and the first value out."""
+    if type(x) is not float:  # the common case skips the shape checks
+        dims = np.ndim(x)
+        if dims and not rows:
+            raise ValueError(f"{func}: {name} must be a scalar, got shape "
+                             f"{np.shape(x)}")
+        if dims > 1:
+            raise ValueError(f"{func}: {name} must be a scalar or a 1-d "
+                             f"array, got {dims} dimensions")
+        if dims:
+            x = np.asarray(x, dtype=float)
+        elif isinstance(x, np.ndarray):
+            x = x[()]
+    inside = (0.0 <= x if zero else 0.0 < x) & (x <= omega)
+    if inside is True:  # a Python number inside: the common case
+        return x
+    out = x[~inside] if isinstance(x, np.ndarray) else () if inside else (x,)
+    if len(out):
+        raise ValueError(f"{func}: {name} must lie in {'[' if zero else '('}"
+                         f"0, omega], got {name}={out[0]}")
+    return x
 
 
 def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
@@ -150,10 +168,7 @@ def expected_payment_benchmark(dist: LinearDensityDistribution, n: int,
     rounded: the result is the float nearest the exact m(x).
     """
     n = _check_int("expected_payment_benchmark", "n", n, 2)
-    x = x if type(x) is float else _scalar_x("expected_payment_benchmark", x)
-    if not 0.0 <= x <= dist.omega:
-        raise ValueError(f"expected_payment_benchmark: x must lie in "
-                         f"[0, omega], got x={x}")
+    x = _allowed_x("expected_payment_benchmark", x, dist.omega, zero=True)
     nums, den = _psi_0(dist, n)
     p, q = _ratio(x)
     e = (q & -q).bit_length() - 1  # q = odd 2**e; odd is 1 unless a Fraction
@@ -180,18 +195,7 @@ def expected_payment_quadrature(bid: BidFunction,
     BLOCK_ROWS values per integrate call.
     """
     n, k = _check_nk("expected_payment_quadrature", n, k, 2)
-    rows = not isinstance(x, float) and np.ndim(x) > 0
-    if rows and np.ndim(x) > 1:
-        raise ValueError(f"expected_payment_quadrature: x must be a scalar "
-                         f"or a 1-d array, got {np.ndim(x)} dimensions")
-    if rows:
-        x = np.asarray(x, dtype=float)
-        outside = x[~((0.0 < x) & (x <= dist.omega))]
-    else:
-        outside = [] if 0.0 < x <= dist.omega else [x]
-    if len(outside):
-        raise ValueError(f"expected_payment_quadrature: x must lie in "
-                         f"(0, omega], got x={outside[0]}")
+    x = _allowed_x("expected_payment_quadrature", x, dist.omega, rows=True)
     const = (n - 1) * math.comb(n - 2, k - 2)
 
     def integrand(y):
@@ -199,7 +203,7 @@ def expected_payment_quadrature(bid: BidFunction,
         return (bid(y) * (fx - big_f) ** (k - 2)
                 * big_f ** (n - k) * dist.pdf(y))
 
-    if not rows:
+    if not isinstance(x, np.ndarray):
         fx = dist.cdf(x)
         return const * integrate(integrand, 0.0, x)
     out = np.empty(x.size)
@@ -301,10 +305,13 @@ def _order_statistic(u: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def _mc_accumulate(samples: int, seed: int, payoff_for_shard) -> MonteCarloResult:
-    """Sum payoff_for_shard(rng, size) -> (payoffs, wins) over the shards.
+def _mc_accumulate(func: str, samples, seed, payoff_for_shard) -> MonteCarloResult:
+    """Sum payoff_for_shard(rng, size) -> (payoffs, wins) over the shards,
+    after checking samples >= 2 and seed >= 0 for func.
 
     The payoffs array is squared in place: a shard hands over its own."""
+    samples = _check_int(func, "samples", samples, 2)
+    seed = _check_int(func, "seed", seed, 0)
     total = 0.0
     total_sq = 0.0
     wins = 0
@@ -357,11 +364,7 @@ def monte_carlo_expected_payment(bid: BidFunction,
     """
     func = "monte_carlo_expected_payment"
     n, k = _check_nk(func, n, k, 2)
-    samples = _check_int(func, "samples", samples, 2)
-    seed = _check_int(func, "seed", seed, 0)
-    x = x if type(x) is float else _scalar_x(func, x)
-    if not 0.0 < x <= dist.omega:
-        raise ValueError(f"{func}: x must lie in (0, omega], got x={x}")
+    x = _allowed_x(func, x, dist.omega)
     pivot = n - k  # ascending index of the (k-1)-th highest of n-1 values
     hi = dist.cdf(x) * (1 + 1e-9)  # no maximum above hi can win
 
@@ -379,10 +382,10 @@ def monte_carlo_expected_payment(bid: BidFunction,
         pay[won] = price
         return pay, won.size
 
-    result = _mc_accumulate(samples, seed, shard)
+    result = _mc_accumulate(func, samples, seed, shard)
     if result.wins == 0:
-        warnings.warn(f"monte_carlo_expected_payment: no winning trial at "
-                      f"n={n}, k={k}, x={x}, samples={samples}; the estimate "
+        warnings.warn(f"{func}: no winning trial at n={n}, k={k}, x={x}, "
+                      f"samples={result.samples}; the estimate "
                       f"0 +- 0 is not exact", RuntimeWarning, stacklevel=2)
     return result
 
@@ -400,15 +403,13 @@ def expected_revenue(bid: BidFunction, dist: LinearDensityDistribution,
     equal to the expected second-highest value.
     """
     n, k = _check_nk("expected_revenue", n, k, 2)
-    samples = _check_int("expected_revenue", "samples", samples, 2)
-    seed = _check_int("expected_revenue", "seed", seed, 0)
     pivot = n - k
 
     def shard(rng, size):
         u = rng.random((size, n))
         return bid(dist.inverse_cdf(_order_statistic(u, pivot))), size
 
-    return _mc_accumulate(samples, seed, shard)
+    return _mc_accumulate("expected_revenue", samples, seed, shard)
 
 
 def best_response_profile(bid: BidFunction, dist: LinearDensityDistribution,
@@ -423,26 +424,19 @@ def best_response_profile(bid: BidFunction, dist: LinearDensityDistribution,
     payoff row per value, bit for bit the scalar calls, integrating the
     payments m(z) on z_grid once for all of them.
     """
-    n, k = _check_nk("best_response_profile", n, k, 2)
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim > 1:
-        raise ValueError(f"best_response_profile: x must be a scalar or a "
-                         f"1-d array, got {xs.ndim} dimensions")
-    outside = xs[~((0.0 < xs) & (xs <= dist.omega))]
-    if outside.size:
-        raise ValueError(f"best_response_profile: x must lie in "
-                         f"(0, omega], got x={outside[0]}")
-    z_arr = np.asarray(z_grid, dtype=float)
-    if z_arr.ndim != 1 or z_arr.size < 2:
-        raise ValueError("best_response_profile: z_grid must be a 1-d grid")
-    if not np.all((0.0 <= z_arr) & (z_arr <= dist.omega)):
-        raise ValueError("best_response_profile: z_grid must be finite and "
-                         "lie in [0, omega]")
+    func = "best_response_profile"
+    n, k = _check_nk(func, n, k, 2)
+    x = _allowed_x(func, x, dist.omega, rows=True)
+    rows = isinstance(x, np.ndarray)
+    if np.ndim(z_grid) != 1 or len(z_grid) < 2:
+        raise ValueError(f"{func}: z_grid must be a 1-d grid")
+    z_arr = _allowed_x(func, z_grid, dist.omega, rows=True, zero=True,
+                       name="z_grid")
     payments = np.zeros(z_arr.size)
     inside = z_arr > 0.0
     payments[inside] = expected_payment_quadrature(bid, dist, n, k,
                                                    z_arr[inside])
-    win_prob = np.asarray(dist.cdf(z_arr)) ** (n - 1)
-    payoff = win_prob * xs[..., None] - payments  # one row per value
+    win_prob = dist.cdf(z_arr) ** (n - 1)
+    payoff = win_prob * (x[:, None] if rows else float(x)) - payments
     z_star = z_arr[np.argmax(payoff, axis=-1)]
-    return (z_star, payoff) if xs.ndim else (float(z_star), payoff)
+    return (z_star, payoff) if rows else (float(z_star), payoff)

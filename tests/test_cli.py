@@ -589,12 +589,16 @@ def test_repeated_calls_in_one_process_carry_no_state(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # the entry point, one process per call
 
-def run_module(*argv):
+def run_python(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "kthprice", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, cwd=ROOT, env=env, timeout=120)
+
+
+def run_module(*argv):
+    return run_python("-m", "kthprice", *argv)
 
 
 def test_python_m_kthprice_prints_golden_bounds():
@@ -607,3 +611,23 @@ def test_python_m_kthprice_exits_2_on_config_error():
     proc = run_module("bounds")
     assert proc.returncode == EXIT_CONFIG
     assert proc.stdout == b"" and b"error:" in proc.stderr
+
+
+def test_every_subcommand_runs_on_numpy_alone():
+    # numpy is the one runtime dependency: no subcommand may load scipy or
+    # pytest, which the tests alone need
+    lines = ["bid-table --n 5 --k 4", "verify --suite all --n 6 --k 4",
+             "identities --nmax 10", "bounds --nmax 10",
+             "simulate payment --n 4 --k 3 --x 0.8 --samples 1000",
+             "simulate revenue --n 3 --k 2 --samples 1000"]
+    script = (
+        "import contextlib, io, sys\n"
+        "from kthprice.cli import main\n"
+        f"for line in {lines!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(line.split()) == 0, line\n"
+        "print(sorted({'scipy', 'pytest'} & {m.split('.')[0] "
+        "for m in sys.modules}))\n")
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"[]\n"

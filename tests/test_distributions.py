@@ -1,15 +1,20 @@
 """Linear-density distributions and auction configs: parameter checks,
 CDF, density and inverse CDF."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from kthprice import (
     AuctionConfig,
+    BidFunction,
     LinearDensityDistribution,
     make_linear,
     make_triangle,
     make_uniform,
+    monte_carlo_expected_payment,
 )
 
 
@@ -35,6 +40,15 @@ def test_constructor_rejects_bad_parameters():
         make_linear(-2.0, 1.0)                          # f(omega) = 0
     with pytest.raises(ValueError):
         make_uniform(-1.0)
+    # products of in-range ints leave the float range as floats, with no
+    # OverflowError; a bool is no parameter, although True == 1
+    for make in (lambda: LinearDensityDistribution(10 ** 200, 0, 10 ** 200),
+                 lambda: make_linear(10 ** 200, 10 ** 200),
+                 lambda: make_uniform(True),
+                 lambda: make_linear(0.5, np.True_),
+                 lambda: LinearDensityDistribution(True, 0.5, 1.0)):
+        with pytest.raises(ValueError):
+            make()
 
 
 INF, NAN, HUGE = float("inf"), float("nan"), 10 ** 400  # HUGE: no float
@@ -64,6 +78,39 @@ def test_non_finite_parameter_is_named(make, field):
     # where arithmetic on it would raise OverflowError
     with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
         make()
+
+
+def test_parameters_are_stored_as_their_nearest_floats():
+    # an int, Fraction, Decimal or numpy number is read once, as a float
+    third = 1.0 / 3.0
+    for a, b, omega in ((Fraction(1, 3), Fraction(5, 6), 1),
+                        (Decimal(1) / 3, Decimal(5) / 6, Decimal(1)),
+                        (np.float64(third), np.float64(5 / 6), np.int64(1))):
+        dist = LinearDensityDistribution(a, b, omega)
+        assert [type(v) for v in (dist.a, dist.b, dist.omega)] == [float] * 3
+        assert dist == LinearDensityDistribution(third, 5 / 6, 1.0)
+    half = np.float32(0.5)
+    assert make_linear(half, 1).b == 0.75 and type(make_linear(half, 1).a) is float
+    assert make_uniform(1).omega == 1.0 and type(make_uniform(1).omega) is float
+    assert make_triangle(Fraction(2)) == make_triangle(2.0)
+    assert make_uniform(Decimal("0.5")) == LinearDensityDistribution(0.0, 2.0, 0.5)
+    big = make_uniform(10 ** 300)
+    assert type(big.omega) is float and big.omega == 1e300
+
+
+def test_fraction_parameters_give_the_float_distributions_results():
+    exact = LinearDensityDistribution(Fraction(1, 3), Fraction(5, 6), 1)
+    dist = LinearDensityDistribution(1.0 / 3.0, 5.0 / 6.0, 1.0)
+    xs = np.linspace(0.0, 1.0, 7)
+    cfg = AuctionConfig(5, 3)
+    for d in (exact, dist):
+        for values in (d.cdf(xs), d.pdf(xs), d.inverse_cdf(xs),
+                       BidFunction.series(cfg, d)(xs)):
+            assert values.dtype == np.float64
+    payments = [monte_carlo_expected_payment(BidFunction.equilibrium(cfg, d),
+                                             d, 5, 3, 0.7, 4096, 3)
+                for d in (exact, dist)]
+    assert payments[0] == payments[1] and payments[0].wins > 0
 
 
 EXTREME_OMEGAS = [1e-320, 1e-170, 1e170, 1e300]

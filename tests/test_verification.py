@@ -374,11 +374,11 @@ def test_monte_carlo_equals_direct_simulation(monkeypatch):
             bid = BidFunction.equilibrium(AuctionConfig(n, k), dist)
             for x in (0.2, 0.5, 0.8):
                 direct = verification._mc_accumulate(
-                    samples, seed, _direct_payment_shard(bid, dist, n, k, x))
+                    "direct", samples, seed, _direct_payment_shard(bid, dist, n, k, x))
                 assert monte_carlo_expected_payment(
                     bid, dist, n, k, x, samples, seed) == direct
             direct = verification._mc_accumulate(
-                samples, seed, _direct_revenue_shard(bid, dist, n, k))
+                "direct", samples, seed, _direct_revenue_shard(bid, dist, n, k))
             assert expected_revenue(bid, dist, n, k, samples, seed) == direct
 
 
@@ -453,7 +453,7 @@ def test_payment_filter_edges_equal_direct_simulation(monkeypatch, dist):
         for n, k in ((2, 2), (5, 2), (5, 3), (5, 5)):
             bid = BidFunction.equilibrium(AuctionConfig(n, k), dist)
             direct = verification._mc_accumulate(
-                samples, seed, _direct_payment_shard(bid, dist, n, k, x))
+                "direct", samples, seed, _direct_payment_shard(bid, dist, n, k, x))
             assert monte_carlo_expected_payment(
                 bid, dist, n, k, x, samples, seed) == direct, (x, n, k)
     assert banded > 0
